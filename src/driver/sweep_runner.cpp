@@ -1,6 +1,7 @@
 #include "driver/sweep_runner.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "driver/thread_pool.hpp"
 #include "support/error.hpp"
@@ -68,32 +69,21 @@ std::vector<SimResult>
 SweepRunner::run(const std::vector<SweepCell> &cells) const
 {
     std::vector<SimResult> results(cells.size());
-    if (jobs_ <= 1 || cells.size() <= 1) {
-        // Legacy serial path: identical iteration to the historical
-        // per-harness loops, no pool machinery involved.
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            results[i] = runCell(cells[i]);
-        return results;
-    }
-
-    // Fail fast on a broken cell: the pool captures the first
-    // exception, cancels every cell still queued, and wait()
-    // rethrows it here on the submitting thread.
+    // No pool at jobs 1 (or for a single cell): the legacy serial
+    // loop on this thread. Otherwise fail fast on a broken cell: no
+    // further cell starts, and the first exception is rethrown here.
     //
     // Concurrency contract: cells share no mutable state — each
-    // task writes only results[i] for its own i, and the slots are
-    // distinct objects, so no lock (and no capability annotation)
-    // is needed here; pool.wait() is the happens-before edge that
-    // publishes every slot to this thread. That disjoint-index
-    // pattern is the sanctioned lock-free idiom (docs/ANALYSIS.md);
-    // anything fancier belongs behind rsel::Mutex.
-    ThreadPool pool(std::min(jobs_, cells.size()));
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        pool.submit([&cells, &results, i] {
-            results[i] = SweepRunner::runCell(cells[i]);
-        });
-    }
-    pool.wait();
+    // index writes only results[i], and the slots are distinct
+    // objects, so no lock (and no capability annotation) is needed;
+    // forEachIndex's wait publishes every slot to this thread.
+    std::unique_ptr<ThreadPool> pool;
+    if (jobs_ > 1 && cells.size() > 1)
+        pool = std::make_unique<ThreadPool>(
+            std::min(jobs_, cells.size()));
+    forEachIndex(pool.get(), cells.size(), [&](std::size_t i) {
+        results[i] = SweepRunner::runCell(cells[i]);
+    });
     return results;
 }
 

@@ -1,5 +1,8 @@
 #include "driver/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+
 #include "support/error.hpp"
 
 namespace rsel {
@@ -115,6 +118,39 @@ ThreadPool::hardwareWorkers()
 {
     const unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : static_cast<std::size_t>(n);
+}
+
+void
+forEachIndex(ThreadPool *pool, std::size_t n,
+             const std::function<void(std::size_t)> &body)
+{
+    if (pool == nullptr) {
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
+        return;
+    }
+    // role: counter (relaxed) — it only hands out indices; wait()
+    // orders every body's writes before the caller's reads.
+    std::atomic<std::size_t> next{0};
+    const std::size_t tasks = std::min(pool->workerCount(), n);
+    for (std::size_t t = 0; t < tasks; ++t)
+        pool->submit([&next, &body, n] {
+            for (;;) {
+                const std::size_t i =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= n)
+                    return;
+                try {
+                    body(i);
+                } catch (...) {
+                    // Stop the other tasks claiming; the pool keeps
+                    // the first exception for wait() to rethrow.
+                    next.store(n, std::memory_order_relaxed);
+                    throw;
+                }
+            }
+        });
+    pool->wait();
 }
 
 } // namespace rsel

@@ -123,6 +123,19 @@ class ThreadPool
     bool stop_ RSEL_GUARDED_BY(mutex_) = false;
 };
 
+/**
+ * Run `body(i)` for every i in [0, n) and return once all have
+ * finished. With a pool, min(n, workers) tasks claim indices from a
+ * shared counter; with `pool == nullptr` the indices run inline, in
+ * order. Each call of `body` may write only state owned by its own
+ * index, so no lock is needed; the pool's wait() publishes those
+ * writes to the caller. A throwing `body` stops further indices from
+ * being claimed, and the first exception is rethrown here.
+ * @pre the pool runs no other work meanwhile.
+ */
+void forEachIndex(ThreadPool *pool, std::size_t n,
+                  const std::function<void(std::size_t)> &body);
+
 } // namespace rsel
 
 #endif // RSEL_DRIVER_THREAD_POOL_HPP

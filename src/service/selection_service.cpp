@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -48,6 +50,40 @@ policyName(CacheLimits::Policy policy)
     return policy == CacheLimits::Policy::Fifo ? "fifo" : "flush";
 }
 
+/** The arena geometry `config` asks for. */
+ArenaConfig
+arenaConfigFor(const ServiceConfig &config)
+{
+    ArenaConfig cfg;
+    cfg.capacityBytes = config.cacheKb * 1024;
+    cfg.shardCount = config.shards;
+    cfg.policy = config.policy;
+    return cfg;
+}
+
+std::uint64_t
+sliceEventsFor(const ServiceConfig &config)
+{
+    return config.sliceEvents != 0 ? config.sliceEvents
+                                   : defaultBatchSize;
+}
+
+std::size_t
+workersFor(const ServiceConfig &config)
+{
+    return config.jobs != 0 ? config.jobs
+                            : ThreadPool::hardwareWorkers();
+}
+
+/** The run's one pool, or none when it is serial. */
+std::unique_ptr<ThreadPool>
+poolFor(std::size_t workers)
+{
+    if (workers <= 1)
+        return nullptr;
+    return std::make_unique<ThreadPool>(workers);
+}
+
 } // namespace
 
 CacheLimits
@@ -57,10 +93,7 @@ tenantLimitsFor(const ServiceConfig &config, const TenantSpec &spec)
         // Bounded service: the arena's quota partition, computed by
         // the one shared routine so this can never drift from what
         // runService hands its sessions.
-        ArenaConfig cfg;
-        cfg.capacityBytes = config.cacheKb * 1024;
-        cfg.policy = config.policy;
-        return ShardedCodeCache::limitsFor(cfg,
+        return ShardedCodeCache::limitsFor(arenaConfigFor(config),
                                            config.tenants.size());
     }
     // Unbounded service: each tenant honours its own spec's cache
@@ -82,11 +115,9 @@ squeezedCapacityFor(const ServiceConfig &config,
         // Bounded arena: the squeeze models `factor` times the
         // tenant population crowding in — computed through the one
         // shared partition routine, like everything quota-shaped.
-        ArenaConfig cfg;
-        cfg.capacityBytes = config.cacheKb * 1024;
-        cfg.policy = config.policy;
         return ShardedCodeCache::limitsFor(
-                   cfg, config.tenants.size() * factor)
+                   arenaConfigFor(config),
+                   config.tenants.size() * factor)
             .capacityBytes;
     }
     // Unbounded arena, bounded tenant: shrink the tenant's own
@@ -122,28 +153,25 @@ runService(const ServiceConfig &config)
         fatal("the service needs at least one tenant");
     const std::size_t n = config.tenants.size();
 
-    ArenaConfig arenaCfg;
-    arenaCfg.capacityBytes = config.cacheKb * 1024;
-    arenaCfg.shardCount = config.shards;
-    arenaCfg.policy = config.policy;
-    ShardedCodeCache arena(arenaCfg);
+    ShardedCodeCache arena(arenaConfigFor(config));
+    const std::uint64_t slice = sliceEventsFor(config);
+    const std::size_t workers = workersFor(config);
+    // One pool for the whole run: every lifecycle step below costs
+    // one tenant's own state, so each runs per tenant on the pool.
+    const std::unique_ptr<ThreadPool> pool = poolFor(workers);
 
-    const std::uint64_t slice =
-        config.sliceEvents != 0 ? config.sliceEvents
-                                : defaultBatchSize;
-    const std::size_t workers = config.jobs != 0
-                                    ? config.jobs
-                                    : ThreadPool::hardwareWorkers();
-
-    // The initial tenant set registers serially here (ids 0..n-1 in
-    // tenant order); warm restarts register replacement ids
-    // mid-traffic, which the arena's chunked account table makes
-    // safe. Conductors are declared after the arena so their
-    // destructors (which lift any pending quarantine) run first.
-    std::vector<std::unique_ptr<TenantConductor>> conductors;
-    conductors.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        conductors.push_back(makeConductor(config, i, arena, slice));
+    // Tenants are built concurrently, so arena ids follow build
+    // completion, not tenant order. Nothing depends on an id's
+    // value: shards hash the entrance, quarantine shards come from
+    // the schedule, and report rows are indexed by tenant. Warm
+    // restarts register replacement ids mid-traffic too, which the
+    // arena's chunked account table makes safe. Conductors are
+    // declared after the arena so their destructors (which lift any
+    // pending quarantine) run first.
+    std::vector<std::unique_ptr<TenantConductor>> conductors(n);
+    forEachIndex(pool.get(), n, [&](std::size_t i) {
+        conductors[i] = makeConductor(config, i, arena, slice);
+    });
 
     const auto start = std::chrono::steady_clock::now();
     if (config.overload.maxInflight != 0) {
@@ -153,9 +181,6 @@ runService(const ServiceConfig &config)
         // because the pending set is itself a per-tenant
         // deterministic function of the slice clock.
         const std::size_t maxInflight = config.overload.maxInflight;
-        std::unique_ptr<ThreadPool> pool;
-        if (workers > 1)
-            pool = std::make_unique<ThreadPool>(workers);
         std::size_t cursor = 0;
         for (;;) {
             std::vector<std::size_t> grants;
@@ -173,18 +198,15 @@ runService(const ServiceConfig &config)
                 break;
             for (const std::size_t i : denied)
                 conductors[i]->recordAdmissionShed();
-            if (pool) {
-                for (const std::size_t i : grants)
-                    pool->submit(
-                        [&conductors, i] { conductors[i]->offer(); });
-                pool->wait(); // round barrier; the pool is reusable
-            } else {
-                for (const std::size_t i : grants)
-                    conductors[i]->offer();
-            }
+            // The round barrier: forEachIndex returns once every
+            // granted slice has run.
+            forEachIndex(pool.get(), grants.size(),
+                         [&](std::size_t k) {
+                             conductors[grants[k]]->offer();
+                         });
             cursor = (cursor + 1) % n;
         }
-    } else if (workers <= 1) {
+    } else if (!pool) {
         // Serial round-robin through the same offer path the pool
         // takes, so --jobs 1 exercises identical per-tenant code.
         bool pending = true;
@@ -204,16 +226,15 @@ runService(const ServiceConfig &config)
         // workers" property is the session capability (sessionMu_)
         // the analyze preset checks — and MutexSoleLock panics at
         // runtime if this scheduler ever breaks it.
-        ThreadPool pool(workers);
         std::function<void(std::size_t)> step =
             [&](std::size_t i) {
                 conductors[i]->offer();
                 if (!conductors[i]->done())
-                    pool.submit([&step, i] { step(i); });
+                    pool->submit([&step, i] { step(i); });
             };
         for (std::size_t i = 0; i < n; ++i)
-            pool.submit([&step, i] { step(i); });
-        pool.wait();
+            pool->submit([&step, i] { step(i); });
+        pool->wait();
     }
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
@@ -222,18 +243,27 @@ runService(const ServiceConfig &config)
     report.jobs = workers;
     report.quotaBytes = arena.tenantQuotaBytes(n);
     report.seconds = elapsed.count();
-    report.tenants.reserve(n);
-    for (auto &conductor : conductors) {
-        TenantReport tr;
-        tr.name = conductor->spec().name;
-        tr.selector = algorithmName(conductor->spec().algo);
-        tr.health = conductor->health();
-        tr.chaos = conductor->counters();
+    // Finish and fingerprint each tenant into its own pre-sized row.
+    // The arena stats are read here, before any teardown starts.
+    report.tenants.resize(n);
+    forEachIndex(pool.get(), n, [&](std::size_t i) {
+        TenantConductor &conductor = *conductors[i];
+        TenantReport &tr = report.tenants[i];
+        tr.name = conductor.spec().name;
+        tr.selector = algorithmName(conductor.spec().algo);
+        tr.health = conductor.health();
+        tr.chaos = conductor.counters();
         tr.aborted = tr.chaos.aborted;
-        tr.cache = arena.tenantStats(conductor->tenantId());
+        tr.cache = arena.tenantStats(conductor.tenantId());
         if (!tr.aborted) {
-            tr.result = conductor->finish();
+            tr.result = conductor.finish();
             tr.fingerprint = testing::resultFingerprint(tr.result);
+        }
+    });
+    // Totals are summed in tenant order, whatever order the rows
+    // were filled in.
+    for (const TenantReport &tr : report.tenants) {
+        if (!tr.aborted) {
             report.totalEvents += tr.result.events;
             report.totalInsts += tr.result.totalInsts;
             report.cachedInsts += tr.result.cachedInsts;
@@ -251,7 +281,6 @@ runService(const ServiceConfig &config)
             ++report.chaos.degradedTenants;
         if (tr.health == TenantHealth::Blacklisted)
             ++report.chaos.blacklistedTenants;
-        report.tenants.push_back(std::move(tr));
     }
     // Arena snapshot while every surviving tenant's residency is
     // still live; teardown below drains it to zero.
@@ -264,8 +293,12 @@ runService(const ServiceConfig &config)
             static_cast<double>(report.cachedInsts) /
             static_cast<double>(report.totalInsts);
 
-    for (auto &conductor : conductors)
-        conductor->teardown();
+    // Teardown sweeps only the tenant's own arena key range, so
+    // tearing down and destroying every tenant is linear overall.
+    forEachIndex(pool.get(), n, [&](std::size_t i) {
+        conductors[i]->teardown();
+        conductors[i].reset();
+    });
     RSEL_ASSERT(arena.stats().liveBytes == 0,
                 "tenant teardown left live bytes in the arena");
     return report;
@@ -321,16 +354,9 @@ soloTenantChaosRun(const ServiceConfig &config,
     // physical accounting behave identically, and the conductor is
     // the very class the service runs — oracle and service share
     // one slice loop by construction.
-    ArenaConfig arenaCfg;
-    arenaCfg.capacityBytes = config.cacheKb * 1024;
-    arenaCfg.shardCount = config.shards;
-    arenaCfg.policy = config.policy;
-    ShardedCodeCache arena(arenaCfg);
-    const std::uint64_t slice =
-        config.sliceEvents != 0 ? config.sliceEvents
-                                : defaultBatchSize;
-    std::unique_ptr<TenantConductor> conductor =
-        makeConductor(config, tenantIndex, arena, slice);
+    ShardedCodeCache arena(arenaConfigFor(config));
+    std::unique_ptr<TenantConductor> conductor = makeConductor(
+        config, tenantIndex, arena, sliceEventsFor(config));
     while (!conductor->done())
         conductor->offer();
     // The trajectory is deterministic: a tenant that survived the
@@ -348,14 +374,24 @@ verifyServiceDeterminism(const ServiceConfig &config)
 {
     try {
         const ServiceReport report = runService(config);
-        for (std::size_t i = 0; i < config.tenants.size(); ++i) {
+        // The solo legs run on a pool of the service's own size;
+        // each writes only its own verdict, and the first divergent
+        // tenant in tenant order is the one reported.
+        const std::size_t n = config.tenants.size();
+        std::vector<char> diverged(n, 0);
+        const std::unique_ptr<ThreadPool> pool =
+            poolFor(workersFor(config));
+        forEachIndex(pool.get(), n, [&](std::size_t i) {
             const TenantSpec &spec = config.tenants[i];
             const SimResult solo = soloTenantRun(
                 spec, tenantLimitsFor(config, spec),
                 config.eventsOverride);
-            const std::string fpSolo =
-                testing::resultFingerprint(solo);
-            if (report.tenants[i].fingerprint != fpSolo)
+            diverged[i] = report.tenants[i].fingerprint !=
+                          testing::resultFingerprint(solo);
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+            const TenantSpec &spec = config.tenants[i];
+            if (diverged[i])
                 return "tenant " + spec.name + " (" +
                        algorithmName(spec.algo) +
                        "): service fingerprint diverged from the "
@@ -462,9 +498,14 @@ verifyServiceChaos(const ServiceConfig &config)
 }
 
 void
-writeServiceReportJson(std::ostream &os, const ServiceConfig &config,
+writeServiceReportJson(std::ostream &out, const ServiceConfig &config,
                        const ServiceReport &report)
 {
+    // Format in a private stream: every double prints with enough
+    // digits to parse back exactly, and the caller's stream keeps
+    // its own formatting state.
+    std::ostringstream os;
+    os << std::setprecision(std::numeric_limits<double>::max_digits10);
     os << "{\n"
        << "  \"tool\": \"rselect-serve\",\n"
        << "  \"tenants\": " << report.tenants.size() << ",\n"
@@ -475,9 +516,8 @@ writeServiceReportJson(std::ostream &os, const ServiceConfig &config,
        << "  \"slice_events\": " << config.sliceEvents << ",\n"
        << "  \"quota_bytes\": " << report.quotaBytes << ",\n"
        << "  \"seconds\": " << report.seconds << ",\n"
-       << "  \"events_per_sec\": " << std::fixed
-       << std::setprecision(0) << report.eventsPerSec
-       << std::defaultfloat << ",\n"
+       << "  \"events_per_sec\": " << std::llround(report.eventsPerSec)
+       << ",\n"
        << "  \"total_events\": " << report.totalEvents << ",\n"
        << "  \"global_hit_rate\": " << report.globalHitRate << ",\n"
        << "  \"arena\": {\"high_water_bytes\": "
@@ -530,6 +570,7 @@ writeServiceReportJson(std::ostream &os, const ServiceConfig &config,
            << "\n";
     }
     os << "  ]\n}\n";
+    out << os.str();
 }
 
 } // namespace service

@@ -129,11 +129,13 @@ CacheLimits tenantLimitsFor(const ServiceConfig &config,
                             const TenantSpec &spec);
 
 /**
- * Run the whole tenant set to completion and report. Tenants are
- * interleaved slice-by-slice over the worker pool (FIFO
- * round-robin); per-tenant results are independent of worker count
- * and interleaving by construction. A throwing tenant fail-fasts
- * the run (ThreadPool's first-exception contract).
+ * Run the whole tenant set to completion and report. One worker
+ * pool serves the whole run: tenants are built on it, interleaved
+ * slice-by-slice over it (FIFO round-robin), then finished into
+ * their own report rows and torn down on it. Per-tenant results are
+ * independent of worker count and interleaving by construction, and
+ * the rows and totals come out in tenant order. A throwing tenant
+ * fail-fasts the run (ThreadPool's first-exception contract).
  * @throws FatalError on an empty tenant set.
  */
 ServiceReport runService(const ServiceConfig &config);
@@ -176,9 +178,11 @@ SimResult soloTenantChaosRun(const ServiceConfig &config,
 
 /**
  * The multi-tenant determinism oracle: run `config` through the
- * service, then each tenant solo, and compare fingerprints.
+ * service, then each tenant solo (on a pool of `config.jobs`
+ * workers), and compare fingerprints.
  * @return empty on success, else a description of the first
- * mismatch (never throws; failures from any layer are captured).
+ * mismatch in tenant order (never throws; failures from any layer
+ * are captured).
  */
 std::string verifyServiceDeterminism(const ServiceConfig &config);
 
@@ -207,7 +211,7 @@ std::string verifyServiceChaos(const ServiceConfig &config);
  * aggregates plus one compact record per tenant (fingerprints are
  * folded to an FNV-1a hash so 4096-tenant reports stay small).
  */
-void writeServiceReportJson(std::ostream &os,
+void writeServiceReportJson(std::ostream &out,
                             const ServiceConfig &config,
                             const ServiceReport &report);
 

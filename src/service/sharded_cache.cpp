@@ -216,19 +216,14 @@ ShardedCodeCache::releaseAll(TenantId tenant)
     for (Shard &shard : shards_) {
         MutexLock lock(shard.mu, contention_);
         // Sweep the live map and the quarantine pen alike: a
-        // torn-down tenant leaves no residue anywhere.
+        // torn-down tenant leaves no residue anywhere. Only the
+        // tenant's own key range is visited.
         for (auto *map : {&shard.entries, &shard.parked}) {
-            for (auto it = map->begin(); it != map->end();) {
-                // Recover the tenant from the key's high bits; the
-                // XOR folding keeps them intact for sub-2^40
-                // entries.
-                if ((it->first >> 40) == tenant) {
-                    released += it->second;
-                    ++count;
-                    it = map->erase(it);
-                } else {
-                    ++it;
-                }
+            auto it = map->lower_bound(keyOf(tenant, 0));
+            while (it != map->end() && tenantOf(it->first) == tenant) {
+                released += it->second;
+                ++count;
+                it = map->erase(it);
             }
         }
     }
@@ -278,15 +273,12 @@ ShardedCodeCache::liftShardQuarantine(std::size_t shard)
                 "lifting a shard that is not quarantined");
     if (--s.quarantineDepth != 0)
         return;
-    // Last lift: the pen's survivors rejoin the live map.
-    for (const auto &entry : s.parked) {
-        const bool inserted =
-            s.entries.emplace(entry.first, entry.second).second;
-        RSEL_ASSERT(inserted,
-                    "parked entry collides with a live entry at "
-                    "quarantine lift");
-    }
-    s.parked.clear();
+    // Last lift: the pen's survivors rejoin the live map. merge()
+    // leaves a colliding key behind in the pen.
+    s.entries.merge(s.parked);
+    RSEL_ASSERT(s.parked.empty(),
+                "parked entry collides with a live entry at "
+                "quarantine lift");
 }
 
 TenantCacheStats
@@ -346,9 +338,9 @@ ShardedCodeCache::liveEntryCount(TenantId tenant) const
     for (const Shard &shard : shards_) {
         MutexLock lock(shard.mu, contention_);
         for (const auto *map : {&shard.entries, &shard.parked})
-            for (const auto &entry : *map)
-                if ((entry.first >> 40) == tenant)
-                    ++count;
+            for (auto it = map->lower_bound(keyOf(tenant, 0));
+                 it != map->end() && tenantOf(it->first) == tenant; ++it)
+                ++count;
     }
     return count;
 }

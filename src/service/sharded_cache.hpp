@@ -57,8 +57,8 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
-#include <unordered_map>
 
 #include "runtime/code_cache.hpp"
 #include "support/sync.hpp"
@@ -197,10 +197,13 @@ class ShardedCodeCache
                  ReleaseReason reason) RSEL_EXCLUDES(registry_);
 
     /**
-     * Drop every live entry of `tenant` (teardown sweep), then
-     * deactivate the id: further admissions from it are rejected
-     * loudly, so a dead tenant's regions can never resurrect.
-     * @return bytes released.
+     * Drop every live and parked entry of `tenant` (teardown sweep),
+     * then deactivate the id: further admissions from it are
+     * rejected loudly, so a dead tenant's regions can never
+     * resurrect. The sweep scans the shard maps themselves, but only
+     * the tenant's own key range in each: O(shards · log entries +
+     * the tenant's entries), independent of how many other tenants
+     * are resident. @return bytes released.
      */
     std::uint64_t releaseAll(TenantId tenant) RSEL_EXCLUDES(registry_);
 
@@ -250,8 +253,9 @@ class ShardedCodeCache
     /** Global accounting snapshot. */
     ArenaStats stats() const;
 
-    /** Live physical entries of one tenant (test probe; O(shards +
-     *  entries)). */
+    /** Live and parked physical entries of one tenant (test probe):
+     *  counts the tenant's key range in each shard, O(shards · log
+     *  entries + the tenant's entries). */
     std::size_t liveEntryCount(TenantId tenant) const;
 
     /** The configured arena parameters. */
@@ -285,7 +289,9 @@ class ShardedCodeCache
   private:
     friend struct TsaTestProbe; // negative-compile battery only
 
-    /** One shard: a mutex plus the (tenant, entry) -> bytes map. */
+    /** One shard: a mutex plus the (tenant, entry) -> bytes map.
+     *  The maps are ordered by keyOf, so each tenant's entries form
+     *  one contiguous key range. */
     struct Shard
     {
         explicit Shard(Mutex &registryLock) : registry(registryLock) {}
@@ -299,11 +305,11 @@ class ShardedCodeCache
         Mutex &registry;
         mutable Mutex mu RSEL_ACQUIRED_AFTER(registry);
         /** Key = tenant-qualified entrance address (see keyOf). */
-        std::unordered_map<std::uint64_t, std::uint64_t> entries
+        std::map<std::uint64_t, std::uint64_t> entries
             RSEL_GUARDED_BY(mu);
         /** Admissions parked while the shard is quarantined; merged
          *  back into `entries` when the last quarantine lifts. */
-        std::unordered_map<std::uint64_t, std::uint64_t> parked
+        std::map<std::uint64_t, std::uint64_t> parked
             RSEL_GUARDED_BY(mu);
         /** Nested quarantine count; admissions park while > 0. */
         std::uint32_t quarantineDepth RSEL_GUARDED_BY(mu) = 0;
@@ -350,12 +356,22 @@ class ShardedCodeCache
      * in the same synthetic address range, so the physical map
      * must never let one tenant's entry satisfy (or collide with)
      * another's. Entrance addresses in generated programs stay
-     * well below 2^40; the assert in admit() enforces it.
+     * well below 2^40; the assert in admit() enforces it. With the
+     * tenant in the high bits, tenant t's keys are exactly the
+     * ordered run that starts at keyOf(t, 0); ids stay below 2^20
+     * (the account table's size), so the shift never overflows.
      */
     static std::uint64_t
     keyOf(TenantId tenant, Addr entry)
     {
-        return (static_cast<std::uint64_t>(tenant) << 40) ^ entry;
+        return (static_cast<std::uint64_t>(tenant) << 40) | entry;
+    }
+
+    /** The tenant a key belongs to: keyOf's high bits. */
+    static TenantId
+    tenantOf(std::uint64_t key)
+    {
+        return static_cast<TenantId>(key >> 40);
     }
 
     /**

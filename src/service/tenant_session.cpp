@@ -80,15 +80,18 @@ TenantSession::runSlice(std::uint64_t maxEvents)
         done_ = true;
         return false;
     }
+    // Sound because a slice fills and consumes the batch before it
+    // returns, and a thread runs one slice at a time.
+    thread_local EventBatch batch;
     const std::uint64_t want =
         std::min<std::uint64_t>(maxEvents, remaining_);
     const std::uint64_t got =
-        exec_.fillBatch(batch_, static_cast<std::size_t>(want));
+        exec_.fillBatch(batch, static_cast<std::size_t>(want));
     if (got == 0) {
         done_ = true; // guest halted before its budget
         return false;
     }
-    sys_.onBatch(batch_);
+    sys_.onBatch(batch);
     eventsRun_ += got;
     remaining_ -= got;
     if (remaining_ == 0 || got < want)

@@ -190,7 +190,10 @@ class TenantSession : public CodeCache::Listener
      *  below are the ones a scheduler could plausibly race on. */
     DynOptSystem sys_;
     Executor exec_;
-    EventBatch batch_ RSEL_GUARDED_BY(sessionMu_);
+    // The session owns no event batch: a slice fills the running
+    // worker's thread_local scratch batch (see runSlice), so 4096
+    // sessions share one batch per worker instead of holding
+    // ~52 KiB each.
     std::uint64_t remaining_ RSEL_GUARDED_BY(sessionMu_);
     std::uint64_t eventsRun_ RSEL_GUARDED_BY(sessionMu_) = 0;
     /** role: flag (release/acquire) — publishes "stop requested"

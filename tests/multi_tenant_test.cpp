@@ -77,19 +77,70 @@ TEST(MultiTenantTest, EverySelectorMatchesItsSoloRun)
     EXPECT_EQ(verifyServiceDeterminism(config), "");
 }
 
-// Worker count is pure scheduling: --jobs 1 and --jobs 8 must yield
-// identical per-tenant fingerprints (and identical arena traffic).
+// Worker count is pure scheduling: --jobs 1, 2 and 8 must yield
+// identical per-tenant fingerprints and identical arena traffic. The
+// pooled lifecycle builds, finishes and tears tenants down in any
+// order, so the rows must still come back in tenant order, and each
+// row's arena stats must have been read before its teardown.
 TEST(MultiTenantTest, JobsParity)
 {
-    ServiceConfig serial = seedConfig(12, 48, 1);
-    ServiceConfig pooled = seedConfig(12, 48, 8);
-    const ServiceReport a = runService(serial);
-    const ServiceReport b = runService(pooled);
-    EXPECT_EQ(fingerprintsOf(a), fingerprintsOf(b));
-    EXPECT_EQ(a.arena.admissions, b.arena.admissions);
-    EXPECT_EQ(a.arena.releases, b.arena.releases);
-    EXPECT_EQ(a.arena.highWaterBytes, b.arena.highWaterBytes);
-    EXPECT_EQ(a.totalEvents, b.totalEvents);
+    const ServiceConfig config = seedConfig(12, 48, 1);
+    const ServiceReport serial = runService(config);
+    for (const std::size_t jobs : {2u, 8u}) {
+        const ServiceReport pooled =
+            runService(seedConfig(12, 48, jobs));
+        EXPECT_EQ(fingerprintsOf(serial), fingerprintsOf(pooled))
+            << "jobs " << jobs;
+        EXPECT_EQ(serial.arena.admissions, pooled.arena.admissions);
+        EXPECT_EQ(serial.arena.releases, pooled.arena.releases);
+        EXPECT_EQ(serial.arena.highWaterBytes,
+                  pooled.arena.highWaterBytes);
+        EXPECT_EQ(serial.totalEvents, pooled.totalEvents);
+        ASSERT_EQ(serial.tenants.size(), pooled.tenants.size());
+        for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
+            const TenantReport &a = serial.tenants[i];
+            const TenantReport &b = pooled.tenants[i];
+            EXPECT_EQ(b.name, config.tenants[i].name)
+                << "jobs " << jobs;
+            EXPECT_EQ(a.name, b.name);
+            EXPECT_EQ(a.cache.admissions, b.cache.admissions) << a.name;
+            EXPECT_EQ(a.cache.evictionReleases, b.cache.evictionReleases)
+                << a.name;
+            EXPECT_EQ(a.cache.invalidationReleases,
+                      b.cache.invalidationReleases)
+                << a.name;
+            EXPECT_EQ(a.cache.flushReleases, b.cache.flushReleases)
+                << a.name;
+            EXPECT_EQ(a.cache.highWaterBytes, b.cache.highWaterBytes)
+                << a.name;
+            // Read before teardown: the residency is still there.
+            EXPECT_EQ(b.cache.liveBytes, b.result.cacheLiveBytes)
+                << a.name;
+        }
+    }
+}
+
+// The JSON report prints hit rates with enough digits to parse back
+// exactly; events_per_sec's integer formatting must not leak into
+// the fields after it.
+TEST(MultiTenantTest, ReportJsonKeepsHitRatePrecision)
+{
+    const ServiceConfig config = seedConfig(4, 16, 1);
+    const ServiceReport report = runService(config);
+    ASSERT_GT(report.globalHitRate, 0.0);
+    ASSERT_LT(report.globalHitRate, 1.0);
+    std::ostringstream json;
+    writeServiceReportJson(json, config, report);
+    const std::string text = json.str();
+    const auto valueAfter = [&text](const std::string &key) {
+        const std::size_t at = text.find("\"" + key + "\": ");
+        EXPECT_NE(at, std::string::npos) << key;
+        return std::stod(text.substr(at + key.size() + 4));
+    };
+    EXPECT_NEAR(valueAfter("global_hit_rate"), report.globalHitRate,
+                1e-9);
+    EXPECT_NEAR(valueAfter("hit_rate"),
+                report.tenants[0].result.hitRate(), 1e-9);
 }
 
 // The shard count is a physical layout knob: 1, 4 and 64 shards
@@ -294,6 +345,43 @@ TEST(MultiTenantTest, TeardownNeverResurrects)
     EXPECT_EQ(testing::resultFingerprint(rerun), fpEarly);
     session.teardown();
     EXPECT_EQ(arena.stats().liveBytes, 0u);
+}
+
+// Each tenant's entries are one contiguous key range in a shard's
+// ordered maps. Entrances at both ends of that range, next to the
+// neighbouring tenant's first key, and a parked entry must all be
+// found by the range sweep, and nothing of the neighbour may be.
+TEST(MultiTenantTest, ArenaKeyRangeBoundary)
+{
+    ArenaConfig cfg;
+    cfg.shardCount = 1;
+    ShardedCodeCache arena(cfg);
+    const TenantId t = arena.registerTenant();
+    const TenantId next = arena.registerTenant();
+    ASSERT_EQ(next, t + 1);
+    const Addr top = (Addr{1} << 40) - 1;
+
+    arena.admit(t, 0, 100);
+    arena.admit(next, 0, 7);
+    arena.quarantineShard(0);
+    arena.admit(t, top, 200); // parked
+    EXPECT_EQ(arena.stats().quarantinedAdmissions, 1u);
+    EXPECT_EQ(arena.liveEntryCount(t), 2u);
+    EXPECT_EQ(arena.liveEntryCount(next), 1u);
+
+    EXPECT_EQ(arena.releaseAll(t), 300u);
+    EXPECT_EQ(arena.liveEntryCount(t), 0u);
+    EXPECT_EQ(arena.tenantStats(t).flushReleases, 2u);
+    EXPECT_EQ(arena.tenantStats(t).liveBytes, 0u);
+    EXPECT_EQ(arena.liveEntryCount(next), 1u);
+    EXPECT_EQ(arena.tenantStats(next).liveBytes, 7u);
+
+    arena.liftShardQuarantine(0);
+    arena.release(next, 0, 7, ReleaseReason::Eviction);
+    EXPECT_EQ(arena.liveEntryCount(next), 0u);
+    EXPECT_EQ(arena.tenantStats(next).evictionReleases, 1u);
+    EXPECT_EQ(arena.stats().liveBytes, 0u);
+    EXPECT_EQ(arena.stats().liveEntries, 0u);
 }
 
 // Aborting a tenant mid-flight (requestStop) must still tear down

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "driver/sweep_runner.hpp"
 #include "driver/thread_pool.hpp"
@@ -143,6 +145,46 @@ TEST(ThreadPoolTest, CancelPendingDropsQueuedTasksOnly)
         pool.submit([&ran] { ++ran; });
     pool.wait();
     EXPECT_EQ(ran.load(), 25);
+}
+
+TEST(ForEachIndexTest, RunsEveryIndexOnceWithOrWithoutAPool)
+{
+    std::vector<std::size_t> order;
+    forEachIndex(nullptr, 5, [&order](std::size_t i) {
+        order.push_back(i);
+    });
+    // No pool: inline, in index order.
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+    ThreadPool pool(4);
+    std::vector<int> hits(1000, 0);
+    forEachIndex(&pool, hits.size(),
+                 [&hits](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1000);
+    // Fewer indices than workers, and none at all.
+    forEachIndex(&pool, 2, [&hits](std::size_t i) { ++hits[i]; });
+    forEachIndex(&pool, 0, [](std::size_t) { FAIL(); });
+    EXPECT_EQ(hits[0], 2);
+    EXPECT_EQ(hits[1], 2);
+    EXPECT_EQ(hits[2], 1);
+}
+
+TEST(ForEachIndexTest, ThrowStopsClaimingAndRethrows)
+{
+    // One worker claims in order: index 3 throws, so 4.. never run.
+    ThreadPool pool(1);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(forEachIndex(&pool, 100,
+                              [&ran](std::size_t i) {
+                                  if (i == 3)
+                                      throw std::runtime_error("3");
+                                  ++ran;
+                              }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 3);
+    // The pool is reusable afterwards.
+    forEachIndex(&pool, 10, [&ran](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 13);
 }
 
 TEST(SweepRunnerTest, MixSeedIsDeterministicAndSpreads)
