@@ -12,7 +12,8 @@
 namespace rsel::bench {
 
 BenchOptions
-parseArgs(int argc, char **argv, const std::string &description)
+parseArgs(int argc, char **argv, const std::string &description,
+          std::vector<std::string> *positional)
 {
     CliOptions cli;
     cli.define("events", "0",
@@ -40,6 +41,8 @@ parseArgs(int argc, char **argv, const std::string &description)
         std::exit(0);
     }
 
+    if (positional)
+        *positional = cli.positional();
     BenchOptions opts;
     opts.events = cli.getUint("events");
     opts.seed = cli.getUint("seed");

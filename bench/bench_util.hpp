@@ -56,10 +56,12 @@ struct BenchOptions
 
 /**
  * Parse the common bench CLI. Prints usage and exits on --help;
- * terminates with a message on bad options.
+ * terminates with a message on bad options. Positional arguments
+ * land in `positional` when given (and are ignored otherwise).
  */
 BenchOptions parseArgs(int argc, char **argv,
-                       const std::string &description);
+                       const std::string &description,
+                       std::vector<std::string> *positional = nullptr);
 
 /**
  * Lazily runs and caches suite results per algorithm so a binary

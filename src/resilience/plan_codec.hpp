@@ -2,10 +2,11 @@
  * @file
  * Shared one-line plan codec.
  *
- * Both fault plans ("f1,tfail=10,...") and service chaos plans
- * ("c1,crash=250,...") are flat bags of integer knobs with the same
- * portability contract: the text form is a complete reproducer, and
- * toString/parse/operator== must agree field-for-field forever. The
+ * Fault plans ("f1,tfail=10,..."), service chaos plans
+ * ("c1,crash=250,...") and fuzz generator specs ("v1,funcs=2,...")
+ * are flat bags of integer knobs with the same portability contract:
+ * the text form is a complete reproducer, and toString/parse/
+ * operator== must agree field-for-field forever. The
  * codec is therefore driven by a single per-plan field table — one
  * row per knob — so the three operations cannot drift apart, and a
  * new plan type only declares its table.

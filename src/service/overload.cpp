@@ -26,11 +26,11 @@ TenantHealthMachine::observe(std::uint64_t pressureDelta)
 {
     if (state_ == TenantHealth::Blacklisted)
         return state_; // absorbing
-    if (pressureDelta >= cfg_.degradePressure) {
+    if (pressureDelta >= kDegradePressure) {
         ++streak_;
-        if (cfg_.blacklistAfter != 0 && streak_ >= cfg_.blacklistAfter)
+        if (streak_ >= kBlacklistAfter)
             state_ = TenantHealth::Blacklisted;
-        else if (cfg_.shedAfter != 0 && streak_ >= cfg_.shedAfter)
+        else if (streak_ >= kShedAfter)
             state_ = TenantHealth::Shed;
         else
             state_ = TenantHealth::Degraded;
@@ -60,8 +60,7 @@ TenantConductor::TenantConductor(const TenantSpec &spec,
       id_(arena.registerTenant()),
       session_(std::make_unique<TenantSession>(id_, spec_, limits_,
                                                arena_,
-                                               eventsOverride_)),
-      machine_(overload)
+                                               eventsOverride_))
 {
 }
 
@@ -181,14 +180,13 @@ TenantConductor::offer()
     }
     ++counters_.scheduledSlices;
 
-    // SHED: every shedStride-th offer runs, the rest defer. Pure
+    // SHED: every kShedStride-th offer runs, the rest defer. Pure
     // deferral — the slice clock does not advance, so chaos
     // triggers and the solo replay stay aligned.
     if (!postRestart_ && !degraded_ &&
-        machine_.state() == TenantHealth::Shed &&
-        overload_.shedStride > 1) {
+        machine_.state() == TenantHealth::Shed) {
         ++shedTick_;
-        if (shedTick_ % overload_.shedStride != 0) {
+        if (shedTick_ % kShedStride != 0) {
             ++counters_.shedSlices;
             return OfferOutcome::Shed;
         }

@@ -52,6 +52,15 @@ enum class TenantHealth : std::uint8_t {
 /** Stable uppercase name ("HEALTHY", ... — JSON/report form). */
 const char *healthName(TenantHealth health);
 
+/** Recovery-signal delta per slice that counts as pressure. */
+constexpr std::uint32_t kDegradePressure = 1;
+/** Consecutive pressured slices before DEGRADED becomes SHED. */
+constexpr std::uint32_t kShedAfter = 3;
+/** Consecutive pressured slices before BLACKLISTED. */
+constexpr std::uint32_t kBlacklistAfter = 8;
+/** In SHED, every kShedStride-th offer runs, the rest are shed. */
+constexpr std::uint32_t kShedStride = 2;
+
 /** Knobs of the overload controller. Default-constructed = off. */
 struct OverloadConfig
 {
@@ -63,15 +72,6 @@ struct OverloadConfig
     std::uint64_t sliceBudget = 0;
     /** Master switch of the health state machine. */
     bool healthEnabled = false;
-    /** Recovery-signal delta per slice that counts as pressure. */
-    std::uint32_t degradePressure = 1;
-    /** Consecutive pressured slices before DEGRADED becomes SHED. */
-    std::uint32_t shedAfter = 3;
-    /** Consecutive pressured slices before BLACKLISTED. */
-    std::uint32_t blacklistAfter = 8;
-    /** In SHED, every shedStride-th offer runs, the rest are shed
-     *  (<= 1 disables shedding). */
-    std::uint32_t shedStride = 2;
 
     /** True if any overload mechanism can engage. */
     bool
@@ -89,11 +89,6 @@ struct OverloadConfig
 class TenantHealthMachine
 {
   public:
-    explicit TenantHealthMachine(const OverloadConfig &cfg)
-        : cfg_(cfg)
-    {
-    }
-
     /**
      * Feed one completed slice's recovery-signal delta; returns the
      * new state. A pressured slice escalates (per the streak
@@ -121,7 +116,6 @@ class TenantHealthMachine
     TenantHealth state() const { return state_; }
 
   private:
-    OverloadConfig cfg_;
     TenantHealth state_ = TenantHealth::Healthy;
     std::uint32_t streak_ = 0;
 };

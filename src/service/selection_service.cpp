@@ -317,27 +317,11 @@ soloTenantRun(const TenantSpec &spec, CacheLimits limits,
     attachAlgorithm(sys, spec.algo, tenantSimOptions(spec));
     sys.armFaults(spec.faults);
     Executor exec(prog, spec.program.execSeed);
-    std::uint64_t budget =
-        eventsOverride != 0 ? eventsOverride : spec.program.events;
-    if (skipEvents != 0) {
-        // Warm-restart oracle: fast-forward the guest past the
-        // events the crashed incarnation consumed, without the
-        // system ever seeing them — the batched equivalence proof
-        // makes this independent of scratch-batch sizing.
-        RSEL_ASSERT(skipEvents <= budget,
-                    "skip position beyond the event budget");
-        EventBatch scratch;
-        std::uint64_t left = skipEvents;
-        while (left != 0) {
-            const std::uint64_t got = exec.fillBatch(
-                scratch, static_cast<std::size_t>(
-                             std::min<std::uint64_t>(left, 4096)));
-            RSEL_ASSERT(got != 0,
-                        "skip position beyond the guest's halt");
-            left -= got;
-        }
-        budget -= skipEvents;
-    }
+    // Warm-restart oracle: skip the events the crashed incarnation
+    // consumed, without the system ever seeing them.
+    const std::uint64_t budget = fastForward(
+        exec, skipEvents,
+        eventsOverride != 0 ? eventsOverride : spec.program.events);
     exec.runBatched(budget, sys);
     SimResult result = sys.finish();
     result.workload = spec.name;

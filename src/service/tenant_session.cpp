@@ -22,27 +22,13 @@ TenantSession::TenantSession(TenantId id, const TenantSpec &spec,
 {
     attachAlgorithm(sys_, spec_.algo, tenantSimOptions(spec_));
     sys_.armFaults(spec_.faults);
-    if (startEvents != 0) {
-        // Warm-restart replay position: the guest is deterministic,
-        // so discarding the first `startEvents` events puts the
-        // fresh executor exactly where the crashed session was. The
-        // system stays cold — restart means a cold cache, which is
-        // what makes "restarted == fresh solo run from the same
-        // position" a meaningful oracle.
-        RSEL_ASSERT(startEvents <= remaining_,
-                    "restart position beyond the event budget");
-        EventBatch scratch;
-        std::uint64_t left = startEvents;
-        while (left != 0) {
-            const std::uint64_t got = exec_.fillBatch(
-                scratch, static_cast<std::size_t>(
-                             std::min<std::uint64_t>(left, 4096)));
-            RSEL_ASSERT(got != 0,
-                        "restart position beyond the guest's halt");
-            left -= got;
-        }
-        remaining_ -= startEvents;
-    }
+    // Warm-restart replay position: the guest is deterministic, so
+    // discarding the first `startEvents` events puts the fresh
+    // executor exactly where the crashed session was. The system
+    // stays cold — restart means a cold cache, which is what makes
+    // "restarted == fresh solo run from the same position" a
+    // meaningful oracle.
+    remaining_ = fastForward(exec_, startEvents, remaining_);
     // Mirror structural cache mutations into the shared arena from
     // here on: the listener is attached before the first event, so
     // physical and logical accounting agree from region zero.
@@ -172,6 +158,25 @@ TenantSession::onRegionDropped(const Region &region,
         break;
     }
     arena_.release(id_, region.entryAddr(), bytes, mapped);
+}
+
+std::uint64_t
+fastForward(Executor &exec, std::uint64_t events, std::uint64_t budget)
+{
+    RSEL_ASSERT(events <= budget,
+                "fast-forward beyond the event budget");
+    // The batched equivalence proof makes the skip independent of
+    // scratch-batch sizing.
+    EventBatch scratch;
+    std::uint64_t left = events;
+    while (left != 0) {
+        const std::uint64_t got = exec.fillBatch(
+            scratch,
+            static_cast<std::size_t>(std::min<std::uint64_t>(left, 4096)));
+        RSEL_ASSERT(got != 0, "fast-forward beyond the guest's halt");
+        left -= got;
+    }
+    return budget - events;
 }
 
 } // namespace service

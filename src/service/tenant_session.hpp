@@ -204,6 +204,15 @@ class TenantSession : public CodeCache::Listener
     bool tornDown_ RSEL_GUARDED_BY(sessionMu_) = false;
 };
 
+/**
+ * Warm-restart fast-forward: advance `exec` past its first `events`
+ * events without delivering them to any system. Asserts that the
+ * skip fits in `budget` and ends before the guest halts.
+ * @return the event budget left after the skip.
+ */
+std::uint64_t fastForward(Executor &exec, std::uint64_t events,
+                          std::uint64_t budget);
+
 } // namespace service
 } // namespace rsel
 

@@ -1,10 +1,8 @@
 #include "testing/gen_spec.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <vector>
 
-#include "support/error.hpp"
+#include "resilience/plan_codec.hpp"
 #include "support/random.hpp"
 
 namespace rsel {
@@ -12,15 +10,10 @@ namespace testing {
 
 namespace {
 
-/** Field table: one row per knob, so toString/parse/== cannot drift. */
-struct FieldDef
-{
-    const char *key;
-    std::uint64_t GenSpec::*wide;
-    std::uint32_t GenSpec::*narrow;
-};
+using resilience::PlanField;
 
-const FieldDef fieldTable[] = {
+/** Field table: one row per knob, so toString/parse/== cannot drift. */
+const PlanField<GenSpec> fieldTable[] = {
     {"funcs", nullptr, &GenSpec::funcs},
     {"blocks", nullptr, &GenSpec::blocks},
     {"loop", nullptr, &GenSpec::pLoop},
@@ -40,21 +33,6 @@ const FieldDef fieldTable[] = {
     {"bseed", &GenSpec::buildSeed, nullptr},
     {"xseed", &GenSpec::execSeed, nullptr},
 };
-
-std::uint64_t
-getField(const GenSpec &s, const FieldDef &f)
-{
-    return f.wide ? s.*(f.wide) : s.*(f.narrow);
-}
-
-void
-setField(GenSpec &s, const FieldDef &f, std::uint64_t v)
-{
-    if (f.wide)
-        s.*(f.wide) = v;
-    else
-        s.*(f.narrow) = static_cast<std::uint32_t>(v);
-}
 
 void
 clampPct(std::uint32_t &v)
@@ -89,47 +67,13 @@ GenSpec::clamp()
 std::string
 GenSpec::toString() const
 {
-    std::ostringstream os;
-    os << "v1";
-    for (const FieldDef &f : fieldTable)
-        os << "," << f.key << "=" << getField(*this, f);
-    return os.str();
+    return resilience::planToString(*this, "v1", fieldTable);
 }
 
 GenSpec
 GenSpec::parse(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string part;
-    if (!std::getline(is, part, ',') || part != "v1")
-        fatal("bad spec string: expected leading \"v1\", got \"" + text +
-              "\"");
-
-    GenSpec spec;
-    while (std::getline(is, part, ',')) {
-        const std::size_t eq = part.find('=');
-        if (eq == std::string::npos)
-            fatal("bad spec field \"" + part + "\" (expected key=value)");
-        const std::string key = part.substr(0, eq);
-        const std::string val = part.substr(eq + 1);
-        const FieldDef *def = nullptr;
-        for (const FieldDef &f : fieldTable)
-            if (key == f.key)
-                def = &f;
-        if (!def)
-            fatal("unknown spec field \"" + key + "\"");
-        std::uint64_t v = 0;
-        try {
-            std::size_t used = 0;
-            v = std::stoull(val, &used);
-            if (used != val.size())
-                throw std::invalid_argument(val);
-        } catch (const std::exception &) {
-            fatal("bad value \"" + val + "\" for spec field \"" + key +
-                  "\"");
-        }
-        setField(spec, *def, v);
-    }
+    GenSpec spec = resilience::planParse(text, "v1", "spec", fieldTable);
     spec.clamp();
     return spec;
 }
@@ -173,10 +117,7 @@ GenSpec::fromSeed(std::uint64_t seed)
 bool
 GenSpec::operator==(const GenSpec &other) const
 {
-    for (const FieldDef &f : fieldTable)
-        if (getField(*this, f) != getField(other, f))
-            return false;
-    return true;
+    return resilience::planEquals(*this, other, fieldTable);
 }
 
 } // namespace testing

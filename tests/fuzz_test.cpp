@@ -54,6 +54,14 @@ TEST(GenSpecTest, ParseRejectsMalformedInput)
     EXPECT_THROW(GenSpec::parse("v1,funcs"), FatalError);
     EXPECT_THROW(GenSpec::parse("v1,funcs=abc"), FatalError);
     EXPECT_THROW(GenSpec::parse("v1,funcs=1x"), FatalError);
+    try {
+        GenSpec::parse("v1,trips=7q");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("\"trips\""),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(RandomProgramTest, GenerationIsDeterministic)

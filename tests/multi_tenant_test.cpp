@@ -726,33 +726,34 @@ TEST(ServiceChaosTest, SliceBudgetDegradesToInterpretation)
     EXPECT_EQ(verifyServiceChaos(config), "");
 }
 
-// The health state machine, walked directly: escalation ladder,
-// one-level recovery, absorbing blacklist, restart reset.
+// The health state machine, walked directly at the shipped
+// thresholds (shed after 3 pressured slices, blacklist after 8):
+// escalation ladder, one-level recovery, absorbing blacklist,
+// restart reset.
 TEST(ServiceChaosTest, HealthMachineTrajectory)
 {
-    OverloadConfig cfg;
-    cfg.healthEnabled = true;
-    cfg.degradePressure = 1;
-    cfg.shedAfter = 2;
-    cfg.blacklistAfter = 4;
-    TenantHealthMachine m(cfg);
+    TenantHealthMachine m;
     EXPECT_EQ(m.state(), TenantHealth::Healthy);
     EXPECT_EQ(m.observe(1), TenantHealth::Degraded);
-    EXPECT_EQ(m.observe(3), TenantHealth::Shed);
+    EXPECT_EQ(m.observe(3), TenantHealth::Degraded);
+    EXPECT_EQ(m.observe(1), TenantHealth::Shed);
     // A clean slice steps down one level, not straight to healthy.
     EXPECT_EQ(m.observe(0), TenantHealth::Degraded);
     EXPECT_EQ(m.observe(0), TenantHealth::Healthy);
-    // The streak restarts after recovery: four pressured slices
+    // The streak restarts after recovery: eight pressured slices
     // walk all the way to the terminal state.
-    EXPECT_EQ(m.observe(1), TenantHealth::Degraded);
-    EXPECT_EQ(m.observe(1), TenantHealth::Shed);
-    EXPECT_EQ(m.observe(1), TenantHealth::Shed);
+    for (int slice = 1; slice < 8; ++slice)
+        EXPECT_EQ(m.observe(1), slice < 3 ? TenantHealth::Degraded
+                                          : TenantHealth::Shed)
+            << "pressured slice " << slice;
     EXPECT_EQ(m.observe(1), TenantHealth::Blacklisted);
     // Absorbing: clean slices do not resurrect a blacklisted
     // tenant.
     EXPECT_EQ(m.observe(0), TenantHealth::Blacklisted);
+    // A restart clears the state and the streak.
     m.reset();
     EXPECT_EQ(m.state(), TenantHealth::Healthy);
+    EXPECT_EQ(m.observe(1), TenantHealth::Degraded);
     EXPECT_STREQ(healthName(TenantHealth::Shed), "SHED");
 }
 
