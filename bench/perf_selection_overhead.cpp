@@ -4,8 +4,8 @@
  * dispatch path:
  *
  *  - Whole-system throughput (events/second) over the gzip and gcc
- *    workloads for NET, LEI and combined LEI, measured twice per
- *    configuration: per-event virtual dispatch versus batched
+ *    workloads for NET, LEI, NET+comb and LEI+comb, measured twice
+ *    per configuration: per-event virtual dispatch versus batched
  *    structure-of-arrays dispatch. The two runs must produce
  *    byte-identical result fingerprints — a mismatch is a hard
  *    failure (nonzero exit), so the speedup can never come from
@@ -16,7 +16,8 @@
  *  - Section 4.2.3: mark-rejoining-paths cost.
  *
  * Methodology: steady_clock only, warmup repetitions discarded,
- * median of N timed repetitions (see bench_util.hpp). Results are
+ * median of N timed repetitions (see bench_util.hpp); the per-event
+ * and batched legs of a configuration alternate. Results are
  * also written as JSON (--json PATH, default
  * BENCH_perf_selection_overhead.json) for CI trend tracking; --quick
  * shrinks events and repetitions for the perf-smoke ctest entry.
@@ -77,14 +78,24 @@ timeConfig(const WorkloadInfo &w, Algorithm algo, std::uint64_t events,
         testing::resultFingerprint(runOnce(Dispatch::PerEvent)) ==
         testing::resultFingerprint(runOnce(Dispatch::Batched));
 
-    const double nsPerEvent = medianTimeNanos(warmup, reps, [&] {
+    // The two legs alternate repetition by repetition, so a drift in
+    // host speed moves both medians alike instead of the ratio.
+    std::vector<double> perEventNs, batchedNs;
+    for (int rep = -warmup; rep < reps; ++rep) {
+        const std::uint64_t start = nowNanos();
         runOnce(Dispatch::PerEvent);
-    });
-    const double nsBatched = medianTimeNanos(warmup, reps, [&] {
+        const std::uint64_t mid = nowNanos();
         runOnce(Dispatch::Batched);
-    });
-    row.perEventEps = static_cast<double>(events) * 1e9 / nsPerEvent;
-    row.batchedEps = static_cast<double>(events) * 1e9 / nsBatched;
+        const std::uint64_t end = nowNanos();
+        if (rep >= 0) {
+            perEventNs.push_back(static_cast<double>(mid - start));
+            batchedNs.push_back(static_cast<double>(end - mid));
+        }
+    }
+    row.perEventEps = static_cast<double>(events) * 1e9 /
+                      medianOf(std::move(perEventNs));
+    row.batchedEps = static_cast<double>(events) * 1e9 /
+                     medianOf(std::move(batchedNs));
     return row;
 }
 
@@ -203,7 +214,7 @@ writeJson(const std::string &path, std::uint64_t events, int reps,
        << "  \"events_per_run\": " << events << ",\n"
        << "  \"timed_reps\": " << reps << ",\n"
        << "  \"timer\": \"steady_clock, median of reps after "
-          "warmup\",\n"
+          "warmup; per-event and batched legs alternate\",\n"
        << "  \"throughput\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ThroughputRow &r = rows[i];
@@ -293,7 +304,7 @@ main(int argc, char **argv)
             const WorkloadInfo *w = findWorkload(wname);
             for (const Algorithm algo :
                  {Algorithm::Net, Algorithm::Lei,
-                  Algorithm::LeiCombined}) {
+                  Algorithm::NetCombined, Algorithm::LeiCombined}) {
                 ThroughputRow row =
                     timeConfig(*w, algo, events, warmup, reps);
                 t.addRow({row.workload, row.selector,

@@ -393,13 +393,14 @@ DynOptSystem::onEvent(const ExecEvent &ev)
 }
 
 std::size_t
-DynOptSystem::consumeTraceRun(const EventBatch &batch, std::size_t i)
+DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i)
 {
     const std::size_t n = batch.size();
     const BasicBlock *const progBlocks = prog_.blocks().data();
 
     // Current-region context, reloaded on every region switch.
     const Region *r = curRegionPtr_;
+    bool trace = r->kind() == Region::Kind::Trace;
     const BlockId *rb = r->blockIds().data();
     std::size_t rn = r->blockIds().size();
     Addr top = r->entryAddr();
@@ -410,7 +411,6 @@ DynOptSystem::consumeTraceRun(const EventBatch &batch, std::size_t i)
     std::uint64_t restarts = 0;
     std::size_t runStart = i;
     bool lastWasEntry = false;
-    bool any = false;
 
     const auto flushRun = [&](std::size_t upto) {
         metrics_.addEvents(upto - runStart);
@@ -424,19 +424,32 @@ DynOptSystem::consumeTraceRun(const EventBatch &batch, std::size_t i)
         const BasicBlock &b = progBlocks[batch.blockIds[i]];
         // The same decision Region::step makes, checked before any
         // effect so an unconsumed event is left wholly to
-        // processEvent.
-        if (batch.takenFlags[i] != 0 && b.startAddr() == top) {
-            pos = 0;
+        // processEvent. Traces compare inline against the cached
+        // stripe; multi-path regions ask the region.
+        RegionStep step;
+        if (trace) {
+            if (batch.takenFlags[i] != 0 && b.startAddr() == top) {
+                pos = 0;
+                step = RegionStep::CycleRestart;
+            } else if (pos + 1 < rn && b.id() == rb[pos + 1]) {
+                ++pos;
+                step = RegionStep::Internal;
+            } else {
+                step = RegionStep::Exit;
+            }
+        } else {
+            step = r->stepMultiPath(pos, b);
+        }
+        if (step == RegionStep::CycleRestart) {
             ++restarts;
             lastWasEntry = true;
-        } else if (pos + 1 < rn && b.id() == rb[pos + 1]) {
-            ++pos;
+        } else if (step == RegionStep::Internal) {
             lastWasEntry = false;
         } else {
             // Exit. If it lands on another cached region's entry the
             // per-event path would chain straight into it (the
             // selector is not consulted on the exit-stub path), so
-            // the run can continue under the new region.
+            // the run continues under the new region.
             const Region *s = cache_.lookupEntry(b.id());
             if (s == nullptr)
                 break;
@@ -453,35 +466,21 @@ DynOptSystem::consumeTraceRun(const EventBatch &batch, std::size_t i)
             curOffsets_ = layout.blockOffsets.data();
             metrics_.onRegionEntered(curRegion_);
             r = s;
+            trace = r->kind() == Region::Kind::Trace;
             rb = r->blockIds().data();
             rn = r->blockIds().size();
             top = r->entryAddr();
             pos = 0;
             lastWasEntry = true;
-            if (r->kind() != Region::Kind::Trace) {
-                // Entered a multi-path region: account this entry
-                // event here, then let processEvent own the rest.
-                metrics_.onEvent();
-                metrics_.onCachedBlock(b, curRegion_);
-                fetchCachedCur(0, b);
-                if (prev != nullptr)
-                    metrics_.onEdge(prev->id(), b.id());
-                prev = &b;
-                ++i;
-                ++runStart;
-                any = true;
-                break;
-            }
         }
         if (prev != nullptr)
             metrics_.onEdge(prev->id(), b.id());
         prev = &b;
         insts += b.instCount();
         fetchCachedCur(pos, b);
-        any = true;
     }
 
-    if (any) {
+    if (i != runStart) {
         flushRun(i);
         regionPos_ = pos;
         prevBlock_ = prev;
@@ -533,9 +532,8 @@ DynOptSystem::onBatch(const EventBatch &batch)
     } else {
         std::size_t i = 0;
         while (i < n) {
-            if (inRegion_ &&
-                curRegionPtr_->kind() == Region::Kind::Trace) {
-                i = consumeTraceRun(batch, i);
+            if (inRegion_) {
+                i = consumeRegionRun(batch, i);
                 if (i == n)
                     break;
             }

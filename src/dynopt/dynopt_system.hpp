@@ -322,20 +322,23 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     void interpretOnlyEvent(const ExecEvent &ev);
 
     /**
-     * Batch fast path: consume a run of events that stay inside the
-     * current Trace region (Internal steps and CycleRestarts),
-     * starting at batch index `i`. Stops at the first event the run
-     * cannot prove in-region (left for processEvent) or at the end
-     * of the batch. Metrics for the run are accumulated locally and
-     * folded in with two bulk calls; every per-event architectural
-     * effect (edge profile, I-cache accesses, predecessor tracking)
-     * is applied exactly as the per-event path would.
+     * Batch fast path: consume a run of events that stay in the code
+     * cache, starting at batch index `i`: Internal steps and
+     * CycleRestarts of the current region (trace or multi-path), and
+     * exits that link straight to another cached region's entry,
+     * which continue the run under that region. Stops at the first
+     * event that leaves for the interpreter (left for processEvent)
+     * or at the end of the batch. Metrics for the run are
+     * accumulated locally and folded in with two bulk calls per
+     * region; every per-event architectural effect (edge profile,
+     * I-cache accesses, predecessor tracking) is applied exactly as
+     * the per-event path would.
      * @return the index of the first unconsumed event.
-     * @pre inRegion_ && curRegionPtr_->kind() == Trace; disarmed
-     *      (an armed system must tick the injector every event).
+     * @pre inRegion_; disarmed (an armed system must tick the
+     *      injector every event).
      */
-    std::size_t consumeTraceRun(const EventBatch &batch,
-                                std::size_t i);
+    std::size_t consumeRegionRun(const EventBatch &batch,
+                                 std::size_t i);
 
     /**
      * Feed one cached block's fetch through the I-cache model, using

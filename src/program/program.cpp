@@ -18,7 +18,13 @@ Program::fallThroughOf(const BasicBlock &b) const
 {
     if (!canFallThrough(b.terminator()))
         return nullptr;
-    return blockAtAddr(b.fallThroughAddr());
+    // Blocks are laid out in id order, so a fall-through that lands
+    // on a block at all lands on the next id: no address lookup.
+    const Addr addr = b.fallThroughAddr();
+    const std::size_t next = std::size_t{b.id()} + 1;
+    if (next < blocks_.size() && blocks_[next].startAddr() == addr)
+        return &blocks_[next];
+    return blockAtAddr(addr);
 }
 
 const CondBehavior &

@@ -1,5 +1,8 @@
 #include "runtime/region.hpp"
 
+#include <bit>
+#include <unordered_map>
+
 #include "support/error.hpp"
 
 namespace rsel {
@@ -11,13 +14,20 @@ Region::Region(Kind kind, RegionId id,
     RSEL_ASSERT(!blocks_.empty(), "a region needs at least one block");
     entryAddr_ = blocks_.front()->startAddr();
     blockIds_.reserve(blocks_.size());
+    const std::size_t slots = std::bit_ceil(2 * blocks_.size());
+    memberIndex_.resize(slots);
+    memberShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
     for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        const BasicBlock *b = blocks_[i];
-        blockIds_.push_back(b->id());
-        const bool inserted =
-            memberIndex_.emplace(b->id(), i).second;
-        RSEL_ASSERT(inserted, "duplicate block in region");
-        addrIndex_.emplace(b->startAddr(), i);
+        const BlockId id = blocks_[i]->id();
+        RSEL_ASSERT(id != invalidBlock, "region block without an id");
+        blockIds_.push_back(id);
+        std::size_t slot = slotOf(id);
+        while (memberIndex_[slot].id != invalidBlock) {
+            RSEL_ASSERT(memberIndex_[slot].id != id,
+                        "duplicate block in region");
+            slot = (slot + 1) & (slots - 1);
+        }
+        memberIndex_[slot] = {id, static_cast<std::uint32_t>(i)};
     }
     computeFootprint();
     if (kind_ == Kind::Trace)
@@ -39,10 +49,19 @@ Region::makeMultiPath(RegionId id,
     return Region(Kind::MultiPath, id, std::move(blocks));
 }
 
-bool
-Region::containsBlockAddr(Addr addr) const
+std::size_t
+Region::memberPos(BlockId id) const
 {
-    return addrIndex_.count(addr) != 0;
+    if (id == invalidBlock)
+        return notMember;
+    const std::size_t mask = memberIndex_.size() - 1;
+    for (std::size_t slot = slotOf(id);; slot = (slot + 1) & mask) {
+        const MemberSlot &m = memberIndex_[slot];
+        if (m.id == id)
+            return m.pos;
+        if (m.id == invalidBlock)
+            return notMember;
+    }
 }
 
 void
@@ -112,31 +131,54 @@ Region::computeMultiPathStubs()
     // A multi-path region keeps control for any transfer whose
     // target block is a member: exits targeting member blocks were
     // replaced by edges (Figure 13, line 16). Stubs remain for
-    // targets outside the region and for indirect misses.
-    for (const BasicBlock *b : blocks_) {
-        auto needStubFor = [&](Addr target) {
-            if (containsBlockAddr(target)) {
-                if (target == entryAddr())
-                    spansCycle_ = true;
-                return false;
-            }
-            return true;
+    // targets outside the region and for indirect misses. The same
+    // walk fills the successor cache step() reads.
+    std::unordered_map<Addr, std::uint32_t> addrIndex;
+    addrIndex.reserve(blocks_.size());
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+        const bool inserted =
+            addrIndex.emplace(blocks_[i]->startAddr(),
+                              static_cast<std::uint32_t>(i))
+                .second;
+        RSEL_ASSERT(inserted, "two region members share an address");
+    }
+    succs_.resize(blocks_.size());
+
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+        const BasicBlock *b = blocks_[i];
+        // Resolve `target` to a member, recording it in `id`/`pos`;
+        // true when the transfer leaves the region.
+        auto needStubFor = [&](Addr target, BlockId &id,
+                               std::uint32_t &pos) {
+            auto it = addrIndex.find(target);
+            if (it == addrIndex.end())
+                return true;
+            if (target == entryAddr())
+                spansCycle_ = true;
+            id = blockIds_[it->second];
+            pos = it->second;
+            return false;
         };
+        Successors &succ = succs_[i];
 
         switch (b->terminator()) {
           case BranchKind::CondDirect:
-            if (needStubFor(b->takenTarget()))
+            if (needStubFor(b->takenTarget(), succ.takenId,
+                            succ.takenPos))
                 ++exitStubs_;
-            if (needStubFor(b->fallThroughAddr()))
+            if (needStubFor(b->fallThroughAddr(), succ.fallId,
+                            succ.fallPos))
                 ++exitStubs_;
             break;
           case BranchKind::Jump:
           case BranchKind::Call:
-            if (needStubFor(b->takenTarget()))
+            if (needStubFor(b->takenTarget(), succ.takenId,
+                            succ.takenPos))
                 ++exitStubs_;
             break;
           case BranchKind::None:
-            if (needStubFor(b->fallThroughAddr()))
+            if (needStubFor(b->fallThroughAddr(), succ.fallId,
+                            succ.fallPos))
                 ++exitStubs_;
             break;
           case BranchKind::IndirectJump:

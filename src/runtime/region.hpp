@@ -20,7 +20,6 @@
 #define RSEL_RUNTIME_REGION_HPP
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/basic_block.hpp"
@@ -95,7 +94,7 @@ class Region
     /** True if the block is a member of the region. */
     bool containsBlock(BlockId id) const
     {
-        return memberIndex_.count(id) != 0;
+        return memberPos(id) != notMember;
     }
 
     /**
@@ -104,9 +103,6 @@ class Region
      * per-block pointers.
      */
     const std::vector<BlockId> &blockIds() const { return blockIds_; }
-
-    /** True if a block starting at `addr` is a member. */
-    bool containsBlockAddr(Addr addr) const;
 
     /**
      * Advance execution within the region.
@@ -140,15 +136,41 @@ class Region
             return RegionStep::Exit;
         }
 
-        // MultiPath: any transfer to a member block stays inside.
-        auto it = memberIndex_.find(next.id());
-        if (it == memberIndex_.end())
-            return RegionStep::Exit;
-        if (next.startAddr() == entryAddr_) {
+        return stepMultiPath(pos, next);
+    }
+
+    /**
+     * step() for a MultiPath region, which ignores `taken`. The
+     * batch run loop calls it directly.
+     * @pre kind() == MultiPath and pos < blocks().size().
+     */
+    RegionStep
+    stepMultiPath(std::size_t &pos, const BasicBlock &next) const
+    {
+        // Any transfer to a member block stays inside. The current
+        // member's static successors are cached, so only other next
+        // blocks (indirect targets, exits) pay for the member-index
+        // lookup.
+        const Successors &succ = succs_[pos];
+        const BlockId id = next.id();
+        std::size_t to;
+        if (id == succ.takenId) {
+            to = succ.takenPos;
+        } else if (id == succ.fallId) {
+            to = succ.fallPos;
+        } else {
+            to = memberPos(id);
+            if (to == notMember)
+                return RegionStep::Exit;
+        }
+        // Members start at distinct addresses, so the member at the
+        // entry address is position 0: reaching it by any transfer,
+        // fall-through included, begins the next execution.
+        if (to == 0) {
             pos = 0;
             return RegionStep::CycleRestart;
         }
-        pos = it->second;
+        pos = to;
         return RegionStep::Internal;
     }
 
@@ -171,6 +193,33 @@ class Region
     Region(Kind kind, RegionId id,
            std::vector<const BasicBlock *> blocks);
 
+    /**
+     * The in-region successors of one multi-path member: id and
+     * position of the member its static taken target and its
+     * fall-through address land on, or invalidBlock when that
+     * transfer leaves the region (or does not exist).
+     */
+    struct Successors
+    {
+        BlockId takenId = invalidBlock;
+        std::uint32_t takenPos = 0;
+        BlockId fallId = invalidBlock;
+        std::uint32_t fallPos = 0;
+    };
+
+    static constexpr std::size_t notMember = ~std::size_t{0};
+
+    /** Index of the member with this id, or notMember (the slow
+     *  path of step(), kept out of line). */
+    std::size_t memberPos(BlockId id) const;
+
+    /** Home slot of `id` in memberIndex_. */
+    std::size_t slotOf(BlockId id) const
+    {
+        return static_cast<std::size_t>(
+            (id * 0x9E3779B97F4A7C15ull) >> memberShift_);
+    }
+
     void computeFootprint();
     void computeTraceStubs();
     void computeMultiPathStubs();
@@ -180,9 +229,22 @@ class Region
     std::vector<const BasicBlock *> blocks_;
     /** Ids of blocks_, same order (fast-path compare stripe). */
     std::vector<BlockId> blockIds_;
-    /** block id -> index into blocks_. */
-    std::unordered_map<BlockId, std::size_t> memberIndex_;
-    std::unordered_map<Addr, std::size_t> addrIndex_;
+    /** One slot of memberIndex_; id == invalidBlock when empty. */
+    struct MemberSlot
+    {
+        BlockId id = invalidBlock;
+        std::uint32_t pos = 0;
+    };
+    /**
+     * block id -> index into blocks_: open addressing with linear
+     * probing over a power-of-two slot count, at most half full,
+     * starting at the Fibonacci hash of the id.
+     */
+    std::vector<MemberSlot> memberIndex_;
+    /** 64 - log2(memberIndex_.size()): the hash's shift. */
+    unsigned memberShift_ = 0;
+    /** MultiPath only: successors of blocks_[i] (empty for traces). */
+    std::vector<Successors> succs_;
     Addr entryAddr_ = invalidAddr;
     std::uint64_t instCount_ = 0;
     std::uint64_t byteSize_ = 0;

@@ -14,6 +14,7 @@ constexpr std::uint64_t codeNotTaken = 0b10; // conditional not taken
 constexpr std::uint64_t codeTaken = 0b11;    // taken, target in inst
 
 constexpr unsigned addrBits = 64;
+constexpr unsigned wordBits = 64;
 
 /** Hard cap so a corrupt bit string cannot loop a decoder forever. */
 constexpr std::size_t maxDecodedBlocks = 1u << 20;
@@ -23,13 +24,18 @@ constexpr std::size_t maxDecodedBlocks = 1u << 20;
 void
 CompactTrace::appendBits(std::uint64_t value, unsigned nbits)
 {
-    for (unsigned i = 0; i < nbits; ++i) {
-        const std::uint64_t bitIndex = bitLen_ + i;
-        if (bitIndex / 8 >= bits_.size())
-            bits_.push_back(0);
-        if ((value >> i) & 1)
-            bits_[bitIndex / 8] |=
-                static_cast<std::uint8_t>(1u << (bitIndex % 8));
+    // Whole-field moves: the field lands in the current word's free
+    // high bits and, when it straddles a word boundary, its rest
+    // opens the next word.
+    RSEL_ASSERT(nbits == wordBits || value >> nbits == 0,
+                "compact trace field wider than its bit count");
+    const unsigned off = static_cast<unsigned>(bitLen_ % wordBits);
+    if (off == 0) {
+        words_.push_back(value);
+    } else {
+        words_.back() |= value << off;
+        if (off + nbits > wordBits)
+            words_.push_back(value >> (wordBits - off));
     }
     bitLen_ += nbits;
 }
@@ -39,14 +45,14 @@ CompactTrace::readBits(std::uint64_t &cursor, unsigned nbits) const
 {
     RSEL_ASSERT(cursor + nbits <= bitLen_,
                 "compact trace bit stream underrun");
-    std::uint64_t value = 0;
-    for (unsigned i = 0; i < nbits; ++i) {
-        const std::uint64_t bitIndex = cursor + i;
-        if ((bits_[bitIndex / 8] >> (bitIndex % 8)) & 1)
-            value |= std::uint64_t{1} << i;
-    }
+    const std::size_t word = cursor / wordBits;
+    const unsigned off = static_cast<unsigned>(cursor % wordBits);
+    std::uint64_t value = words_[word] >> off;
+    if (off + nbits > wordBits)
+        value |= words_[word + 1] << (wordBits - off);
     cursor += nbits;
-    return value;
+    return nbits == wordBits ? value
+                             : value & ((std::uint64_t{1} << nbits) - 1);
 }
 
 CompactTrace
@@ -55,6 +61,9 @@ CompactTrace::encode(const std::vector<const BasicBlock *> &path)
     RSEL_ASSERT(!path.empty(), "cannot encode an empty trace");
 
     CompactTrace ct;
+    // Two bits per transition plus the tail covers every path
+    // without indirect branches, the common case.
+    ct.words_.reserve((2 * path.size() + 2 + addrBits) / wordBits + 1);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const BasicBlock *b = path[i];
         const BasicBlock *next = path[i + 1];
@@ -108,24 +117,28 @@ CompactTrace::decode(const Program &prog, Addr entryAddr) const
     const BasicBlock *current = prog.blockAtAddr(entryAddr);
     RSEL_ASSERT(current != nullptr, "trace entry is not a block");
 
-    std::vector<const BasicBlock *> path{current};
+    std::vector<const BasicBlock *> path;
+    // Every encoded branch is at least two bits; fall-through
+    // boundaries add blocks beyond this estimate.
+    path.reserve((bitLen_ - addrBits) / 2);
+    path.push_back(current);
     std::uint64_t cursor = 0;
     while (current->lastInstAddr() != endAddr) {
         RSEL_ASSERT(path.size() < maxDecodedBlocks,
                     "compact trace decode runaway");
-        Addr nextAddr = invalidAddr;
+        const BasicBlock *next = nullptr;
         switch (current->terminator()) {
           case BranchKind::None:
-            nextAddr = current->fallThroughAddr();
+            next = prog.fallThroughOf(*current);
             break;
           case BranchKind::CondDirect: {
             const std::uint64_t code = readBits(cursor, 2);
             if (code == codeTaken) {
-                nextAddr = current->takenTarget();
+                next = prog.blockAtAddr(current->takenTarget());
             } else {
                 RSEL_ASSERT(code == codeNotTaken,
                             "unexpected branch code in compact trace");
-                nextAddr = current->fallThroughAddr();
+                next = prog.fallThroughOf(*current);
             }
             break;
           }
@@ -134,7 +147,7 @@ CompactTrace::decode(const Program &prog, Addr entryAddr) const
             const std::uint64_t code = readBits(cursor, 2);
             RSEL_ASSERT(code == codeTaken,
                         "direct branch must be encoded taken");
-            nextAddr = current->takenTarget();
+            next = prog.blockAtAddr(current->takenTarget());
             break;
           }
           case BranchKind::IndirectJump:
@@ -143,13 +156,13 @@ CompactTrace::decode(const Program &prog, Addr entryAddr) const
             const std::uint64_t code = readBits(cursor, 2);
             RSEL_ASSERT(code == codeIndirect,
                         "indirect branch must carry a target");
-            nextAddr = readBits(cursor, addrBits);
+            next = prog.blockAtAddr(readBits(cursor, addrBits));
             break;
           }
           case BranchKind::Halt:
             panic("decoded trace runs past a halt");
         }
-        current = prog.blockAtAddr(nextAddr);
+        current = next;
         RSEL_ASSERT(current != nullptr,
                     "decoded trace target is not a block");
         path.push_back(current);

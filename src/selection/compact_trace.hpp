@@ -56,10 +56,13 @@ class CompactTrace
   private:
     CompactTrace() = default;
 
+    /** Append the low `nbits` bits of `value` (nbits <= 64). */
     void appendBits(std::uint64_t value, unsigned nbits);
     std::uint64_t readBits(std::uint64_t &cursor, unsigned nbits) const;
 
-    std::vector<std::uint8_t> bits_;
+    /** The bit string, LSB-first: stream bit k is bit k % 64 of
+     *  word k / 64. Bits past bitLen_ are zero. */
+    std::vector<std::uint64_t> words_;
     std::uint64_t bitLen_ = 0;
 };
 

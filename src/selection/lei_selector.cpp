@@ -90,7 +90,7 @@ LeiSelector::formTrace(Addr start, std::uint64_t oldSeq)
             // the trace ends with the well-formed prefix.
             if (!canFallThrough(b->terminator()))
                 return path;
-            b = prog_.blockAtAddr(b->fallThroughAddr());
+            b = prog_.fallThroughOf(*b);
         }
         if (b == nullptr) {
             // The buffer window no longer describes a contiguous
@@ -200,9 +200,8 @@ LeiSelector::onInterpreted(const SelectorEvent &ev)
     }
 
     // Combination: store this cycle as one observed trace; combine
-    // once the profiling window is full.
-    if (store_->observedCount(tgt) >= cfg_.profWindow)
-        return std::nullopt;
+    // once the profiling window is full. A full window is combined
+    // and released in the same call, so the store never holds one.
     const bool windowFull = store_->store(tgt, path);
     if (!windowFull)
         return std::nullopt;

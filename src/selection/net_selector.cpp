@@ -123,10 +123,11 @@ NetSelector::profile(const SelectorEvent &ev)
         startRecording(*ev.block);
         return;
     }
-    // Combination: record one observed trace per trigger until the
-    // profiling window is full; the counter is recycled at combine.
-    if (store_->observedCount(tgt) < cfg_.profWindow)
-        startRecording(*ev.block);
+    // Combination: record one observed trace per trigger; the
+    // recording that fills the profiling window combines it and
+    // releases it (and recycles the counter) in the same call, so
+    // no window is ever full here.
+    startRecording(*ev.block);
 }
 
 std::optional<RegionSpec>

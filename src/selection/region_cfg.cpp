@@ -45,22 +45,31 @@ RegionCfg::addTrace(const std::vector<const BasicBlock *> &trace)
     RSEL_ASSERT(trace.front() == entry_,
                 "observed traces must share the region entrance");
 
+    // Trace numbers start at 1, so a node's stamp equals traces_
+    // exactly when this trace already counted it.
     ++traces_;
-    std::unordered_set<BlockId> seenThisTrace;
-    std::size_t prev = nodeFor(trace.front());
-    if (seenThisTrace.insert(trace.front()->id()).second)
-        ++nodes_[prev].occurrences;
+    std::size_t prev = 0;
+    countOnce(nodes_[prev]);
 
     for (std::size_t i = 1; i < trace.size(); ++i) {
-        const std::size_t cur = nodeFor(trace[i]);
-        if (seenThisTrace.insert(trace[i]->id()).second)
-            ++nodes_[cur].occurrences;
-
-        auto &succs = nodes_[prev].succs;
-        if (std::find(succs.begin(), succs.end(), cur) == succs.end()) {
-            succs.push_back(cur);
+        const BasicBlock *b = trace[i];
+        // An edge seen before is one of prev's successors: find it
+        // there, and look the block up by id only for a new edge.
+        std::vector<std::size_t> &succs = nodes_[prev].succs;
+        auto it = std::find_if(succs.begin(), succs.end(),
+                               [&](std::size_t s) {
+                                   return nodes_[s].block == b;
+                               });
+        std::size_t cur;
+        if (it != succs.end()) {
+            cur = *it;
+        } else {
+            cur = nodeFor(b);
+            // nodeFor may grow nodes_; re-index instead of `succs`.
+            nodes_[prev].succs.push_back(cur);
             ++edges_;
         }
+        countOnce(nodes_[cur]);
         prev = cur;
     }
 }

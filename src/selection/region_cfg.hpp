@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "isa/basic_block.hpp"
@@ -77,11 +76,22 @@ class RegionCfg
     {
         const BasicBlock *block = nullptr;
         std::uint32_t occurrences = 0;
+        /** Number of the last trace that counted this node. */
+        std::uint32_t stamp = 0;
         bool marked = false;
         std::vector<std::size_t> succs; ///< node indices
     };
 
     std::size_t nodeFor(const BasicBlock *b);
+
+    /** Count `n` once for the trace being added. */
+    void countOnce(Node &n)
+    {
+        if (n.stamp != traces_) {
+            n.stamp = traces_;
+            ++n.occurrences;
+        }
+    }
 
     /** Post-order over nodes reachable from the entry. */
     std::vector<std::size_t> postOrder() const;

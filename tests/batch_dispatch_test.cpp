@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -160,25 +161,129 @@ TEST(BatchDispatchTest, BatchedSimulationMatchesPerEvent)
     // The headline equivalence: for every selector, the batched
     // DynOptSystem run is byte-identical to the per-event run —
     // including batch size 1 (maximal boundary count) and odd sizes
-    // that end batches mid-region and mid-trace-formation.
+    // that end batches mid-region and mid-trace-formation. Two
+    // caches: unbounded, and suite-churn's 1 KiB FullFlush cache,
+    // where runs chain between trace and multi-path regions and
+    // flushes land mid-run (long enough that every selector
+    // flushes).
     const Program prog = gzipProgram();
-    for (const Algorithm algo : allSelectors) {
-        SCOPED_TRACE(algorithmName(algo));
-        SimOptions opts;
-        opts.maxEvents = 60'000;
-        opts.seed = 7;
-        opts.dispatch = Dispatch::PerEvent;
-        const std::string fp =
-            testing::resultFingerprint(simulate(prog, algo, opts));
-        opts.dispatch = Dispatch::Batched;
-        for (const std::size_t bs : {std::size_t{1}, std::size_t{257},
-                                     defaultBatchSize}) {
-            opts.batchSize = bs;
-            EXPECT_EQ(testing::resultFingerprint(
-                          simulate(prog, algo, opts)),
-                      fp)
-                << "batch size " << bs;
+    CacheLimits churn;
+    churn.capacityBytes = 1024;
+    churn.policy = CacheLimits::Policy::FullFlush;
+    const std::pair<CacheLimits, std::uint64_t> configs[] = {
+        {CacheLimits{}, 60'000}, {churn, 200'000}};
+    for (const auto &[cache, events] : configs) {
+        SCOPED_TRACE(cache.capacityBytes);
+        for (const Algorithm algo : allSelectors) {
+            SCOPED_TRACE(algorithmName(algo));
+            SimOptions opts;
+            opts.maxEvents = events;
+            opts.seed = 7;
+            opts.cache = cache;
+            opts.dispatch = Dispatch::PerEvent;
+            const SimResult ref = simulate(prog, algo, opts);
+            if (cache.capacityBytes != 0) {
+                EXPECT_GT(ref.cacheFlushes, 0u);
+            }
+            const std::string fp = testing::resultFingerprint(ref);
+            opts.dispatch = Dispatch::Batched;
+            for (const std::size_t bs :
+                 {std::size_t{1}, std::size_t{257}, defaultBatchSize}) {
+                opts.batchSize = bs;
+                EXPECT_EQ(testing::resultFingerprint(
+                              simulate(prog, algo, opts)),
+                          fp)
+                    << "batch size " << bs;
+            }
         }
+    }
+}
+
+/**
+ * NET, with every other region it forms turned into a multi-path
+ * region over the same blocks. No shipped selector mixes the two
+ * kinds in one cache; this one makes runs chain trace -> multi-path
+ * and back.
+ */
+class MixedKindSelector : public RegionSelector
+{
+  public:
+    MixedKindSelector(const Program &prog, const CodeCache &cache)
+        : inner_(prog, cache, NetConfig{})
+    {}
+
+    std::optional<RegionSpec>
+    onInterpreted(const SelectorEvent &event) override
+    {
+        return mix(inner_.onInterpreted(event));
+    }
+
+    std::optional<RegionSpec>
+    onCacheEnter(const BasicBlock &entry) override
+    {
+        return mix(inner_.onCacheEnter(entry));
+    }
+
+    void
+    onCacheDisruption(CacheDisruption kind) override
+    {
+        inner_.onCacheDisruption(kind);
+    }
+
+    std::size_t
+    maxLiveCounters() const override
+    {
+        return inner_.maxLiveCounters();
+    }
+
+    std::string name() const override { return "NET-mixed"; }
+
+  private:
+    std::optional<RegionSpec>
+    mix(std::optional<RegionSpec> spec)
+    {
+        if (spec && formed_++ % 2 == 1)
+            spec->kind = Region::Kind::MultiPath;
+        return spec;
+    }
+
+    NetSelector inner_;
+    std::size_t formed_ = 0;
+};
+
+TEST(BatchDispatchTest, RunsChainBetweenTraceAndMultiPathRegions)
+{
+    const Program prog = gzipProgram();
+    CacheLimits churn;
+    churn.capacityBytes = 1024;
+    churn.policy = CacheLimits::Policy::FullFlush;
+    // batchSize 0 = the per-event reference path.
+    const auto fingerprint = [&](const CacheLimits &cache,
+                                 std::size_t batchSize) {
+        DynOptSystem system(prog, cache);
+        system.useCustom([](const Program &p, const CodeCache &c) {
+            return std::make_unique<MixedKindSelector>(p, c);
+        });
+        Executor exec(prog, 7);
+        if (batchSize == 0)
+            exec.run(200'000, system);
+        else
+            exec.runBatched(200'000, system, batchSize);
+        bool trace = false;
+        bool multiPath = false;
+        for (const Region &r : system.cache().regions()) {
+            trace |= r.kind() == Region::Kind::Trace;
+            multiPath |= r.kind() == Region::Kind::MultiPath;
+        }
+        EXPECT_TRUE(trace && multiPath);
+        return testing::resultFingerprint(system.finish());
+    };
+    for (const CacheLimits &cache : {CacheLimits{}, churn}) {
+        SCOPED_TRACE(cache.capacityBytes);
+        const std::string fp = fingerprint(cache, 0);
+        for (const std::size_t bs :
+             {std::size_t{1}, std::size_t{257}, defaultBatchSize})
+            EXPECT_EQ(fingerprint(cache, bs), fp) << "batch size " << bs;
     }
 }
 

@@ -120,6 +120,55 @@ TEST(CompactTraceTest, CallAndReturnRoundTrip)
     EXPECT_EQ(decoded[3]->id(), 8u);
 }
 
+TEST(CompactTraceTest, FieldsStraddlingWordBoundariesRoundTrip)
+{
+    // k conditional branches, then two indirect jumps: with k = 31,
+    // 32 and 33 the first indirect code and both 64-bit targets land
+    // on, just past and across 64-bit word boundaries. Even
+    // conditionals are encoded taken ("11"), odd ones not taken
+    // ("10"), so a field shifted by one bit cannot decode the path.
+    for (const unsigned k : {31u, 32u, 33u}) {
+        SCOPED_TRACE(k);
+        ProgramBuilder b(k);
+        b.beginFunction("main");
+        std::vector<BlockId> conds;
+        for (unsigned i = 0; i < k; ++i)
+            conds.push_back(b.block(1 + i % 3));
+        const BlockId sw = b.block(2);
+        const BlockId sw2 = b.block(1);
+        const BlockId last = b.block(2);
+        const BlockId far = b.block(1);
+        for (unsigned i = 0; i < k; ++i) {
+            const BlockId next = i + 1 < k ? conds[i + 1] : sw;
+            b.condTo(conds[i], i % 2 == 0 ? next : far,
+                     CondBehavior::bernoulli(0.5));
+        }
+        IndirectBehavior ib;
+        ib.targets = {sw2, far};
+        ib.weightsByPhase = {{1.0, 1.0}};
+        b.indirectJump(sw, ib);
+        ib.targets = {last, far};
+        b.indirectJump(sw2, std::move(ib));
+        b.halt(last);
+        b.halt(far);
+        const Program p = b.build();
+
+        std::vector<const BasicBlock *> path;
+        for (const BlockId id : conds)
+            path.push_back(&p.block(id));
+        for (const BlockId id : {sw, sw2, last})
+            path.push_back(&p.block(id));
+
+        const CompactTrace ct = CompactTrace::encode(path);
+        const std::uint64_t branches = k + 2;
+        const std::uint64_t indirectTargets = 2;
+        EXPECT_EQ(ct.bitLength(),
+                  2 * branches + 64 * indirectTargets + 66);
+        EXPECT_EQ(ct.sizeBytes(), (ct.bitLength() + 7) / 8);
+        EXPECT_EQ(ct.decode(p, path.front()->startAddr()), path);
+    }
+}
+
 /**
  * Property: any executed path round-trips exactly. Parameterized
  * over executor seeds to sample many distinct paths, including

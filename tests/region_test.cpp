@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "program/program.hpp"
+#include "program/program_builder.hpp"
 #include "runtime/region.hpp"
 #include "support/error.hpp"
 #include "workloads/scenarios.hpp"
@@ -133,6 +136,60 @@ TEST(RegionTest, MultiPathMembershipKeepsControl)
     // The rare side exits.
     ++pos; // move off the entry
     EXPECT_EQ(r.step(pos, p.block(Ids::e), false), RegionStep::Exit);
+}
+
+TEST(RegionTest, MultiPathStepMatchesMembershipEverywhere)
+{
+    // pre falls through into the region entry (head); sw ends in an
+    // indirect jump whose targets are a member, a non-member and a
+    // block outside the loop.
+    ProgramBuilder b(7);
+    b.beginFunction("main");
+    const BlockId pre = b.block(2);
+    const BlockId head = b.block(2);
+    const BlockId body = b.block(1);
+    const BlockId sw = b.block(1);
+    const BlockId tail = b.block(1);
+    const BlockId out = b.block(1);
+    b.condTo(head, tail, CondBehavior::bernoulli(0.5));
+    IndirectBehavior ib;
+    ib.targets = {pre, tail, out};
+    ib.weightsByPhase = {{1.0, 1.0, 1.0}};
+    b.indirectJump(sw, std::move(ib));
+    b.jumpTo(tail, pre);
+    b.halt(out);
+    const Program p = b.build();
+    ASSERT_EQ(p.block(pre).terminator(), BranchKind::None);
+    ASSERT_EQ(p.block(pre).fallThroughAddr(), p.block(head).startAddr());
+    ASSERT_EQ(p.block(sw).terminator(), BranchKind::IndirectJump);
+
+    const Region r =
+        Region::makeMultiPath(0, pathOf(p, {head, body, sw, pre}));
+    const std::vector<const BasicBlock *> &members = r.blocks();
+    for (std::size_t from = 0; from < members.size(); ++from) {
+        for (const BasicBlock &next : p.blocks()) {
+            for (const bool taken : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "pos " << from << " next " << next.id()
+                             << " taken " << taken);
+                const auto member =
+                    std::find(members.begin(), members.end(), &next);
+                std::size_t pos = from;
+                const RegionStep step = r.step(pos, next, taken);
+                if (member == members.end()) {
+                    EXPECT_EQ(step, RegionStep::Exit);
+                    EXPECT_EQ(pos, from);
+                } else if (member == members.begin()) {
+                    EXPECT_EQ(step, RegionStep::CycleRestart);
+                    EXPECT_EQ(pos, 0u);
+                } else {
+                    EXPECT_EQ(step, RegionStep::Internal);
+                    EXPECT_EQ(pos, static_cast<std::size_t>(
+                                       member - members.begin()));
+                }
+            }
+        }
+    }
 }
 
 TEST(RegionTest, MultiPathStubsExcludeInternalTargets)
