@@ -11,7 +11,12 @@
  *
  * Methodology: the service times its own run with steady_clock; each
  * rung runs one untimed warmup repetition, then the median of
- * --reps timed repetitions is reported (see bench_util.hpp).
+ * --reps timed repetitions is reported (see bench_util.hpp). A rung's
+ * setup_s is the median of runService's wall time minus the time the
+ * service reports for its own run: building, finishing and tearing
+ * down the tenants. The record's peak_rss_mb is the process's
+ * resident high-water mark after the ladder, which the largest rung
+ * sets.
  *
  * Before any timing, the binary re-verifies the service's
  * determinism contract (every tenant fingerprint == its solo run,
@@ -27,6 +32,8 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_util.hpp"
 #include "service/selection_service.hpp"
@@ -47,10 +54,21 @@ struct ScaleRow
     double seconds = 0;
     double eventsPerSec = 0;
     double globalHitRate = 0;
+    double setupSeconds = 0;
     std::uint64_t quotaBytes = 0;
     std::uint64_t arenaHighWater = 0;
     std::uint64_t shardContention = 0;
+    std::size_t jobs = 0;
 };
+
+/** Resident-set high-water mark of this process, in MiB. */
+double
+peakRssMb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0; // KiB
+}
 
 ServiceConfig
 makeConfig(std::size_t tenants, std::uint64_t eventsPerTenant,
@@ -82,15 +100,24 @@ measureRung(std::size_t tenants, std::uint64_t eventsPerTenant,
     ScaleRow row;
     row.tenants = tenants;
     row.eventsPerTenant = eventsPerTenant;
-    row.quotaBytes = cacheKb * 1024 / tenants;
 
     runService(config); // warmup (cold allocator, lazy pool pages)
     std::vector<double> epsSamples;
     std::vector<double> secSamples;
+    std::vector<double> setupSamples;
     for (int r = 0; r < reps; ++r) {
+        const std::uint64_t start = nowNanos();
         const ServiceReport report = runService(config);
+        const double wallSeconds =
+            static_cast<double>(nowNanos() - start) * 1e-9;
         epsSamples.push_back(report.eventsPerSec);
         secSamples.push_back(report.seconds);
+        setupSamples.push_back(wallSeconds - report.seconds);
+        // The service's own figures: the quota it granted (at least
+        // one byte, ShardedCodeCache::limitsFor) and the worker
+        // count it resolved --jobs 0 to.
+        row.quotaBytes = report.quotaBytes;
+        row.jobs = report.jobs;
         row.totalEvents = report.totalEvents;
         row.globalHitRate = report.globalHitRate;
         row.arenaHighWater = report.arena.highWaterBytes;
@@ -98,24 +125,25 @@ measureRung(std::size_t tenants, std::uint64_t eventsPerTenant,
     }
     row.eventsPerSec = medianOf(epsSamples);
     row.seconds = medianOf(secSamples);
+    row.setupSeconds = medianOf(setupSamples);
     return row;
 }
 
 void
-writeJson(const std::string &path, std::size_t jobs,
-          std::uint64_t cacheKb, int reps,
-          const std::vector<ScaleRow> &rows)
+writeJson(const std::string &path, std::uint64_t cacheKb, int reps,
+          const std::vector<ScaleRow> &rows, double peakRss)
 {
     std::ofstream os(path);
     if (!os)
         fatal("cannot write JSON to '" + path + "'");
     os << "{\n"
        << "  \"bench\": \"perf_tenant_scaling\",\n"
-       << "  \"jobs\": " << jobs << ",\n"
+       << "  \"jobs\": " << rows.front().jobs << ",\n"
        << "  \"cache_kb\": " << cacheKb << ",\n"
        << "  \"timed_reps\": " << reps << ",\n"
        << "  \"timer\": \"steady_clock, median of reps after "
           "warmup\",\n"
+       << "  \"peak_rss_mb\": " << peakRss << ",\n"
        << "  \"scaling\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ScaleRow &r = rows[i];
@@ -123,6 +151,7 @@ writeJson(const std::string &path, std::size_t jobs,
            << ", \"events_per_tenant\": " << r.eventsPerTenant
            << ", \"total_events\": " << r.totalEvents
            << ", \"seconds\": " << r.seconds
+           << ", \"setup_s\": " << r.setupSeconds
            << ", \"events_per_sec\": "
            << static_cast<std::uint64_t>(r.eventsPerSec)
            << ", \"global_hit_rate\": " << r.globalHitRate
@@ -210,7 +239,7 @@ main(int argc, char **argv)
             rows.push_back(row);
         }
 
-        writeJson(cli.get("json"), jobs, cacheKb, reps, rows);
+        writeJson(cli.get("json"), cacheKb, reps, rows, peakRssMb());
         std::printf("json: %s\n", cli.get("json").c_str());
         return ExitOk;
     } catch (const FatalError &e) {

@@ -9,7 +9,8 @@ namespace rsel {
 
 DynOptSystem::DynOptSystem(const Program &prog, CacheLimits limits,
                            ICacheConfig icache)
-    : prog_(prog), cache_(limits), icache_(icache)
+    : prog_(prog), cache_(limits), metrics_(prog.blocks().size()),
+      icache_(icache)
 {}
 
 DynOptSystem &

@@ -1,6 +1,7 @@
 #include "metrics/metrics_collector.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "metrics/region_quality.hpp"
 #include "program/program.hpp"
@@ -8,6 +9,20 @@
 #include "support/error.hpp"
 
 namespace rsel {
+
+std::size_t
+MetricsCollector::filterSlots(std::size_t blockCount)
+{
+    return std::clamp(std::bit_ceil(8 * blockCount), minFilterSlots,
+                      maxFilterSlots);
+}
+
+MetricsCollector::MetricsCollector(std::size_t blockCount)
+    : edgeSeen_(filterSlots(blockCount), 0),
+      linkSeen_(edgeSeen_.size(), 0),
+      filterShift_(64 - static_cast<unsigned>(
+                            std::countr_zero(edgeSeen_.size())))
+{}
 
 void
 MetricsCollector::recordEdge(BlockId src, BlockId dst)

@@ -1,6 +1,7 @@
 #include "selection/history_buffer.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/error.hpp"
 
@@ -10,22 +11,21 @@ namespace {
 constexpr std::size_t npos = ~std::size_t{0};
 } // namespace
 
-HistoryBuffer::HistoryBuffer(std::size_t capacity)
+HistoryBuffer::HistoryBuffer(std::size_t capacity,
+                             std::size_t maxTargets)
     : storage_(capacity)
 {
     RSEL_ASSERT(capacity > 0, "history buffer needs capacity >= 1");
     // Reserve the whole table up front: power-of-two, at least twice
-    // the capacity, so the load factor stays under 1/2 (the purge
-    // discipline bounds live entries by the capacity) and inserts
-    // never rehash.
-    std::size_t slots = 8;
-    while (slots < 2 * capacity)
-        slots <<= 1;
+    // the most keys it can hold, so the load factor stays under 1/2
+    // (the purge discipline bounds live entries by the capacity; a
+    // key owns one slot, so the target bound caps them too) and
+    // inserts never rehash.
+    const std::size_t slots = std::max<std::size_t>(
+        8, std::bit_ceil(2 * std::min(capacity, maxTargets)));
     table_.assign(slots, HashSlot{});
     tableMask_ = slots - 1;
-    tableShift_ = 64;
-    for (std::size_t s = slots; s > 1; s >>= 1)
-        --tableShift_;
+    tableShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
 }
 
 bool

@@ -11,9 +11,14 @@
  * shrinking the valid window.
  *
  * The target hash is a fixed open-addressed table (linear probing,
- * backward-shift deletion) preallocated at twice the buffer
- * capacity: insert+find touch one cache line in the common case and
- * never rehash. Hash entries are purged eagerly — when eviction
+ * backward-shift deletion) preallocated at twice the most keys it can
+ * ever hold, min(capacity, maxTargets): insert+find touch one cache
+ * line in the common case and never rehash. LEI bounds the distinct
+ * targets by the program's block count, since every target is a
+ * block start, so a 10-block program carries a 32-slot table instead
+ * of the 1024 slots a 500-entry buffer needs in general. Each key
+ * owns at most one slot, so the table size never changes what find()
+ * answers. Hash entries are purged eagerly — when eviction
  * overwrites the entry they point at, when truncateAfter() drops it,
  * and when find() rejects one as stale — so the table holds at most
  * one entry per live buffer slot (hashedTargets() <= capacity()).
@@ -47,8 +52,18 @@ class HistoryBuffer
         bool fromCacheExit = false;
     };
 
-    /** @param capacity maximum live entries (the paper uses 500). */
-    explicit HistoryBuffer(std::size_t capacity);
+    /** No bound on distinct targets: size the table by capacity. */
+    static constexpr std::size_t unboundedTargets = ~std::size_t{0};
+
+    /**
+     * @param capacity   maximum live entries (the paper uses 500).
+     * @param maxTargets most distinct target addresses the caller
+     *                   will ever hash (@pre); the table holds
+     *                   min(capacity, maxTargets) keys at a load
+     *                   factor under 1/2.
+     */
+    explicit HistoryBuffer(std::size_t capacity,
+                           std::size_t maxTargets = unboundedTargets);
 
     /**
      * Find the most recent in-window occurrence of `tgt` recorded in

@@ -12,7 +12,9 @@ namespace rsel {
 LeiSelector::LeiSelector(const Program &prog, const CodeCache &cache,
                          LeiConfig cfg)
     : prog_(prog), cache_(cache), cfg_(cfg),
-      buffer_(cfg.bufferCapacity)
+      // Every hashed target is a block start (onInterpreted), so the
+      // block count bounds the distinct targets.
+      buffer_(cfg.bufferCapacity, prog.blocks().size())
 {
     RSEL_ASSERT(cfg_.hotThreshold >= 1, "hot threshold must be >= 1");
     RSEL_ASSERT(cfg_.maxTraceInsts >= 1, "size limit must be >= 1");

@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "selection/history_buffer.hpp"
 #include "support/error.hpp"
+#include "support/random.hpp"
 
 namespace rsel {
 namespace {
@@ -184,6 +192,149 @@ TEST(HistoryBufferTest, EvictionBoundsHashOccupancy)
         ASSERT_LE(buf.hashedTargets(), cap);
     }
     EXPECT_EQ(buf.size(), cap);
+}
+
+/**
+ * Brute-force reference for a HistoryBuffer: the live window as a
+ * plain list of (sequence number, target) and the target hash as a
+ * map, each operation spelled out the slow, obvious way.
+ */
+class WindowModel
+{
+  public:
+    explicit WindowModel(std::size_t capacity) : capacity_(capacity) {}
+
+    std::optional<std::uint64_t>
+    find(Addr tgt)
+    {
+        const auto it = hash_.find(tgt);
+        if (it == hash_.end())
+            return std::nullopt;
+        const std::uint64_t seq = it->second;
+        for (const auto &[s, t] : window_)
+            if (s == seq && t == tgt)
+                return seq;
+        hash_.erase(it); // stale: find() purges what it rejects
+        return std::nullopt;
+    }
+
+    std::uint64_t
+    insert(Addr tgt)
+    {
+        if (window_.size() == capacity_) {
+            const auto [s, t] = window_.front();
+            window_.pop_front();
+            unhashIfAt(t, s);
+        }
+        window_.emplace_back(nextSeq_, tgt);
+        return nextSeq_++;
+    }
+
+    void setHashLocation(Addr tgt, std::uint64_t seq) { hash_[tgt] = seq; }
+
+    void
+    truncateAfter(std::uint64_t seq)
+    {
+        while (window_.back().first > seq) {
+            const auto [s, t] = window_.back();
+            window_.pop_back();
+            unhashIfAt(t, s);
+        }
+        nextSeq_ = seq + 1;
+    }
+
+    void
+    clear()
+    {
+        window_.clear();
+        hash_.clear();
+    }
+
+    /** The i-th oldest live sequence number. */
+    std::uint64_t seqAt(std::size_t i) const { return window_[i].first; }
+    std::size_t size() const { return window_.size(); }
+    std::size_t hashed() const { return hash_.size(); }
+
+  private:
+    void
+    unhashIfAt(Addr tgt, std::uint64_t seq)
+    {
+        const auto it = hash_.find(tgt);
+        if (it != hash_.end() && it->second == seq)
+            hash_.erase(it);
+    }
+
+    std::size_t capacity_;
+    std::uint64_t nextSeq_ = 0;
+    std::deque<std::pair<std::uint64_t, Addr>> window_;
+    std::map<Addr, std::uint64_t> hash_;
+};
+
+TEST(HistoryBufferTest, BoundedTargetTableMatchesBruteForceModel)
+{
+    // A bound of 7 targets shrinks the table to 16 slots (from 1024
+    // for capacity 500). The seven targets all hash to the last
+    // slot, so every probe chain wraps around the table's end and
+    // every erase backward-shifts through it.
+    constexpr std::size_t cap = 500;
+    constexpr std::size_t bound = 7;
+    std::vector<Addr> targets;
+    for (Addr a = 0x1000; targets.size() < bound; a += 4)
+        if (((a * 0x9E3779B97F4A7C15ull) >> 60) == 15)
+            targets.push_back(a);
+
+    HistoryBuffer buf(cap, bound);
+    WindowModel model(cap);
+    Rng rng(15);
+    const auto anyTarget = [&] { return targets[rng.nextBelow(bound)]; };
+    const auto liveSeq = [&] {
+        return model.seqAt(rng.nextBelow(model.size()));
+    };
+    // Cut near the end, as LEI does after a short cycle, so the
+    // window still fills up and wraps.
+    const auto recentSeq = [&] {
+        const std::size_t back = rng.nextBelow(
+            std::min<std::size_t>(model.size(), 8));
+        return model.seqAt(model.size() - 1 - back);
+    };
+    std::size_t widest = 0;
+    for (int op = 0; op < 100'000; ++op) {
+        const std::uint64_t roll = rng.nextBelow(10'000);
+        if (roll < 5000) {
+            // LEI's step: look the target up, record, re-point.
+            const Addr tgt = anyTarget();
+            ASSERT_EQ(buf.find(tgt), model.find(tgt)) << "op " << op;
+            const std::uint64_t seq = buf.insert(entry(0x10, tgt));
+            ASSERT_EQ(seq, model.insert(tgt));
+            buf.setHashLocation(tgt, seq);
+            model.setHashLocation(tgt, seq);
+        } else if (roll < 6500) {
+            const Addr tgt = anyTarget();
+            ASSERT_EQ(buf.find(tgt), model.find(tgt)) << "op " << op;
+        } else if (roll < 7500) {
+            const Addr tgt = anyTarget();
+            ASSERT_EQ(buf.insert(entry(0x20, tgt)), model.insert(tgt));
+        } else if (roll < 8700 && model.size() != 0) {
+            // Point a target at an arbitrary live entry, usually one
+            // holding another target: find() must reject and purge.
+            const Addr tgt = anyTarget();
+            const std::uint64_t seq = liveSeq();
+            buf.setHashLocation(tgt, seq);
+            model.setHashLocation(tgt, seq);
+        } else if (roll < 9998 && model.size() != 0) {
+            const std::uint64_t seq = recentSeq();
+            buf.truncateAfter(seq);
+            model.truncateAfter(seq);
+        } else if (roll >= 9998) {
+            buf.clear();
+            model.clear();
+        }
+        ASSERT_EQ(buf.size(), model.size()) << "op " << op;
+        ASSERT_EQ(buf.hashedTargets(), model.hashed()) << "op " << op;
+        ASSERT_LE(buf.hashedTargets(), bound) << "op " << op;
+        widest = std::max(widest, model.size());
+    }
+    EXPECT_EQ(widest, cap) << "the window never filled";
 }
 
 TEST(HistoryBufferTest, GuardsAgainstMisuse)

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+#include <vector>
+
 #include "dynopt/dynopt_system.hpp"
 #include "metrics/metrics_collector.hpp"
 #include "workloads/scenarios.hpp"
@@ -170,6 +174,72 @@ TEST(SimResultTest, ConservationClosesOnRealRunsAndFlagsTampering)
             EXPECT_NE(bad.conservationError(), "");
         }
     }
+}
+
+TEST(MetricsCollectorTest, FiltersAreSizedByTheProgram)
+{
+    // 8 slots per block, as a power of two within [256, 4096].
+    EXPECT_EQ(MetricsCollector::filterSlots(0), 256u);
+    EXPECT_EQ(MetricsCollector::filterSlots(1), 256u);
+    EXPECT_EQ(MetricsCollector::filterSlots(33), 512u);
+    EXPECT_EQ(MetricsCollector::filterSlots(99), 1024u);
+    EXPECT_EQ(MetricsCollector::filterSlots(512), 4096u);
+    EXPECT_EQ(MetricsCollector::filterSlots(601), 4096u);
+}
+
+/** `n` distinct (src, dst) keys that share one filter slot. */
+std::vector<std::pair<BlockId, BlockId>>
+collidingPairs(std::size_t n, std::size_t slots)
+{
+    const unsigned shift =
+        64 - static_cast<unsigned>(std::countr_zero(slots));
+    std::vector<std::pair<BlockId, BlockId>> pairs;
+    for (std::uint64_t m = 0; pairs.size() < n; ++m) {
+        const BlockId src = static_cast<BlockId>(m % 64);
+        const BlockId dst = static_cast<BlockId>(m / 64);
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(src) << 32) | dst;
+        if (((key * 0x9E3779B97F4A7C15ull) >> shift) == 0)
+            pairs.emplace_back(src, dst);
+    }
+    return pairs;
+}
+
+TEST(MetricsCollectorTest, SmallestFiltersStayExact)
+{
+    // A 1-block program gets the smallest filters. 20k keys all
+    // land in slot 0: the first 10k are fed, the rest never are.
+    // Each fed key is fed again after later keys took its slot, so
+    // the filter is constantly overwritten; it may only skip a
+    // repeat, never a first sighting.
+    constexpr std::size_t n = 10'000;
+    const auto pairs =
+        collidingPairs(2 * n, MetricsCollector::filterSlots(1));
+    MetricsCollector metrics(1);
+    std::uint64_t transitions = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j : {i, i / 2, i}) {
+            const auto [src, dst] = pairs[j];
+            metrics.onEdge(src, dst);
+            metrics.onRegionTransition(src, dst);
+            ++transitions;
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(metrics.sawEdge(pairs[i].first, pairs[i].second))
+            << "fed edge " << i << " lost";
+    for (std::size_t i = n; i < 2 * n; ++i)
+        ASSERT_FALSE(metrics.sawEdge(pairs[i].first, pairs[i].second))
+            << "edge " << i << " never fed";
+
+    // The link filter sits in front of the distinct-pair set the
+    // same way: every distinct pair counts exactly once.
+    const Program prog = buildNestedLoops();
+    const CodeCache cache;
+    const NetSelector selector(prog, cache);
+    const SimResult r = metrics.finalize(prog, cache, selector);
+    EXPECT_EQ(r.interRegionLinks, n);
+    EXPECT_EQ(r.regionTransitions, transitions);
 }
 
 } // namespace
