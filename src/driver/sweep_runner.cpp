@@ -8,17 +8,6 @@
 
 namespace rsel {
 
-std::uint64_t
-mixSeed(std::uint64_t base, std::uint64_t index)
-{
-    // One splitmix64 step over base + index·golden-gamma: adjacent
-    // indices yield uncorrelated seeds (same mixer Rng seeding uses).
-    std::uint64_t z = base + (index + 1) * 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 SweepRunner::SweepRunner(std::size_t jobs)
     : jobs_(jobs == 0 ? ThreadPool::hardwareWorkers() : jobs)
 {}
@@ -26,14 +15,12 @@ SweepRunner::SweepRunner(std::size_t jobs)
 std::vector<SweepCell>
 SweepRunner::makeGrid(const std::vector<const WorkloadInfo *> &workloads,
                       const std::vector<Algorithm> &algos,
-                      const SimOptions &base, std::uint64_t buildSeed,
-                      SeedPolicy policy)
+                      const SimOptions &base, std::uint64_t buildSeed)
 {
     RSEL_ASSERT(!algos.empty(), "sweep grid needs at least one algorithm");
     std::vector<SweepCell> cells;
     cells.reserve(workloads.size() * algos.size());
-    for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-        const WorkloadInfo *w = workloads[wi];
+    for (const WorkloadInfo *w : workloads) {
         RSEL_ASSERT(w != nullptr, "sweep grid got a null workload");
         for (Algorithm algo : algos) {
             SweepCell cell;
@@ -43,8 +30,6 @@ SweepRunner::makeGrid(const std::vector<const WorkloadInfo *> &workloads,
             cell.opts = base;
             if (cell.opts.maxEvents == 0)
                 cell.opts.maxEvents = w->defaultEvents;
-            if (policy == SeedPolicy::PerWorkload)
-                cell.opts.seed = mixSeed(base.seed, wi);
             cells.push_back(cell);
         }
     }

@@ -12,8 +12,11 @@
  *
  * Determinism contract:
  *  - A cell's executor seed and build seed are fixed at grid
- *    construction time (see SeedPolicy), never derived from
- *    scheduling, thread identity or completion order.
+ *    construction time, never derived from scheduling, thread
+ *    identity or completion order. Every cell shares the base
+ *    seed: this is the paper's methodology, since all algorithms on
+ *    a workload must consume the identical dynamic block stream for
+ *    the comparison to be fair.
  *  - Each cell rebuilds its Program from the workload's deterministic
  *    builder, so no cross-cell state exists at all.
  *  - run() stores each result at the cell's grid index; callers see
@@ -32,29 +35,6 @@
 
 namespace rsel {
 
-/**
- * How makeGrid assigns each cell's executor seed.
- *
- * Both policies pin the seed into the cell before any thread runs,
- * which is what makes parallel and serial sweeps byte-identical.
- */
-enum class SeedPolicy {
-    /**
-     * Every cell uses the base seed unchanged. This is the paper's
-     * methodology (and the historical behaviour of every harness
-     * here): all algorithms on a workload must consume the identical
-     * dynamic block stream for the comparison to be fair.
-     */
-    Shared,
-    /**
-     * Each workload gets a seed splitmix-derived from (base seed,
-     * workload grid row), shared by all algorithms on that workload
-     * so cross-algorithm comparisons stay stream-identical, while
-     * workloads are decorrelated from each other.
-     */
-    PerWorkload,
-};
-
 /** One fully resolved simulation cell. */
 struct SweepCell
 {
@@ -64,18 +44,10 @@ struct SweepCell
     Algorithm algo = Algorithm::Net;
     /** Program-synthesis seed for this cell's private build. */
     std::uint64_t buildSeed = 42;
-    /**
-     * Simulation options with maxEvents and seed already resolved
-     * (workload default applied, seed policy applied).
-     */
+    /** Simulation options with maxEvents already resolved (the
+     *  workload default applied). */
     SimOptions opts;
 };
-
-/**
- * Mix a base seed with a cell index into an independent 64-bit
- * seed (one splitmix64 step). Deterministic and order-free.
- */
-std::uint64_t mixSeed(std::uint64_t base, std::uint64_t index);
 
 /** Runs SweepCell grids serially or across a thread pool. */
 class SweepRunner
@@ -99,15 +71,13 @@ class SweepRunner
      * @param algos     grid columns.
      * @param base      shared options; base.maxEvents == 0 means
      *                  "use each workload's default event count",
-     *                  base.seed is the base executor seed.
+     *                  base.seed is every cell's executor seed.
      * @param buildSeed program-synthesis seed for every cell.
-     * @param policy    executor-seed assignment (see SeedPolicy).
      */
     static std::vector<SweepCell>
     makeGrid(const std::vector<const WorkloadInfo *> &workloads,
              const std::vector<Algorithm> &algos, const SimOptions &base,
-             std::uint64_t buildSeed,
-             SeedPolicy policy = SeedPolicy::Shared);
+             std::uint64_t buildSeed);
 
     /**
      * Run every cell and return SimResults in grid order, each with

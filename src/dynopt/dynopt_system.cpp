@@ -131,8 +131,7 @@ DynOptSystem::installRegion(RegionSpec spec)
         layout.blockOffsets.push_back(offset);
         offset += static_cast<std::uint32_t>(b->sizeBytes());
     }
-    nextLayoutAddr_ += offset + region.exitStubCount() *
-                                    cache_.limits().stubBytes;
+    nextLayoutAddr_ += offset + region.exitStubCount() * kExitStubBytes;
     layouts_.push_back(std::move(layout));
 
     const RegionId id = cache_.insert(std::move(region));

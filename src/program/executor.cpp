@@ -1,7 +1,5 @@
 #include "program/executor.hpp"
 
-#include <algorithm>
-
 #include "support/error.hpp"
 
 namespace rsel {
@@ -244,23 +242,7 @@ std::uint64_t
 Executor::runBatched(std::uint64_t maxEvents, BatchSink &sink,
                      std::size_t batchSize)
 {
-    RSEL_ASSERT(batchSize > 0, "batch size must be at least 1");
-    EventBatch batch;
-    batch.reserve(batchSize);
-    std::uint64_t consumed = 0;
-    while (consumed < maxEvents) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(batchSize, maxEvents - consumed));
-        if (fillBatch(batch, want) == 0)
-            break;
-        const std::size_t took = sink.onBatch(batch);
-        RSEL_ASSERT(took <= batch.size(),
-                    "sink consumed more events than the batch holds");
-        consumed += took;
-        if (took < batch.size())
-            break;
-    }
-    return consumed;
+    return pumpBatches(*this, maxEvents, sink, batchSize);
 }
 
 } // namespace rsel

@@ -10,10 +10,12 @@
 #ifndef RSEL_PROGRAM_EXECUTOR_HPP
 #define RSEL_PROGRAM_EXECUTOR_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "program/program.hpp"
+#include "support/error.hpp"
 #include "support/random.hpp"
 
 namespace rsel {
@@ -118,6 +120,37 @@ class BatchSink
      */
     virtual std::size_t onBatch(const EventBatch &batch) = 0;
 };
+
+/**
+ * The delivery loop both batch producers (Executor, TraceReplayer)
+ * share: fill batches of at most `batchSize` events through
+ * `producer.fillBatch` and hand each to `sink` until `maxEvents`
+ * are consumed, the producer runs dry or the sink stops.
+ * @return events consumed by the sink.
+ */
+template <typename Producer>
+std::uint64_t
+pumpBatches(Producer &producer, std::uint64_t maxEvents, BatchSink &sink,
+            std::size_t batchSize)
+{
+    RSEL_ASSERT(batchSize > 0, "batch size must be at least 1");
+    EventBatch batch;
+    batch.reserve(batchSize);
+    std::uint64_t consumed = 0;
+    while (consumed < maxEvents) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(batchSize, maxEvents - consumed));
+        if (producer.fillBatch(batch, want) == 0)
+            break;
+        const std::size_t took = sink.onBatch(batch);
+        RSEL_ASSERT(took <= batch.size(),
+                    "sink consumed more events than the batch holds");
+        consumed += took;
+        if (took < batch.size())
+            break;
+    }
+    return consumed;
+}
 
 /**
  * Interprets a Program, resolving branch behaviours with a seeded

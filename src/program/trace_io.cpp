@@ -1,6 +1,5 @@
 #include "program/trace_io.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -400,11 +399,12 @@ TraceReplayer::readValue(std::uint64_t &value)
     }
 }
 
+template <typename Emit>
 std::uint64_t
-TraceReplayer::run(std::uint64_t maxEvents, ExecutionSink &sink)
+TraceReplayer::decode(std::uint64_t maxEvents, Emit emit)
 {
-    std::uint64_t delivered = 0;
-    while (!done_ && delivered < maxEvents) {
+    std::uint64_t decoded = 0;
+    while (!done_ && decoded < maxEvents) {
         std::uint64_t id = 0;
         if (!readValue(id)) {
             fatal("trace file truncated (no end-of-trace marker) at "
@@ -436,75 +436,37 @@ TraceReplayer::run(std::uint64_t maxEvents, ExecutionSink &sink)
             ev.branchAddr = fell ? invalidAddr : prev_->lastInstAddr();
         }
         prev_ = &block;
-        ++delivered;
+        ++decoded;
         ++eventsRead_;
-        if (!sink.onEvent(ev))
+        if (!emit(ev))
             break;
     }
-    return delivered;
+    return decoded;
+}
+
+std::uint64_t
+TraceReplayer::run(std::uint64_t maxEvents, ExecutionSink &sink)
+{
+    return decode(maxEvents, [&sink](const ExecEvent &ev) {
+        return sink.onEvent(ev);
+    });
 }
 
 std::uint64_t
 TraceReplayer::fillBatch(EventBatch &batch, std::size_t maxEvents)
 {
     batch.clear();
-    while (!done_ && batch.size() < maxEvents) {
-        std::uint64_t id = 0;
-        if (!readValue(id)) {
-            fatal("trace file truncated (no end-of-trace marker) at "
-                  "byte offset " +
-                  std::to_string(byteOffset_) + " (after " +
-                  std::to_string(eventsRead_) + " events)");
-        }
-        if (id == prog_.blocks().size()) {
-            done_ = true; // end-of-trace marker
-            break;
-        }
-        if (id > prog_.blocks().size())
-            fatal("trace references unknown block id " +
-                  std::to_string(id));
-        const BasicBlock &block =
-            prog_.block(static_cast<BlockId>(id));
-
-        // Same annotation reconstruction as run(), decoded straight
-        // into the SoA stripes.
-        bool taken = false;
-        Addr branchAddr = invalidAddr;
-        if (prev_ != nullptr) {
-            const bool fell =
-                canFallThrough(prev_->terminator()) &&
-                block.startAddr() == prev_->fallThroughAddr();
-            taken = !fell;
-            branchAddr = fell ? invalidAddr : prev_->lastInstAddr();
-        }
-        batch.push(block.id(), taken, branchAddr);
-        prev_ = &block;
-        ++eventsRead_;
-    }
-    return batch.size();
+    return decode(maxEvents, [&batch](const ExecEvent &ev) {
+        batch.push(ev.block->id(), ev.takenBranch, ev.branchAddr);
+        return true;
+    });
 }
 
 std::uint64_t
 TraceReplayer::runBatched(std::uint64_t maxEvents, BatchSink &sink,
                           std::size_t batchSize)
 {
-    RSEL_ASSERT(batchSize > 0, "batch size must be at least 1");
-    EventBatch batch;
-    batch.reserve(batchSize);
-    std::uint64_t consumed = 0;
-    while (consumed < maxEvents) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(batchSize, maxEvents - consumed));
-        if (fillBatch(batch, want) == 0)
-            break;
-        const std::size_t took = sink.onBatch(batch);
-        RSEL_ASSERT(took <= batch.size(),
-                    "sink consumed more events than the batch holds");
-        consumed += took;
-        if (took < batch.size())
-            break;
-    }
-    return consumed;
+    return pumpBatches(*this, maxEvents, sink, batchSize);
 }
 
 } // namespace rsel

@@ -152,6 +152,16 @@ class TraceReplayer
      */
     bool readValue(std::uint64_t &value);
 
+    /**
+     * The one decode loop behind run() and fillBatch(): decode up to
+     * `maxEvents` further events, rebuilding each entry annotation
+     * from the program, and hand each to `emit` until it returns
+     * false. @return events decoded. @throws FatalError on a corrupt
+     * or truncated stream.
+     */
+    template <typename Emit>
+    std::uint64_t decode(std::uint64_t maxEvents, Emit emit);
+
     const Program &prog_;
     std::istream &is_;
     const BasicBlock *prev_ = nullptr;

@@ -23,6 +23,10 @@
 
 namespace rsel {
 
+/** Bytes charged per exit stub in the estimated size of a region
+ *  (paper Section 4.3.4; DynamoRIO's conservative figure). */
+constexpr std::uint64_t kExitStubBytes = 10;
+
 /** Capacity and eviction configuration of a CodeCache. */
 struct CacheLimits
 {
@@ -42,8 +46,6 @@ struct CacheLimits
     std::uint64_t capacityBytes = 0;
     /** Eviction policy for bounded caches. */
     Policy policy = Policy::FullFlush;
-    /** Bytes charged per exit stub (paper Section 4.3.4 model). */
-    std::uint64_t stubBytes = 10;
 };
 
 /** A code cache of single-entry regions, optionally bounded. */
@@ -73,10 +75,10 @@ class CodeCache
      * call into other locked subsystems; that is exactly what the
      * service's mirror does, which is why the arena methods it
      * reaches (`ShardedCodeCache::admit`/`release`) are annotated
-     * `RSEL_EXCLUDES(registry_)`: a listener fires with the
-     * tenant's session capability held, so anything it calls must
-     * be lower in the lock hierarchy than the locks already held
-     * (see docs/ANALYSIS.md).
+     * `RSEL_EXCLUDES(mu_)`: a listener fires with the tenant's
+     * session capability held, so anything it calls must be lower
+     * in the lock hierarchy than the locks already held (see
+     * docs/ANALYSIS.md).
      */
     class Listener
     {
@@ -177,15 +179,14 @@ class CodeCache
 
     /**
      * Estimated cache size in bytes using the paper's model
-     * (Section 4.3.4): copied instruction bytes plus `stubBytes`
-     * per exit stub (default 10, DynamoRIO's conservative figure).
-     * For a bounded cache this still reports the cumulative copied
-     * footprint (the optimizer's work); see liveBytes() for
-     * occupancy.
+     * (Section 4.3.4): copied instruction bytes plus kExitStubBytes
+     * per exit stub. For a bounded cache this still reports the
+     * cumulative copied footprint (the optimizer's work); see
+     * liveBytes() for occupancy.
      */
-    std::uint64_t estimatedSizeBytes(std::uint64_t stubBytes = 10) const
+    std::uint64_t estimatedSizeBytes() const
     {
-        return totalBytes_ + totalStubs_ * stubBytes;
+        return totalBytes_ + totalStubs_ * kExitStubBytes;
     }
 
     /** Current occupancy in estimated bytes (live regions only). */
@@ -263,7 +264,7 @@ class CodeCache
     /** Estimated footprint of one region under the byte model. */
     std::uint64_t estimateOf(const Region &r) const
     {
-        return r.byteSize() + r.exitStubCount() * limits_.stubBytes;
+        return r.byteSize() + r.exitStubCount() * kExitStubBytes;
     }
 
     /** Evict one region / flush per policy to make room. */

@@ -10,9 +10,9 @@
  * SimResult fingerprints byte-identical to solo runs at any
  * concurrency. This class is the *physical* substrate underneath:
  * every logical insert / evict / invalidate / flush is mirrored
- * here (via CodeCache::Listener), keyed by entrance address into a
- * fixed set of shards, each guarded by its own mutex, with
- * per-tenant and global byte accounting.
+ * here (via CodeCache::Listener) into one entry map keyed by
+ * tenant and entrance address, with per-tenant and global byte
+ * accounting.
  *
  * The global eviction policy is quota partitioning: a global
  * capacity C over N tenants grants each tenant C/N bytes, and the
@@ -26,39 +26,28 @@
  * occupancy bound Σ_t live_t ≤ C (+ the same single-oversized-
  * region overshoot CodeCache itself permits per tenant).
  *
- * Shards are keyed by entrance-address *hash only* — deliberately
- * not by tenant — so tenants whose guest programs share an address
- * range (all generated programs do) genuinely contend on the same
- * shard mutexes. The tsan stress battery hammers exactly that.
+ * Shards are the unit a chaos quarantine takes out of service. An
+ * entrance's shard is a hash of its address *only* — deliberately
+ * not of its tenant — so one quarantine parks admissions of every
+ * tenant whose guest program uses that address range (all
+ * generated programs share one).
  *
  * Concurrency contract (checked by the `analyze` preset, see
- * docs/ANALYSIS.md for the full capability map):
- *
- *  - `registry_` guards the account table's *growth*
- *    (registerTenant); established accounts are then read lock-free
- *    through the `accountCount_` publication count.
- *  - `Shard::mu` guards that shard's entry map, and nothing else.
- *  - Lock hierarchy: `registry_` ≺ `shard.mu`, encoded with
- *    `RSEL_ACQUIRED_AFTER` on every shard mutex — acquiring the
- *    registry while holding a shard is a compile error under the
- *    analyze gate (the inversion TSan could only hope to trip).
- *    Methods on the admit/release path additionally carry
- *    `RSEL_EXCLUDES(registry_)`: they are callable from under a
- *    tenant's logical-cache mutation (the CodeCache::Listener
- *    mirror), so they must never wait on the registry.
- *  - All cross-shard accounting is atomic with a declared role tag
- *    (see support/sync.hpp's atomics discipline).
+ * docs/ANALYSIS.md for the full capability map): one mutex, `mu_`,
+ * guards every field but the configuration and the contention
+ * counter. The arena calls nothing while holding it, so it is last
+ * in every lock order: admit/release run from a tenant's
+ * logical-cache mutation with the tenant's `sessionMu_` held.
  */
 
 #ifndef RSEL_SERVICE_SHARDED_CACHE_HPP
 #define RSEL_SERVICE_SHARDED_CACHE_HPP
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
+#include <vector>
 
 #include "runtime/code_cache.hpp"
 #include "support/sync.hpp"
@@ -78,8 +67,6 @@ struct ArenaConfig
     std::size_t shardCount = 16;
     /** Eviction policy applied within each tenant's quota. */
     CacheLimits::Policy policy = CacheLimits::Policy::FullFlush;
-    /** Bytes charged per exit stub (the CodeCache byte model). */
-    std::uint64_t stubBytes = 10;
 };
 
 /** Why a physical entry was released (mirrors CodeCache drops). */
@@ -110,8 +97,8 @@ struct ArenaStats
     std::uint64_t highWaterBytes = 0;
     std::uint64_t admissions = 0;
     std::uint64_t releases = 0;
-    /** Admissions/releases that found their shard mutex held — the
-     *  cross-tenant contention the sharding exists to dilute. */
+    /** Acquisitions of the arena's mutex that found it held: the
+     *  cross-tenant contention the arena meets. */
     std::uint64_t shardContention = 0;
     /** Entries currently resident (admissions == releases +
      *  liveEntries is the global accounting identity). */
@@ -137,7 +124,6 @@ class ShardedCodeCache
 {
   public:
     explicit ShardedCodeCache(ArenaConfig cfg);
-    ~ShardedCodeCache();
 
     ShardedCodeCache(const ShardedCodeCache &) = delete;
     ShardedCodeCache &operator=(const ShardedCodeCache &) = delete;
@@ -146,16 +132,12 @@ class ShardedCodeCache
      * Register a tenant and return its fresh dense id. Ids are
      * never reused: a torn-down tenant's id stays dead forever,
      * which is one half of the no-resurrection guarantee (the
-     * other half is that releaseAll() empties its shard entries).
-     *
-     * Safe to call concurrently with admit()/release() traffic —
-     * warm tenant restart registers a fresh id while neighbours are
-     * mid-slice. The account table is a fixed array of
-     * atomically-published chunk pointers: established accounts
-     * never move, chunks are allocated under `registry_` and read
-     * lock-free through the accountCount_ publication protocol.
+     * other half is that releaseAll() empties its entries). Safe to
+     * call concurrently with admit()/release() traffic — warm
+     * tenant restart registers a fresh id while neighbours are
+     * mid-slice.
      */
-    TenantId registerTenant() RSEL_EXCLUDES(registry_);
+    TenantId registerTenant() RSEL_EXCLUDES(mu_);
 
     /**
      * Per-tenant quota under the global policy: capacityBytes / N
@@ -164,8 +146,7 @@ class ShardedCodeCache
     std::uint64_t tenantQuotaBytes(std::size_t tenantCount) const;
 
     /** The CacheLimits a tenant's logical cache must run with so
-     *  the quota partition holds (policy and stub model ride
-     *  along). */
+     *  the quota partition holds (the policy rides along). */
     CacheLimits tenantLimits(std::size_t tenantCount) const
     {
         return limitsFor(cfg_, tenantCount);
@@ -182,10 +163,10 @@ class ShardedCodeCache
      * `entry`. @pre the tenant is registered and active, and holds
      * no live entry at `entry` (its logical cache guarantees both).
      * Callable from under a tenant's logical-cache mutation (the
-     * Listener mirror), hence must never touch the registry.
+     * Listener mirror).
      */
     void admit(TenantId tenant, Addr entry, std::uint64_t bytes)
-        RSEL_EXCLUDES(registry_);
+        RSEL_EXCLUDES(mu_);
 
     /**
      * Release the entry admitted at `entry`. The byte figure must
@@ -194,44 +175,43 @@ class ShardedCodeCache
      * re-entrancy contract as admit().
      */
     void release(TenantId tenant, Addr entry, std::uint64_t bytes,
-                 ReleaseReason reason) RSEL_EXCLUDES(registry_);
+                 ReleaseReason reason) RSEL_EXCLUDES(mu_);
 
     /**
      * Drop every live and parked entry of `tenant` (teardown sweep),
      * then deactivate the id: further admissions from it are
      * rejected loudly, so a dead tenant's regions can never
-     * resurrect. The sweep scans the shard maps themselves, but only
-     * the tenant's own key range in each: O(shards · log entries +
-     * the tenant's entries), independent of how many other tenants
-     * are resident. @return bytes released.
+     * resurrect. The sweep scans the maps themselves, but only the
+     * tenant's own key range in each: O(shards · log entries + the
+     * tenant's entries), independent of how many other tenants are
+     * resident. @return bytes released.
      */
-    std::uint64_t releaseAll(TenantId tenant) RSEL_EXCLUDES(registry_);
+    std::uint64_t releaseAll(TenantId tenant) RSEL_EXCLUDES(mu_);
 
     /**
      * Final teardown check: @pre releaseAll() ran (or the tenant
      * emptied its cache through the flush machinery) — a tenant
      * with residual live bytes is a service bug and panics.
      */
-    void unregisterTenant(TenantId tenant);
+    void unregisterTenant(TenantId tenant) RSEL_EXCLUDES(mu_);
 
     /**
      * Quarantine one shard (chaos fault): until the matching lift,
      * admissions hashing to it are *parked* — accounted as admitted
      * (the logical cache has already committed to the region; the
-     * mirror must not diverge) but held in a side pen, modelling an
-     * arena segment taken out of service. Purely physical: no
-     * logical result can change. Nests; each quarantine needs one
-     * lift. @pre shard < shardCount.
+     * mirror must not diverge) but held in the shard's pen,
+     * modelling an arena segment taken out of service. Purely
+     * physical: no logical result can change. Nests; each
+     * quarantine needs one lift. @pre shard < shardCount.
      */
-    void quarantineShard(std::size_t shard) RSEL_EXCLUDES(registry_);
+    void quarantineShard(std::size_t shard) RSEL_EXCLUDES(mu_);
 
     /**
      * Lift one quarantine of `shard`; when the last nested
      * quarantine lifts, parked entries merge back into the live
      * map. @pre the shard is quarantined.
      */
-    void liftShardQuarantine(std::size_t shard)
-        RSEL_EXCLUDES(registry_);
+    void liftShardQuarantine(std::size_t shard) RSEL_EXCLUDES(mu_);
 
     /** Shard index serving `entry` (test probe). */
     std::size_t
@@ -244,112 +224,53 @@ class ShardedCodeCache
         h ^= h >> 33;
         h *= 0xff51afd7ed558ccdULL;
         h ^= h >> 33;
-        return static_cast<std::size_t>(h % shards_.size());
+        return static_cast<std::size_t>(h % cfg_.shardCount);
     }
 
     /** Accounting snapshot of one tenant. */
-    TenantCacheStats tenantStats(TenantId tenant) const;
+    TenantCacheStats tenantStats(TenantId tenant) const
+        RSEL_EXCLUDES(mu_);
 
     /** Global accounting snapshot. */
-    ArenaStats stats() const;
+    ArenaStats stats() const RSEL_EXCLUDES(mu_);
 
     /** Live and parked physical entries of one tenant (test probe):
-     *  counts the tenant's key range in each shard, O(shards · log
-     *  entries + the tenant's entries). */
-    std::size_t liveEntryCount(TenantId tenant) const;
+     *  counts the tenant's key range in the entry map and in each
+     *  pen, O(shards · log entries + the tenant's entries). */
+    std::size_t liveEntryCount(TenantId tenant) const
+        RSEL_EXCLUDES(mu_);
 
     /** The configured arena parameters. */
     const ArenaConfig &config() const { return cfg_; }
 
-    /**
-     * Lock-order probes for the negative-compile battery and the
-     * service_stress_test shim (tests/negative_compile/): the two
-     * capabilities of shard `shard` in their declared order. The
-     * first IS `registry_` (each shard re-names the registry lock so
-     * the `RSEL_ACQUIRED_AFTER` relation is expressible per shard);
-     * acquiring them through these probes in the inverted order is
-     * exactly the registry-vs-shard deadlock, and the analyze gate
-     * rejects it at compile time.
-     */
-    Mutex &
-    shardOrderFirst(std::size_t shard) const
-        RSEL_RETURN_CAPABILITY(shards_[shard].registry)
-    {
-        return shards_[shard].registry;
-    }
-
-    /** The shard's own mutex (second in the declared order). */
-    Mutex &
-    shardOrderSecond(std::size_t shard) const
-        RSEL_RETURN_CAPABILITY(shards_[shard].mu)
-    {
-        return shards_[shard].mu;
-    }
-
   private:
     friend struct TsaTestProbe; // negative-compile battery only
 
-    /** One shard: a mutex plus the (tenant, entry) -> bytes map.
-     *  The maps are ordered by keyOf, so each tenant's entries form
-     *  one contiguous key range. */
-    struct Shard
-    {
-        explicit Shard(Mutex &registryLock) : registry(registryLock) {}
+    /** Map of tenant-qualified keys (see keyOf) to entry bytes.
+     *  Ordered, so each tenant's entries form one contiguous key
+     *  range. */
+    using EntryMap = std::map<std::uint64_t, std::uint64_t>;
 
-        /**
-         * The owning arena's `registry_`, re-named into shard scope
-         * so the lock order `registry_` ≺ `mu` is expressible as an
-         * attribute on `mu` (TSA resolves `acquired_after` against
-         * members of the same object).
-         */
-        Mutex &registry;
-        mutable Mutex mu RSEL_ACQUIRED_AFTER(registry);
-        /** Key = tenant-qualified entrance address (see keyOf). */
-        std::map<std::uint64_t, std::uint64_t> entries
-            RSEL_GUARDED_BY(mu);
+    /** One shard's quarantine pen. */
+    struct Pen
+    {
         /** Admissions parked while the shard is quarantined; merged
-         *  back into `entries` when the last quarantine lifts. */
-        std::map<std::uint64_t, std::uint64_t> parked
-            RSEL_GUARDED_BY(mu);
+         *  into the entry map when the last quarantine lifts. */
+        EntryMap parked;
         /** Nested quarantine count; admissions park while > 0. */
-        std::uint32_t quarantineDepth RSEL_GUARDED_BY(mu) = 0;
+        std::uint32_t depth = 0;
     };
 
-    /** Per-tenant account; atomics because a tenant's entries span
-     *  shards and snapshots race with other tenants' traffic. Role
-     *  tags per the support/sync.hpp atomics discipline. */
+    /** Per-tenant account. */
     struct Account
     {
-        /** role: gauge (relaxed) — mirrors the shard maps, whose
-         *  consistency the shard mutexes already provide. */
-        std::atomic<std::uint64_t> liveBytes{0};
-        /** role: high-water (relaxed CAS). */
-        std::atomic<std::uint64_t> highWaterBytes{0};
-        /** role: counter (relaxed). */
-        std::atomic<std::uint64_t> admissions{0};
-        /** role: counter (relaxed). */
-        std::atomic<std::uint64_t> evictionReleases{0};
-        /** role: counter (relaxed). */
-        std::atomic<std::uint64_t> invalidationReleases{0};
-        /** role: counter (relaxed). */
-        std::atomic<std::uint64_t> flushReleases{0};
-        /** role: gauge (relaxed) — resident entry count, the O(1)
-         *  side of admissions == Σ releases + liveEntries. */
-        std::atomic<std::uint64_t> liveEntries{0};
-        /** role: flag (release/acquire) — deactivation publishes the
-         *  teardown sweep that preceded it. */
-        std::atomic<bool> active{true};
+        TenantCacheStats stats;
+        /** False once torn down: admissions are then rejected. */
+        bool active = true;
     };
 
-    /** Accounts live in fixed-size chunks so established elements
-     *  never move while the table grows mid-traffic. */
-    static constexpr std::size_t kAccountsPerChunk = 256;
-    static constexpr std::size_t kMaxAccountChunks = 4096;
-
-    struct AccountChunk
-    {
-        Account slots[kAccountsPerChunk];
-    };
+    /** Tenant ids stay below 2^20, so keyOf never overflows. */
+    static constexpr std::size_t kMaxTenants = std::size_t{1} << 20;
 
     /**
      * Tenant-qualified map key: two tenants' guest programs live
@@ -358,8 +279,7 @@ class ShardedCodeCache
      * another's. Entrance addresses in generated programs stay
      * well below 2^40; the assert in admit() enforces it. With the
      * tenant in the high bits, tenant t's keys are exactly the
-     * ordered run that starts at keyOf(t, 0); ids stay below 2^20
-     * (the account table's size), so the shift never overflows.
+     * ordered run that starts at keyOf(t, 0).
      */
     static std::uint64_t
     keyOf(TenantId tenant, Addr entry)
@@ -374,56 +294,24 @@ class ShardedCodeCache
         return static_cast<TenantId>(key >> 40);
     }
 
-    /**
-     * Look up an established account without the registry lock.
-     * Sound by the accountCount_ publication protocol: the bound
-     * check loads accountCount_ with acquire, which synchronizes
-     * with registerTenant's release store made after the element's
-     * chunk was constructed; the chunk pointer itself is loaded
-     * with acquire for readers that raced past a fresher count.
-     */
-    Account &account(TenantId tenant);
-    const Account &account(TenantId tenant) const;
-
-    /** Raise the high-water mark to at least `value`. */
-    static void raiseHighWater(std::atomic<std::uint64_t> &mark,
-                               std::uint64_t value);
+    /** The account of a registered tenant; panics on an unknown
+     *  id. */
+    Account &account(TenantId tenant) RSEL_REQUIRES(mu_);
 
     ArenaConfig cfg_;
-    /** Serializes registerTenant calls with each other and guards
-     *  the account table's growth. First in the lock hierarchy:
-     *  declared before shards_ so each Shard can bind it. */
-    mutable Mutex registry_;
-    /** Deque: Shard is immovable (mutex + reference member). */
-    std::deque<Shard> shards_;
-    /**
-     * Fixed table of atomically-published chunk pointers: accounts
-     * never move, and registerTenant can grow the table while other
-     * tenants' admit/release traffic reads it lock-free (warm
-     * restart registers ids mid-run). Chunks are allocated under
-     * registry_, published with release, read with acquire, and
-     * owned until destruction (role: publication pointer).
-     */
-    std::array<std::atomic<AccountChunk *>, kMaxAccountChunks>
-        chunks_{};
-    /** role: publication count (release/acquire) — publishes the
-     *  construction of accounts [0..n) to lock-free readers. */
-    std::atomic<std::size_t> accountCount_{0};
-    /** role: gauge (relaxed). */
-    std::atomic<std::uint64_t> liveBytes_{0};
-    /** role: high-water (relaxed CAS). */
-    std::atomic<std::uint64_t> highWaterBytes_{0};
-    /** role: counter (relaxed). */
-    std::atomic<std::uint64_t> admissions_{0};
-    /** role: counter (relaxed). */
-    std::atomic<std::uint64_t> releases_{0};
-    /** role: gauge (relaxed). */
-    std::atomic<std::uint64_t> liveEntries_{0};
-    /** role: counter (relaxed). */
-    std::atomic<std::uint64_t> quarantines_{0};
-    /** role: counter (relaxed). */
-    std::atomic<std::uint64_t> quarantinedAdmissions_{0};
-    /** role: counter (relaxed). */
+    mutable Mutex mu_;
+    /** Live entries of every tenant. */
+    EntryMap entries_ RSEL_GUARDED_BY(mu_);
+    /** One quarantine pen per shard. */
+    std::vector<Pen> pens_ RSEL_GUARDED_BY(mu_);
+    /** Indexed by TenantId; a deque, so registering never copies
+     *  the established accounts while the lock is held. */
+    std::deque<Account> accounts_ RSEL_GUARDED_BY(mu_);
+    /** The global counters; stats() adds the contention, shard and
+     *  tenant figures. */
+    ArenaStats totals_ RSEL_GUARDED_BY(mu_);
+    /** role: counter (relaxed) — bumped by MutexLock's contention
+     *  probe before it waits, so it lives outside `mu_`. */
     mutable std::atomic<std::uint64_t> contention_{0};
 };
 

@@ -24,8 +24,7 @@
  * rejects any new code path that touches slice state without it.
  * Lock hierarchy: `sessionMu_` is held across the logical-cache
  * mutations that re-enter the arena, so it sits strictly *before*
- * `Shard::mu` (and never meets `registry_`, which only
- * registerTenant takes); see docs/ANALYSIS.md.
+ * the arena's `mu_`; see docs/ANALYSIS.md.
  */
 
 #ifndef RSEL_SERVICE_TENANT_SESSION_HPP

@@ -29,23 +29,13 @@
  * member carries a role tag in its declaration comment, and the tag
  * dictates the strongest memory order the member may use:
  *
- *  - `role: counter (relaxed)` — a monotonic statistic (admissions,
- *    releases, contention). Nothing is ordered against it; every
- *    access must be `memory_order_relaxed`.
- *  - `role: gauge (relaxed)` — a current-level figure (live bytes)
- *    whose adds and subs commute; consistency comes from the mutex
- *    protecting the structure it mirrors, so accesses are relaxed.
- *  - `role: high-water (relaxed CAS)` — a monotonic maximum
- *    maintained with a relaxed compare-exchange loop; advisory by
- *    construction (a racing reader may see yesterday's peak).
+ *  - `role: counter (relaxed)` — a monotonic count (the arena's
+ *    contention, a pool's next work index). Nothing is ordered
+ *    against it; every access must be `memory_order_relaxed`.
  *  - `role: flag (release/acquire)` — a one-way state transition
- *    (`stop_`, `active`) that *publishes* everything written before
- *    the store. Writers use `memory_order_release`, readers
+ *    (`stop_`) that *publishes* everything written before the
+ *    store. Writers use `memory_order_release`, readers
  *    `memory_order_acquire`.
- *  - `role: publication count (release/acquire)` — a size field
- *    that publishes construction of the elements it counts
- *    (`accountCount_`). Release on store, acquire on load; the
- *    elements themselves may then be read lock-free.
  *
  * `memory_order_seq_cst` (the default) is banned in first-party
  * code: if an access needs it, the design is wrong — say why in a
@@ -155,7 +145,7 @@ class RSEL_CAPABILITY("mutex") Mutex
 /**
  * RAII critical section over a Mutex. The second constructor is the
  * contended-acquisition probe the arena uses: a failed try-lock
- * bumps `contended` (relaxed counter) before blocking, so shard
+ * bumps `contended` (relaxed counter) before blocking, so arena
  * contention stays observable without a second locking idiom.
  */
 class RSEL_SCOPED_CAPABILITY MutexLock

@@ -62,7 +62,6 @@ TEST(CodeCacheTest, AccountingAccumulates)
     EXPECT_EQ(cache.totalExitStubs(), stubs);
     // Paper's size model: bytes + 10 per stub.
     EXPECT_EQ(cache.estimatedSizeBytes(), bytes + 10 * stubs);
-    EXPECT_EQ(cache.estimatedSizeBytes(16), bytes + 16 * stubs);
 }
 
 TEST(CodeCacheTest, ReferencesSurviveGrowth)

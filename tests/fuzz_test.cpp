@@ -123,9 +123,10 @@ TEST(RandomProgramTest, GeneratedStreamsAreCfgLegal)
             bool
             onEvent(const ExecEvent &ev) override
             {
-                if (prev_)
+                if (prev_) {
                     EXPECT_TRUE(oracle_.legalEdge(*prev_, *ev.block))
                         << prev_->id() << " -> " << ev.block->id();
+                }
                 prev_ = ev.block;
                 return true;
             }

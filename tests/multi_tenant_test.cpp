@@ -206,16 +206,12 @@ TEST(MultiTenantTest, EvictionVsInvalidationDisjointAccounting)
     EXPECT_GT(invalidationsSeen, 0u);
 }
 
-// The memory-order audit's witness (ISSUE 8): after the arena's
-// atomics were pinned to the weakest orders their role tags permit
-// (counters/gauges relaxed, flags and the publication count
-// release/acquire — see support/sync.hpp), the disjoint-accounting
-// identities must still close under the stress trio's conditions:
-// a single shard (maximum cross-tenant contention on one mutex),
-// a pooled scheduler, and invalidation-heavy fault plans, so every
-// relaxed counter is hammered from eight workers while being
-// snapshotted. A wrong relaxation shows up here (and in the tsan
-// preset, which runs this test) as a broken identity.
+// The accounting witness: the disjoint-accounting identities must
+// close under the stress trio's conditions: a single shard, a
+// pooled scheduler, and invalidation-heavy fault plans, so every
+// counter the arena's mutex guards is hammered from eight workers
+// while being snapshotted. A lost update shows up here (and in the
+// tsan preset, which runs this test) as a broken identity.
 TEST(MultiTenantTest, DisjointAccountingUnderContention)
 {
     ServiceConfig config = seedConfig(16, 1, 8, 4000);
@@ -245,8 +241,9 @@ TEST(MultiTenantTest, DisjointAccountingUnderContention)
         // Every admission leaves exactly once or is still live —
         // and a tenant with no residual bytes has released all.
         EXPECT_GE(tr.cache.admissions, released) << tr.name;
-        if (tr.cache.liveBytes == 0)
+        if (tr.cache.liveBytes == 0) {
             EXPECT_EQ(tr.cache.admissions, released) << tr.name;
+        }
         admissions += tr.cache.admissions;
         releases += released;
         live += tr.cache.liveBytes;

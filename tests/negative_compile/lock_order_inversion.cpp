@@ -2,9 +2,7 @@
 // Violation class: acquiring two capabilities against their declared
 // RSEL_ACQUIRED_AFTER order — the deadlock cycle TSan can only hope
 // to trip at runtime, rejected here on every interleaving. (Checked
-// under -Wthread-safety-beta; the self-contained two-member shape is
-// the canonical one, arena_lock_order_inversion.cpp exercises the
-// real registry/shard pair.)
+// under -Wthread-safety-beta.)
 
 #include "support/sync.hpp"
 

@@ -1,6 +1,6 @@
 // TSA-EXPECT: requires holding mutex
-// First-party case: a ShardedCodeCache shard's entry map is
-// RSEL_GUARDED_BY(shard.mu); a probe sizing it unlocked must be
+// First-party case: ShardedCodeCache's entry map is
+// RSEL_GUARDED_BY(mu_); a probe sizing it unlocked must be
 // rejected.
 
 #include "service/sharded_cache.hpp"
@@ -11,14 +11,13 @@ namespace service {
 struct TsaTestProbe
 {
     static std::size_t
-    shardEntryCount(ShardedCodeCache &arena)
+    entryCount(ShardedCodeCache &arena)
     {
-        ShardedCodeCache::Shard &shard = arena.shards_[0];
 #ifdef RSEL_TSA_NEGATIVE
-        return shard.entries.size(); // unlocked: gate must reject
+        return arena.entries_.size(); // unlocked: gate must reject
 #else
-        MutexLock lock(shard.mu);
-        return shard.entries.size();
+        MutexLock lock(arena.mu_);
+        return arena.entries_.size();
 #endif
     }
 };

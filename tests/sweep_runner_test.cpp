@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -187,16 +186,6 @@ TEST(ForEachIndexTest, ThrowStopsClaimingAndRethrows)
     EXPECT_EQ(ran.load(), 13);
 }
 
-TEST(SweepRunnerTest, MixSeedIsDeterministicAndSpreads)
-{
-    EXPECT_EQ(mixSeed(7, 0), mixSeed(7, 0));
-    std::set<std::uint64_t> seen;
-    for (std::uint64_t i = 0; i < 64; ++i)
-        seen.insert(mixSeed(7, i));
-    EXPECT_EQ(seen.size(), 64u);
-    EXPECT_NE(mixSeed(7, 0), mixSeed(8, 0));
-}
-
 TEST(SweepRunnerTest, MakeGridIsWorkloadMajorAndResolvesDefaults)
 {
     const std::vector<const WorkloadInfo *> workloads{
@@ -217,7 +206,7 @@ TEST(SweepRunnerTest, MakeGridIsWorkloadMajorAndResolvesDefaults)
     EXPECT_EQ(grid[2].workload->name, "mcf");
     EXPECT_EQ(grid[0].opts.maxEvents, workloads[0]->defaultEvents);
     EXPECT_EQ(grid[2].opts.maxEvents, workloads[1]->defaultEvents);
-    // Shared policy: the paper's methodology, one stream per seed.
+    // The paper's methodology: one stream per seed.
     for (const SweepCell &cell : grid)
         EXPECT_EQ(cell.opts.seed, 7u);
 
@@ -227,26 +216,6 @@ TEST(SweepRunnerTest, MakeGridIsWorkloadMajorAndResolvesDefaults)
         SweepRunner::makeGrid(workloads, algos, capped, 42);
     for (const SweepCell &cell : cappedGrid)
         EXPECT_EQ(cell.opts.maxEvents, 1234u);
-}
-
-TEST(SweepRunnerTest, PerWorkloadSeedsVaryByRowNotColumn)
-{
-    const std::vector<const WorkloadInfo *> workloads{
-        findWorkload("gzip"), findWorkload("mcf")};
-    const std::vector<Algorithm> algos{Algorithm::Net, Algorithm::Lei};
-    SimOptions base;
-    base.seed = 7;
-    const auto grid = SweepRunner::makeGrid(
-        workloads, algos, base, 42, SeedPolicy::PerWorkload);
-    ASSERT_EQ(grid.size(), 4u);
-    // All algorithms on one workload consume the identical stream…
-    EXPECT_EQ(grid[0].opts.seed, grid[1].opts.seed);
-    EXPECT_EQ(grid[2].opts.seed, grid[3].opts.seed);
-    // …but workloads are decorrelated from each other.
-    EXPECT_NE(grid[0].opts.seed, grid[2].opts.seed);
-    // And the derivation is position-based, hence reproducible.
-    EXPECT_EQ(grid[0].opts.seed, mixSeed(7, 0));
-    EXPECT_EQ(grid[2].opts.seed, mixSeed(7, 1));
 }
 
 /** Every field the harnesses print, compared exactly. */
