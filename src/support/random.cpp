@@ -25,17 +25,10 @@ Rng::Rng(std::uint64_t seed)
         s = splitmix64(sm);
 }
 
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
+void
+Rng::zeroBound()
 {
-    RSEL_ASSERT(bound > 0, "nextBelow requires a positive bound");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
+    panic("nextBelow requires a positive bound");
 }
 
 std::uint64_t
