@@ -113,8 +113,6 @@ makeConfig(const ChaosLevel &level, std::size_t tenants,
         config.overload.sliceBudget =
             std::max<std::uint64_t>(1, slices / 2);
     }
-    config.overload.healthEnabled =
-        config.chaos.armed() || config.overload.enabled();
     return config;
 }
 

@@ -52,25 +52,6 @@ ThreadPool::wait()
     }
 }
 
-std::size_t
-ThreadPool::cancelPending()
-{
-    std::size_t dropped = 0;
-    bool nowIdle = false;
-    {
-        MutexLock lock(mutex_);
-        dropped = queue_.size();
-        queue_.clear();
-        // Clearing the queue may have satisfied waiters' idle
-        // predicate (queue empty, nothing running) — wake them, or
-        // a wait() racing this cancel blocks forever.
-        nowIdle = idleLocked();
-    }
-    if (nowIdle)
-        idle_.notifyAll();
-    return dropped;
-}
-
 void
 ThreadPool::workerLoop()
 {

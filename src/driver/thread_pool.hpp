@@ -72,15 +72,6 @@ class ThreadPool
      */
     void wait() RSEL_EXCLUDES(mutex_);
 
-    /**
-     * Drop every task still queued without running it; tasks
-     * already executing complete normally. Returns the number of
-     * tasks dropped. Used by overload control to shed queued work
-     * on a fail-fast path; a captured exception is left in place
-     * for the next wait() to rethrow.
-     */
-    std::size_t cancelPending() RSEL_EXCLUDES(mutex_);
-
     /** Number of worker threads. */
     std::size_t workerCount() const { return threads_.size(); }
 

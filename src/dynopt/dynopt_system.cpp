@@ -36,14 +36,12 @@ DynOptSystem::enableVerifyOnSubmit()
 }
 
 DynOptSystem &
-DynOptSystem::armFaults(const resilience::FaultPlan &plan,
-                        std::uint64_t seedOverride)
+DynOptSystem::armFaults(const resilience::FaultPlan &plan)
 {
     RSEL_ASSERT(prevBlock_ == nullptr && !finished_,
                 "faults must be armed before the first event");
     if (plan.armed())
-        injector_ = std::make_unique<resilience::FaultInjector>(
-            plan, seedOverride);
+        injector_ = std::make_unique<resilience::FaultInjector>(plan);
     return *this;
 }
 
@@ -140,9 +138,9 @@ DynOptSystem::installRegion(RegionSpec spec)
 }
 
 void
-DynOptSystem::injectEventFaults()
+DynOptSystem::injectEventFaults(
+    const resilience::FaultInjector::Tick &tick)
 {
-    const resilience::FaultInjector::Tick tick = injector_->onEvent();
     if (tick.invalidate) {
         // Self-modifying code: a store hits one block; every cached
         // region that copied its bytes is stale. The victim block is
@@ -244,8 +242,9 @@ DynOptSystem::enterRegion(const Region &region, const BasicBlock &block)
     fetchCachedCur(0, block);
 }
 
-template <bool Armed>
-void
+// Inline, so GCC folds it into both of its callers: onBatch runs it
+// for every event outside a cached run.
+inline void
 DynOptSystem::processEvent(const ExecEvent &ev)
 {
     metrics_.onEvent();
@@ -262,13 +261,13 @@ DynOptSystem::processEvent(const ExecEvent &ev)
     }
     prevBlock_ = ev.block;
     lastStep_ = StepTrace{};
-
-    // Deterministic fault injection, compiled out of the disarmed
-    // instantiation. Faults fire on the event clock, before the
-    // event is dispatched, so every selector sees the same cache
-    // disruptions at the same event indices.
-    if constexpr (Armed)
-        injectEventFaults();
+    if (interpretOnly_) {
+        // Terminal graceful degradation: interpreted, with no
+        // selector or cache involvement.
+        ++interpEvents_;
+        metrics_.onInterpretedBlock(*ev.block);
+        return;
+    }
 
     if (inRegion_) {
         const Region &r = *curRegionPtr_;
@@ -364,38 +363,24 @@ DynOptSystem::processEvent(const ExecEvent &ev)
     }
 }
 
-void
-DynOptSystem::interpretOnlyEvent(const ExecEvent &ev)
-{
-    metrics_.onEvent();
-    if (prevBlock_ != nullptr)
-        metrics_.onEdge(prevBlock_->id(), ev.block->id());
-    prevBlock_ = ev.block;
-    lastStep_ = StepTrace{};
-    ++interpEvents_;
-    metrics_.onInterpretedBlock(*ev.block);
-}
-
 bool
 DynOptSystem::onEvent(const ExecEvent &ev)
 {
     RSEL_ASSERT(!finished_, "events delivered after finish()");
     RSEL_ASSERT(selector_ != nullptr, "no selector attached");
-    if (interpretOnly_) {
-        interpretOnlyEvent(ev);
-        return true;
-    }
-    if (injector_)
-        processEvent<true>(ev);
-    else
-        processEvent<false>(ev);
+    // Faults fire on the event clock, before the event is
+    // dispatched, so every selector sees the same cache disruptions
+    // at the same event indices. A degraded system draws nothing.
+    if (injector_ && !interpretOnly_)
+        injectEventFaults(injector_->onEvent());
+    processEvent(ev);
     return true;
 }
 
 std::size_t
-DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i)
+DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i,
+                               std::size_t end)
 {
-    const std::size_t n = batch.size();
     const BasicBlock *const progBlocks = prog_.blocks().data();
 
     // Current-region context, reloaded on every region switch.
@@ -420,7 +405,7 @@ DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i)
         runStart = upto;
     };
 
-    for (; i < n; ++i) {
+    for (; i < end; ++i) {
         const BasicBlock &b = progBlocks[batch.blockIds[i]];
         // The same decision Region::step makes, checked before any
         // effect so an unconsumed event is left wholly to
@@ -484,8 +469,8 @@ DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i)
         flushRun(i);
         regionPos_ = pos;
         prevBlock_ = prev;
-        if (i == n) {
-            // The batch ended mid-run: leave the same step-trace
+        if (i == end) {
+            // The run stopped mid-region: leave the same step-trace
             // probe state the per-event path would have.
             lastStep_ = StepTrace{};
             lastStep_.where = StepTrace::Where::Cached;
@@ -502,48 +487,35 @@ DynOptSystem::onBatch(const EventBatch &batch)
 {
     RSEL_ASSERT(!finished_, "events delivered after finish()");
     RSEL_ASSERT(selector_ != nullptr, "no selector attached");
-    const std::vector<BasicBlock> &blocks = prog_.blocks();
+    const BasicBlock *const blocks = prog_.blocks().data();
     const std::size_t n = batch.size();
-    if (interpretOnly_) {
-        // Terminal graceful degradation: the whole batch is
-        // interpreted, no selector/injector/cache involvement.
-        for (std::size_t i = 0; i < n; ++i) {
-            ExecEvent ev;
-            ev.block = &blocks[batch.blockIds[i]];
-            ev.takenBranch = batch.takenFlags[i] != 0;
-            ev.branchAddr = batch.branchAddrs[i];
-            interpretOnlyEvent(ev);
+    // `due` is the next event a fault fires at, n if none does in
+    // this batch. The injector has drawn for every event up to and
+    // including it, as per-event ticks would have, and for none
+    // after, so the events before it run exactly as on a disarmed
+    // system. A degraded system draws nothing.
+    resilience::FaultInjector::Tick tick;
+    std::size_t due = injector_ && !interpretOnly_
+                          ? injector_->advanceToFault(n, tick)
+                          : n;
+    std::size_t i = 0;
+    while (i < n) {
+        if (inRegion_ && !interpretOnly_) {
+            i = consumeRegionRun(batch, i, due);
+            if (i == n)
+                break;
         }
-        return n;
-    }
-    // The armed/disarmed decision is per batch, not per event: the
-    // two loops run the same state machine, but the disarmed one is
-    // instantiated without any injector code on its fast path.
-    if (injector_) {
-        // Armed: the injector must tick on every event (faults can
-        // flush the region under us), so no run consumption here.
-        for (std::size_t i = 0; i < n; ++i) {
-            ExecEvent ev;
-            ev.block = &blocks[batch.blockIds[i]];
-            ev.takenBranch = batch.takenFlags[i] != 0;
-            ev.branchAddr = batch.branchAddrs[i];
-            processEvent<true>(ev);
-        }
-    } else {
-        std::size_t i = 0;
-        while (i < n) {
-            if (inRegion_) {
-                i = consumeRegionRun(batch, i);
-                if (i == n)
-                    break;
-            }
-            ExecEvent ev;
-            ev.block = &blocks[batch.blockIds[i]];
-            ev.takenBranch = batch.takenFlags[i] != 0;
-            ev.branchAddr = batch.branchAddrs[i];
-            processEvent<false>(ev);
-            ++i;
-        }
+        const bool fires = i == due;
+        if (fires)
+            injectEventFaults(tick);
+        ExecEvent ev;
+        ev.block = &blocks[batch.blockIds[i]];
+        ev.takenBranch = batch.takenFlags[i] != 0;
+        ev.branchAddr = batch.branchAddrs[i];
+        processEvent(ev);
+        ++i;
+        if (fires)
+            due = i + injector_->advanceToFault(n - i, tick);
     }
     return n;
 }
@@ -648,7 +620,7 @@ simulate(const Program &prog, Algorithm algo, const SimOptions &opts)
     attachAlgorithm(system, algo, opts);
     if (opts.verifyRegions)
         system.enableVerifyOnSubmit();
-    system.armFaults(opts.faults, opts.faultSeed);
+    system.armFaults(opts.faults);
 
     Executor exec(prog, opts.seed);
     if (opts.dispatch == Dispatch::Batched)

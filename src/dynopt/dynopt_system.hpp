@@ -66,9 +66,11 @@ struct StepTrace
 /**
  * The Section 2.1 simulator, driven as an ExecutionSink (one virtual
  * call per block) or — the fast path — as a BatchSink (one virtual
- * call per EventBatch, with the fault-injection disarm check hoisted
- * to batch granularity). Both paths run the identical per-event
- * state machine, so their SimResults are byte-identical.
+ * call per EventBatch). The batch loop runs cached stretches through
+ * consumeRegionRun() and every other event through the per-event
+ * state machine, armed or not: the fault injector draws ahead to the
+ * next event a fault fires at, and only that event leaves the run
+ * loop for its tick. Both paths give byte-identical SimResults.
  */
 class DynOptSystem : public ExecutionSink, public BatchSink
 {
@@ -136,12 +138,9 @@ class DynOptSystem : public ExecutionSink, public BatchSink
      * plan's retry budget, after which the entrance is blacklisted
      * and runs interpreted forever. Execution is never wrong, only
      * slower — the transparency oracle holds under every plan.
-     *
-     * @param seedOverride non-zero replaces the plan's own seed.
      * @return this.
      */
-    DynOptSystem &armFaults(const resilience::FaultPlan &plan,
-                            std::uint64_t seedOverride = 0);
+    DynOptSystem &armFaults(const resilience::FaultPlan &plan);
 
     /** True if fault injection is armed. */
     bool faultsArmed() const { return injector_ != nullptr; }
@@ -243,11 +242,9 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     bool onEvent(const ExecEvent &event) override;
 
     /**
-     * BatchSink: consume a whole batch of events. Whether fault
-     * injection is armed is decided once per batch (the disarmed
-     * loop carries no per-event injector branch); when armed, faults
-     * still fire at exactly the same event indices as the per-event
-     * path. Always consumes the full batch.
+     * BatchSink: consume a whole batch of events in one loop. When
+     * armed, faults fire at exactly the same event indices as on the
+     * per-event path. Always consumes the full batch.
      */
     std::size_t onBatch(const EventBatch &batch) override;
 
@@ -291,8 +288,8 @@ class DynOptSystem : public ExecutionSink, public BatchSink
      */
     bool submitRegion(RegionSpec spec);
 
-    /** Fire the event-driven faults due at this event, if any. */
-    void injectEventFaults();
+    /** Apply the event-driven faults `tick` says fire now. */
+    void injectEventFaults(const resilience::FaultInjector::Tick &tick);
 
     /** Verify-on-submit: check a spec, throw on error diagnostics. */
     void verifySpec(const RegionSpec &spec);
@@ -307,38 +304,30 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     void enterRegion(const Region &region, const BasicBlock &block);
 
     /**
-     * The per-event state machine shared by onEvent and onBatch.
-     * `Armed` hoists the fault-injection check out of the event
-     * path: the disarmed instantiation contains no injector code at
-     * all, keeping the in-region fast path branch-predictable.
+     * The per-event state machine shared by onEvent and onBatch. The
+     * caller applies the event's fault tick first, if any. After
+     * degradeToInterpretation() it stops after the metrics (event,
+     * edge, interpreted block): no selector, no cache.
      */
-    template <bool Armed> void processEvent(const ExecEvent &ev);
-
-    /**
-     * The interpret-only event path after degradeToInterpretation():
-     * metrics-exact (event, edge, interpreted-block) but no selector,
-     * no injector, no cache.
-     */
-    void interpretOnlyEvent(const ExecEvent &ev);
+    void processEvent(const ExecEvent &ev);
 
     /**
      * Batch fast path: consume a run of events that stay in the code
-     * cache, starting at batch index `i`: Internal steps and
+     * cache, from batch index `i` up to `end`: Internal steps and
      * CycleRestarts of the current region (trace or multi-path), and
      * exits that link straight to another cached region's entry,
      * which continue the run under that region. Stops at the first
      * event that leaves for the interpreter (left for processEvent)
-     * or at the end of the batch. Metrics for the run are
-     * accumulated locally and folded in with two bulk calls per
-     * region; every per-event architectural effect (edge profile,
-     * I-cache accesses, predecessor tracking) is applied exactly as
-     * the per-event path would.
+     * or at `end`: the batch end, or the next event a fault fires
+     * at. Metrics for the run are accumulated locally and folded in
+     * with two bulk calls per region; every per-event architectural
+     * effect (edge profile, I-cache accesses, predecessor tracking)
+     * is applied exactly as the per-event path would.
      * @return the index of the first unconsumed event.
-     * @pre inRegion_; disarmed (an armed system must tick the
-     *      injector every event).
+     * @pre inRegion_ and !interpretOnly_.
      */
-    std::size_t consumeRegionRun(const EventBatch &batch,
-                                 std::size_t i);
+    std::size_t consumeRegionRun(const EventBatch &batch, std::size_t i,
+                                 std::size_t end);
 
     /**
      * Feed one cached block's fetch through the I-cache model, using
@@ -465,8 +454,6 @@ struct SimOptions
     bool verifyRegions = false;
     /** Fault-injection plan; disarmed (all-zero rates) by default. */
     resilience::FaultPlan faults;
-    /** Non-zero overrides the plan's own injection seed. */
-    std::uint64_t faultSeed = 0;
 };
 
 /**

@@ -37,6 +37,24 @@ blockIdOfAddr(const Program &prog, Addr addr)
     return b->id();
 }
 
+/**
+ * Read one of the `count` values a program-file line states after
+ * `keyword`. Callers append each value as it arrives rather than
+ * size a vector by `count`, so a hostile count allocates no more
+ * than the line holds.
+ */
+template <typename T>
+T
+readStated(std::istream &ls, const char *keyword, std::size_t count)
+{
+    T value{};
+    if (!(ls >> value))
+        fatal(std::string("truncated '") + keyword + ' ' +
+              std::to_string(count) +
+              "' in program file: the line holds fewer values");
+    return value;
+}
+
 void
 writeLeb128(std::ostream &os, std::uint64_t value)
 {
@@ -158,9 +176,10 @@ loadProgram(std::istream &is)
         } else if (keyword == "phases") {
             std::size_t n = 0;
             ls >> n;
-            phases.resize(n);
+            phases.clear();
             for (std::size_t i = 0; i < n; ++i)
-                ls >> phases[i];
+                phases.push_back(
+                    readStated<std::uint64_t>(ls, "phases", n));
         } else if (keyword == "function") {
             std::string name;
             ls >> name;
@@ -202,9 +221,9 @@ loadProgram(std::istream &is)
                 std::size_t n = 0;
                 ls >> n;
                 pc.behavior.kind = CondBehavior::Kind::Bernoulli;
-                pc.behavior.takenProbByPhase.resize(n);
                 for (std::size_t i = 0; i < n; ++i)
-                    ls >> pc.behavior.takenProbByPhase[i];
+                    pc.behavior.takenProbByPhase.push_back(
+                        readStated<double>(ls, "bernoulli", n));
             } else if (mode == "loop") {
                 int backEdge = 1;
                 pc.behavior.kind = CondBehavior::Kind::Loop;
@@ -224,17 +243,23 @@ loadProgram(std::istream &is)
             ls >> pi.src >> tok >> ntargets;
             if (tok != "targets")
                 fatal("malformed indirect line");
-            pi.behavior.targets.resize(ntargets);
+            // Zero targets would make every weight row empty, so a
+            // hostile phase count could not run the line short.
+            if (ntargets == 0)
+                fatal("indirect branch needs at least one target");
             for (std::size_t i = 0; i < ntargets; ++i)
-                ls >> pi.behavior.targets[i];
+                pi.behavior.targets.push_back(
+                    readStated<BlockId>(ls, "targets", ntargets));
             ls >> tok >> nphases;
             if (tok != "phases")
                 fatal("malformed indirect line");
-            pi.behavior.weightsByPhase.assign(
-                nphases, std::vector<double>(ntargets));
-            for (std::size_t p = 0; p < nphases; ++p)
+            for (std::size_t p = 0; p < nphases; ++p) {
+                std::vector<double> &weights =
+                    pi.behavior.weightsByPhase.emplace_back();
                 for (std::size_t t = 0; t < ntargets; ++t)
-                    ls >> pi.behavior.weightsByPhase[p][t];
+                    weights.push_back(
+                        readStated<double>(ls, "phases", nphases));
+            }
             if (!ls)
                 fatal("truncated indirect line in program file");
             if (pi.src >= kindOf.size())

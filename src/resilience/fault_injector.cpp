@@ -5,13 +5,9 @@
 namespace rsel {
 namespace resilience {
 
-FaultInjector::FaultInjector(const FaultPlan &plan,
-                             std::uint64_t seedOverride)
-    : plan_(plan),
-      eventRng_((seedOverride != 0 ? seedOverride : plan.seed) ^
-                0x8f1bbcdc5a827999ull),
-      submitRng_((seedOverride != 0 ? seedOverride : plan.seed) ^
-                 0x6ed9eba1ca62c1d6ull)
+FaultInjector::FaultInjector(const FaultPlan &plan)
+    : plan_(plan), eventRng_(plan.seed ^ 0x8f1bbcdc5a827999ull),
+      submitRng_(plan.seed ^ 0x6ed9eba1ca62c1d6ull)
 {
     plan_.clamp();
 }
@@ -27,6 +23,19 @@ FaultInjector::onEvent()
     tick.flush = eventRng_.nextBelow(100'000) < plan_.flushRate;
     tick.reset = eventRng_.nextBelow(100'000) < plan_.resetRate;
     return tick;
+}
+
+std::size_t
+FaultInjector::advanceToFault(std::size_t limit, Tick &tick)
+{
+    for (std::size_t k = 0; k < limit; ++k) {
+        const Tick t = onEvent();
+        if (t.fires()) {
+            tick = t;
+            return k;
+        }
+    }
+    return limit;
 }
 
 bool

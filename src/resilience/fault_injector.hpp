@@ -18,18 +18,19 @@
  * The injector decides *that* and *where* a fault fires; the
  * DynOptSystem owns the recovery policy (retry, backoff, blacklist).
  *
- * Armed-ness is immutable: an injector exists only for armed plans,
- * and arming happens strictly before the first event
- * (DynOptSystem::armFaults asserts this). Batch consumers exploit
- * that contract by hoisting the disarmed check to once per
- * EventBatch — a disarmed system's event loop carries no injector
- * code at all, while an armed one still calls onEvent() exactly
- * once per dynamic block event, preserving fault indices.
+ * No simulation state feeds the event stream, so it can be drawn
+ * ahead of the events it belongs to. A batch consumer asks
+ * advanceToFault() for the next event in the batch at which a fault
+ * fires: it makes exactly the draws per-event onEvent() calls would
+ * up to that event and none past it, so pickVictim() still draws
+ * right after the firing event's own draws. The events before it run
+ * as on a disarmed system.
  */
 
 #ifndef RSEL_RESILIENCE_FAULT_INJECTOR_HPP
 #define RSEL_RESILIENCE_FAULT_INJECTOR_HPP
 
+#include <cstddef>
 #include <cstdint>
 
 #include "resilience/fault_plan.hpp"
@@ -42,13 +43,8 @@ namespace resilience {
 class FaultInjector
 {
   public:
-    /**
-     * @param plan the armed plan to execute (copied).
-     * @param seedOverride non-zero replaces the plan's seed, so one
-     *        plan can be replayed under many injection seeds.
-     */
-    explicit FaultInjector(const FaultPlan &plan,
-                           std::uint64_t seedOverride = 0);
+    /** @param plan the armed plan to execute (copied). */
+    explicit FaultInjector(const FaultPlan &plan);
 
     /** Event-driven faults due at one dynamic block event. */
     struct Tick
@@ -56,6 +52,9 @@ class FaultInjector
         bool invalidate = false;
         bool flush = false;
         bool reset = false;
+
+        /** True if any fault fires. */
+        bool fires() const { return invalidate || flush || reset; }
     };
 
     /**
@@ -64,6 +63,15 @@ class FaultInjector
      * independent of the outcome.
      */
     Tick onEvent();
+
+    /**
+     * Advance the event stream over at most `limit` events, stopping
+     * at the first one whose tick fires. Draws exactly what onEvent()
+     * per event would, up to and including the firing event.
+     * @param[out] tick the firing event's faults (untouched if none).
+     * @return the firing event's offset, or `limit` if none fires.
+     */
+    std::size_t advanceToFault(std::size_t limit, Tick &tick);
 
     /** True if the current region submit fails to materialize. */
     bool translationFails();

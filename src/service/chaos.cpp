@@ -105,6 +105,7 @@ ChaosPlan::scheduleFor(std::size_t tenantIndex) const
     ChaosSchedule s;
     if (!armed())
         return s;
+    s.planArmed = true;
 
     // Per-tenant stream: the same plan gives every tenant its own
     // independent — but fixed — draw, keyed only by its index.

@@ -70,6 +70,10 @@ struct ChaosSchedule
     std::uint64_t squeezeSlices = 0;
     std::uint32_t squeezeFactor = 1;
 
+    /** True if the plan this schedule came from is armed, even when
+     *  no fault lands on this tenant. */
+    bool planArmed = false;
+
     /** True if any fault touches this tenant. */
     bool
     any() const

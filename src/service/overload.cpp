@@ -168,15 +168,15 @@ TenantConductor::done() const
     return counters_.aborted || session_->done();
 }
 
-OfferOutcome
+void
 TenantConductor::offer()
 {
     if (done())
-        return OfferOutcome::Finished;
+        return;
     applyChaosPreSlice();
     if (done()) {
         liftQuarantineIfPending();
-        return OfferOutcome::Finished;
+        return;
     }
     ++counters_.scheduledSlices;
 
@@ -188,7 +188,7 @@ TenantConductor::offer()
         ++shedTick_;
         if (shedTick_ % kShedStride != 0) {
             ++counters_.shedSlices;
-            return OfferOutcome::Shed;
+            return;
         }
     }
 
@@ -210,7 +210,8 @@ TenantConductor::offer()
     else
         ++counters_.completedSlices;
 
-    if (!postRestart_ && !degraded_ && overload_.healthEnabled) {
+    if (!postRestart_ && !degraded_ &&
+        overload_.healthEnabled(schedule_.planArmed)) {
         const std::uint64_t now = pressureSignals();
         const TenantHealth h = machine_.observe(now - lastSignals_);
         lastSignals_ = now;
@@ -222,7 +223,6 @@ TenantConductor::offer()
 
     if (session_->done())
         liftQuarantineIfPending();
-    return OfferOutcome::Ran;
 }
 
 void

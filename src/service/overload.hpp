@@ -65,19 +65,21 @@ constexpr std::uint32_t kShedStride = 2;
 struct OverloadConfig
 {
     /** Max tenants granted a slice per scheduling round (bounded
-     *  admission); 0 = unbounded (free-running scheduler). */
+     *  admission); 0 = unbounded (every pending tenant runs). */
     std::size_t maxInflight = 0;
     /** Slices a tenant may consume before it is degraded to
      *  interpretation (deadline analogue); 0 = no budget. */
     std::uint64_t sliceBudget = 0;
-    /** Master switch of the health state machine. */
-    bool healthEnabled = false;
 
-    /** True if any overload mechanism can engage. */
+    /**
+     * True if the health state machine runs: whenever chaos or an
+     * overload bound is in play. A plain service run keeps the
+     * chaos-free contract (and its oracles) untouched.
+     */
     bool
-    enabled() const
+    healthEnabled(bool chaosArmed) const
     {
-        return maxInflight != 0 || sliceBudget != 0 || healthEnabled;
+        return chaosArmed || maxInflight != 0 || sliceBudget != 0;
     }
 };
 
@@ -120,13 +122,6 @@ class TenantHealthMachine
     std::uint32_t streak_ = 0;
 };
 
-/** Why one scheduling offer to a conductor ended. */
-enum class OfferOutcome : std::uint8_t {
-    Ran,      ///< a slice executed (optimized or degraded drain)
-    Shed,     ///< deferred (SHED stride or admission bound)
-    Finished, ///< the tenant was already done/aborted
-};
-
 /** The conductor's per-tenant accounting (the report's chaos and
  *  overload counters; `scheduled == shed + completed + blacklisted`
  *  is the slice-accounting identity the fuzz oracle checks). */
@@ -158,8 +153,7 @@ struct ConductorCounters
  * at any worker count and reproducible solo.
  *
  * Threading: like TenantSession, a conductor has one owner at a
- * time; the scheduler only re-offers it after the previous offer
- * returned.
+ * time; the scheduler offers it at most once per round.
  */
 class TenantConductor
 {
@@ -191,7 +185,7 @@ class TenantConductor
      * either shed (SHED stride) or run one slice and feed the
      * health machine. The scheduler keeps offering until done().
      */
-    OfferOutcome offer();
+    void offer();
 
     /**
      * The bounded-admission scheduler denied this round's offer:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <iomanip>
 #include <limits>
 #include <memory>
@@ -173,68 +172,40 @@ runService(const ServiceConfig &config)
         conductors[i] = makeConductor(config, i, arena, slice);
     });
 
+    // Round-based: each round offers one slice to every pending
+    // tenant, in tenant order. Bounded admission grants only the
+    // first maxInflight of them and sheds the rest, starting one
+    // tenant further each round: a deterministic round-robin,
+    // because the pending set is itself a per-tenant deterministic
+    // function of the slice clock. A conductor appears at most once
+    // per round, so it never runs on two workers at once: that is
+    // the session capability (sessionMu_) the analyze preset checks,
+    // and MutexSoleLock panics if two workers ever slice one session
+    // at the same time.
+    const std::size_t bound = config.overload.maxInflight;
+    std::vector<std::size_t> grants;
+    std::size_t cursor = 0;
     const auto start = std::chrono::steady_clock::now();
-    if (config.overload.maxInflight != 0) {
-        // Bounded admission: round-based. Each round grants a slice
-        // to the first maxInflight pending tenants in rotation
-        // order and sheds the rest — a deterministic round-robin,
-        // because the pending set is itself a per-tenant
-        // deterministic function of the slice clock.
-        const std::size_t maxInflight = config.overload.maxInflight;
-        std::size_t cursor = 0;
-        for (;;) {
-            std::vector<std::size_t> grants;
-            std::vector<std::size_t> denied;
-            for (std::size_t k = 0; k < n; ++k) {
-                const std::size_t i = (cursor + k) % n;
-                if (conductors[i]->done())
-                    continue;
-                if (grants.size() < maxInflight)
-                    grants.push_back(i);
-                else
-                    denied.push_back(i);
-            }
-            if (grants.empty())
-                break;
-            for (const std::size_t i : denied)
+    for (;;) {
+        grants.clear();
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t i = (cursor + k) % n;
+            if (conductors[i]->done())
+                continue;
+            if (bound == 0 || grants.size() < bound)
+                grants.push_back(i);
+            else
                 conductors[i]->recordAdmissionShed();
-            // The round barrier: forEachIndex returns once every
-            // granted slice has run.
-            forEachIndex(pool.get(), grants.size(),
-                         [&](std::size_t k) {
-                             conductors[grants[k]]->offer();
-                         });
+        }
+        if (grants.empty())
+            break;
+        // The round barrier: forEachIndex returns once every granted
+        // slice has run.
+        forEachIndex(pool.get(), grants.size(), [&](std::size_t k) {
+            conductors[grants[k]]->offer();
+        });
+        if (bound != 0)
             cursor = (cursor + 1) % n;
-        }
-    } else if (!pool) {
-        // Serial round-robin through the same offer path the pool
-        // takes, so --jobs 1 exercises identical per-tenant code.
-        bool pending = true;
-        while (pending) {
-            pending = false;
-            for (auto &conductor : conductors)
-                if (!conductor->done()) {
-                    conductor->offer();
-                    pending = pending || !conductor->done();
-                }
-        }
-    } else {
-        // Offer resubmission: each task offers one slice to one
-        // tenant and requeues itself while work remains, giving
-        // FIFO round-robin interleaving without ever running one
-        // conductor on two workers at once. That "never two
-        // workers" property is the session capability (sessionMu_)
-        // the analyze preset checks — and MutexSoleLock panics at
-        // runtime if this scheduler ever breaks it.
-        std::function<void(std::size_t)> step =
-            [&](std::size_t i) {
-                conductors[i]->offer();
-                if (!conductors[i]->done())
-                    pool->submit([&step, i] { step(i); });
-            };
-        for (std::size_t i = 0; i < n; ++i)
-            pool->submit([&step, i] { step(i); });
-        pool->wait();
     }
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
@@ -524,7 +495,9 @@ writeServiceReportJson(std::ostream &out, const ServiceConfig &config,
        << config.overload.maxInflight
        << ", \"slice_budget\": " << config.overload.sliceBudget
        << ", \"health_enabled\": "
-       << (config.overload.healthEnabled ? "true" : "false")
+       << (config.overload.healthEnabled(config.chaos.armed())
+               ? "true"
+               : "false")
        << ", \"scheduled_slices\": " << report.chaos.scheduledSlices
        << ", \"shed_slices\": " << report.chaos.shedSlices
        << ", \"completed_slices\": " << report.chaos.completedSlices

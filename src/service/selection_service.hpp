@@ -130,8 +130,8 @@ CacheLimits tenantLimitsFor(const ServiceConfig &config,
 
 /**
  * Run the whole tenant set to completion and report. One worker
- * pool serves the whole run: tenants are built on it, interleaved
- * slice-by-slice over it (FIFO round-robin), then finished into
+ * pool serves the whole run: tenants are built on it, run over it
+ * in rounds of one slice per pending tenant, then finished into
  * their own report rows and torn down on it. Per-tenant results are
  * independent of worker count and interleaving by construction, and
  * the rows and totals come out in tenant order. A throwing tenant

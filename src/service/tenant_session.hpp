@@ -11,10 +11,10 @@
  * every structural mutation into the arena under the tenant's id.
  *
  * Threading contract: at most one thread runs a given session at a
- * time (the service's slice scheduler guarantees it by only
- * resubmitting a session after its current slice returns); distinct
- * sessions run concurrently and meet only inside the arena.
- * requestStop() may be called from any thread.
+ * time (the service's slice scheduler guarantees it by offering a
+ * session at most once per round); distinct sessions run
+ * concurrently and meet only inside the arena. requestStop() may be
+ * called from any thread.
  *
  * That single-owner contract is now a capability, `sessionMu_`:
  * every slice-state field is `RSEL_GUARDED_BY(sessionMu_)`, the

@@ -1,5 +1,6 @@
 #include "testing/fuzz_harness.hpp"
 
+#include <memory>
 #include <sstream>
 
 #include "driver/thread_pool.hpp"
@@ -88,20 +89,13 @@ runFuzz(const FuzzOptions &opts)
     // Fan the checks out; results land in per-seed slots, so the
     // collected outcome is independent of scheduling and job count.
     std::vector<DiffReport> reports(specs.size());
-    if (opts.jobs == 1 || specs.size() <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            reports[i] = runSeedCheck(specs[i], opts, plans[i]);
-    } else {
-        ThreadPool pool(opts.jobs == 0 ? ThreadPool::hardwareWorkers()
-                                       : opts.jobs);
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            pool.submit([&specs, &plans, &reports, &opts, i] {
-                // runSeedCheck never throws (pool contract).
-                reports[i] = runSeedCheck(specs[i], opts, plans[i]);
-            });
-        }
-        pool.wait();
-    }
+    std::unique_ptr<ThreadPool> pool;
+    if (opts.jobs != 1 && specs.size() > 1)
+        pool = std::make_unique<ThreadPool>(
+            opts.jobs == 0 ? ThreadPool::hardwareWorkers() : opts.jobs);
+    forEachIndex(pool.get(), specs.size(), [&](std::size_t i) {
+        reports[i] = runSeedCheck(specs[i], opts, plans[i]);
+    });
 
     FuzzSummary summary;
     summary.seedsRun = specs.size();

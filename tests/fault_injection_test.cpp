@@ -150,25 +150,55 @@ TEST(FaultInjectorTest, SubmitStreamDoesNotPerturbEventStream)
     }
 }
 
-TEST(FaultInjectorTest, SeedOverrideReplacesPlanSeed)
+TEST(FaultInjectorTest, LookAheadMatchesPerEventTicks)
 {
-    FaultPlan plan;
-    plan.invalidateRate = 20'000;
-    plan.seed = 1;
-
-    FaultInjector own(plan), overridden(plan, 999);
-    FaultPlan other = plan;
-    other.seed = 999;
-    FaultInjector reference(other);
-    bool anyDiff = false;
-    for (int i = 0; i < 500; ++i) {
-        const bool a = own.onEvent().invalidate;
-        const bool b = overridden.onEvent().invalidate;
-        const bool c = reference.onEvent().invalidate;
-        EXPECT_EQ(b, c);
-        anyDiff = anyDiff || (a != b);
+    // advanceToFault is how a batch finds its next firing event: it
+    // must report the firing indices and ticks that one onEvent()
+    // per event reports, and leave the stream where pickVictim draws
+    // the same victim right after each firing.
+    const char *const plans[] = {
+        "f1,inval=150,flush=20,reset=10",
+        "f1,tfail=50,inval=600,flush=80,reset=40",
+        "f1,inval=100000",
+        "f1,reset=300",
+    };
+    for (const char *spec : plans) {
+        for (const std::uint64_t seed : {1u, 7u, 4242u}) {
+            FaultPlan plan = FaultPlan::parse(spec);
+            plan.seed = seed;
+            for (const std::size_t limit : {1u, 7u, 509u, 4096u}) {
+                SCOPED_TRACE(plan.toString() + " limit " +
+                             std::to_string(limit));
+                FaultInjector stepped(plan), ahead(plan);
+                std::size_t fired = 0;
+                std::size_t event = 0;
+                while (event < 20'000) {
+                    FaultInjector::Tick tick;
+                    const std::size_t k =
+                        ahead.advanceToFault(limit, tick);
+                    ASSERT_LE(k, limit);
+                    // The per-event reference over the same window.
+                    for (std::size_t j = 0; j < k; ++j)
+                        ASSERT_FALSE(stepped.onEvent().fires())
+                            << "event " << event + j;
+                    event += k;
+                    if (k == limit)
+                        continue;
+                    const FaultInjector::Tick ref = stepped.onEvent();
+                    ASSERT_TRUE(ref.fires()) << "event " << event;
+                    EXPECT_EQ(tick.invalidate, ref.invalidate);
+                    EXPECT_EQ(tick.flush, ref.flush);
+                    EXPECT_EQ(tick.reset, ref.reset);
+                    EXPECT_EQ(ahead.pickVictim(1'000),
+                              stepped.pickVictim(1'000))
+                        << "event " << event;
+                    ++fired;
+                    ++event;
+                }
+                EXPECT_GT(fired, 0u);
+            }
+        }
     }
-    EXPECT_TRUE(anyDiff);
 }
 
 // ---------------------------------------------------------------
@@ -422,7 +452,7 @@ TEST(GracefulDegradationTest, FaultSeedOverrideChangesInjection)
     opts.seed = 7;
     opts.faults = plan;
     const SimResult a = simulate(prog, Algorithm::Net, opts);
-    opts.faultSeed = 4242;
+    opts.faults.seed = 4242;
     const SimResult b = simulate(prog, Algorithm::Net, opts);
     EXPECT_NE(testing::resultFingerprint(a),
               testing::resultFingerprint(b));
@@ -485,7 +515,7 @@ TEST(GracefulDegradationTest, EdgeAccountingSpansDisruptions)
 
 TEST(FaultTransparencyTest, BatchedDispatchMatchesPerEventUnderFaults)
 {
-    // The per-batch disarm-check hoist must not shift fault indices:
+    // Drawing faults a batch ahead must not shift fault indices:
     // batched and per-event dispatch agree byte-for-byte under an
     // armed plan, for every selector and across batch sizes that
     // split regions at awkward points.

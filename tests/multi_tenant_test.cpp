@@ -455,15 +455,14 @@ TEST(MultiTenantTest, TenantSpecCodecRoundTrip)
 // ---------------------------------------------------------------
 // Service-level chaos and overload (ISSUE 9).
 
-/** A config with one chaos plan armed and the health machine on,
- *  mirroring what rselect-serve does when chaos is in play. */
+/** A config with one chaos plan armed, which turns the health
+ *  machine on. */
 ServiceConfig
 chaosConfig(std::size_t tenants, const std::string &plan,
             std::size_t jobs, std::uint64_t events = 20000)
 {
     ServiceConfig config = seedConfig(tenants, 32, jobs, events);
     config.chaos = ChaosPlan::parse(plan);
-    config.overload.healthEnabled = true;
     return config;
 }
 
@@ -590,7 +589,6 @@ TEST(ServiceChaosTest, RestartMatchesFreshSoloFromReplayPosition)
 {
     ServiceConfig config = longGuestConfig(6, 32, 0, 20000);
     config.chaos = ChaosPlan::parse("c1,crash=1000,window=3");
-    config.overload.healthEnabled = true;
     // Small slices put the crash (at slice <= 3) well before any
     // guest's natural halt, so every tenant restarts mid-run.
     config.sliceEvents = 512;
@@ -654,7 +652,6 @@ TEST(ServiceChaosTest, AbortAccountingAndResidue)
 {
     ServiceConfig config = longGuestConfig(8, 32, 0, 20000);
     config.chaos = ChaosPlan::parse("c1,abort=1000,window=3");
-    config.overload.healthEnabled = true;
     config.sliceEvents = 512;
     const ServiceReport report = runService(config);
     EXPECT_EQ(report.chaos.aborts, 8u);
@@ -682,7 +679,6 @@ TEST(ServiceChaosTest, BoundedAdmissionShedsDeterministically)
     for (const std::size_t jobs : {1u, 8u}) {
         ServiceConfig config = seedConfig(10, 32, jobs, 20000);
         config.overload.maxInflight = 3;
-        config.overload.healthEnabled = true;
         const ServiceReport report = runService(config);
         std::uint64_t shed = 0;
         for (const TenantReport &tr : report.tenants) {
@@ -700,6 +696,28 @@ TEST(ServiceChaosTest, BoundedAdmissionShedsDeterministically)
     }
 }
 
+// A round offers each pending tenant one slice at most, and under a
+// bound its start rotates. With one grant per round, two guests of
+// `slices` slices each alternate: each is shed in every round the
+// other runs, so the first sheds slices - 1 times, the second
+// `slices` times.
+TEST(ServiceChaosTest, BoundedRoundsOfferEachTenantOnce)
+{
+    constexpr std::uint64_t slices = 6;
+    for (const std::size_t jobs : {1u, 8u}) {
+        ServiceConfig config =
+            longGuestConfig(2, 32, jobs, slices * 1024);
+        config.sliceEvents = 1024;
+        config.overload.maxInflight = 1;
+        const ServiceReport report = runService(config);
+        ASSERT_EQ(report.tenants.size(), 2u);
+        for (const TenantReport &tr : report.tenants)
+            EXPECT_EQ(tr.chaos.completedSlices, slices) << tr.name;
+        EXPECT_EQ(report.tenants[0].chaos.shedSlices, slices - 1);
+        EXPECT_EQ(report.tenants[1].chaos.shedSlices, slices);
+    }
+}
+
 // Slice budgets force the terminal graceful state: the tenant is
 // degraded to interpretation, drains its full event budget (no
 // events are lost — transparency holds), ends BLACKLISTED, and the
@@ -711,7 +729,6 @@ TEST(ServiceChaosTest, SliceBudgetDegradesToInterpretation)
     ServiceConfig config = longGuestConfig(4, 32, 0, 8000);
     config.sliceEvents = 1024;
     config.overload.sliceBudget = 4;
-    config.overload.healthEnabled = true;
     const ServiceReport report = runService(config);
     for (const TenantReport &tr : report.tenants) {
         EXPECT_TRUE(tr.chaos.budgetExhausted) << tr.name;
@@ -822,7 +839,6 @@ TEST(ServiceChaosTest, SqueezeDrivesEvictionsAndReplays)
     // must visibly evict.
     ServiceConfig config = longGuestConfig(6, 2, 0, 20000);
     config.chaos = ChaosPlan::parse("c1,sqdiv=8,sqat=1,sqlen=6");
-    config.overload.healthEnabled = true;
     config.sliceEvents = 1024;
     const ServiceReport squeezed = runService(config);
     EXPECT_EQ(squeezed.chaos.squeezes, 6u);

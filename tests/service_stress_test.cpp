@@ -247,7 +247,6 @@ TEST(ServiceStressTest, ChaosServiceRunUnderStress)
     config.chaos = ChaosPlan::parse(
         "c1,crash=400,quar=500,quarlen=4,sqdiv=4,sqat=2,sqlen=6,"
         "window=6");
-    config.overload.healthEnabled = true;
 
     const ServiceReport first = runService(config);
     const ServiceReport second = runService(config);

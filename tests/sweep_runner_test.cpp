@@ -114,38 +114,6 @@ TEST(ThreadPoolTest, DestructorDiscardsUncollectedException)
     pool.submit([] { throw std::runtime_error("dropped"); });
 }
 
-TEST(ThreadPoolTest, CancelPendingDropsQueuedTasksOnly)
-{
-    // One worker pinned on a blocker while 100 tasks queue behind
-    // it: cancelPending must drop exactly those 100, let the
-    // blocker finish normally, and leave the pool reusable.
-    ThreadPool pool(1);
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    std::promise<void> started;
-    std::atomic<int> ran{0};
-    pool.submit([opened, &started] {
-        started.set_value();
-        opened.wait();
-    });
-    // Only once the blocker is running is the queue guaranteed to
-    // hold exactly the 100 successors.
-    started.get_future().wait();
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&ran] { ++ran; });
-    EXPECT_EQ(pool.cancelPending(), 100u);
-    gate.set_value();
-    pool.wait();
-    EXPECT_EQ(ran.load(), 0);
-    // An empty queue cancels to zero, and the pool still runs new
-    // work after the shed.
-    EXPECT_EQ(pool.cancelPending(), 0u);
-    for (int i = 0; i < 25; ++i)
-        pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 25);
-}
-
 TEST(ForEachIndexTest, RunsEveryIndexOnceWithOrWithoutAPool)
 {
     std::vector<std::size_t> order;

@@ -287,6 +287,43 @@ TEST(TraceIoTest, MalformedInputsAreFatal)
     }
 }
 
+// A count a program file states is read value by value: a line that
+// runs short fails naming the keyword and the count, before anything
+// is sized by the count.
+TEST(TraceIoTest, ShortCountedLinesAreFatalNamingTheCount)
+{
+    const std::string head = "rsel-program 1\n"
+                             "function main\n"
+                             "block 1 4 cond 1\n"
+                             "block 1 4 ijump\n"
+                             "block 1 4 halt\n";
+    const struct
+    {
+        const char *line;
+        const char *message;
+    } cases[] = {
+        {"phases 1152921504606846976\n",
+         "truncated 'phases 1152921504606846976'"},
+        {"phases 3 5\n", "truncated 'phases 3'"},
+        {"cond 0 bernoulli 4 0.5 0.5\n", "truncated 'bernoulli 4'"},
+        {"indirect 1 targets 3 2\n", "truncated 'targets 3'"},
+        {"indirect 1 targets 2 0 2 phases 2 0.5 0.5 1\n",
+         "truncated 'phases 2'"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.line);
+        std::stringstream bad(head + c.line);
+        try {
+            loadProgram(bad);
+            ADD_FAILURE() << "loaded a program with a short line";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // Property: for EVERY shipped selector — not just NET — replaying a
 // recorded trace yields a SimResult identical field-for-field to the
 // live run that produced the stream.

@@ -193,9 +193,6 @@ runTenantMode(const CliOptions &cli, BrokenMode broken,
             static_cast<std::size_t>(cli.getUint("jobs"));
         config.eventsOverride = cli.getUint("events");
         config.chaos = chaos;
-        // The chaos oracle exercises the overload machine too: one
-        // pressured slice degrades, shedding starts at three.
-        config.overload.healthEnabled = chaos.armed();
         config.tenants.reserve(tenants);
         for (std::uint64_t t = 0; t < tenants; ++t) {
             service::TenantSpec tenant;

@@ -116,12 +116,6 @@ buildConfig(const CliOptions &cli)
     config.overload.maxInflight =
         static_cast<std::size_t>(cli.getUint("max-inflight"));
     config.overload.sliceBudget = cli.getUint("slice-budget");
-    // The health machine engages whenever chaos or any overload
-    // knob is in play; a plain service run keeps the PR-7 contract
-    // (and its oracles) untouched.
-    config.overload.healthEnabled =
-        config.chaos.armed() || config.overload.maxInflight != 0 ||
-        config.overload.sliceBudget != 0;
     return config;
 }
 
@@ -160,7 +154,6 @@ int
 runChaosSelfTest(ServiceConfig config)
 {
     config.chaos = ChaosPlan::parse("c1,crash=1000,window=4");
-    config.overload.healthEnabled = true;
     const std::string error = verifyServiceChaos(config);
     if (!error.empty()) {
         std::fprintf(stderr,
@@ -216,7 +209,7 @@ printSummary(const ServiceConfig &config, const ServiceReport &report)
                     report.arena.releases),
                 static_cast<unsigned long long>(
                     report.arena.shardContention));
-    if (config.chaos.armed() || config.overload.enabled()) {
+    if (config.overload.healthEnabled(config.chaos.armed())) {
         std::printf("chaos: %llu aborts, %llu restarts, "
                     "%llu quarantines, %llu squeezes (%s)\n",
                     static_cast<unsigned long long>(
@@ -323,7 +316,7 @@ main(int argc, char **argv)
             // actually touched each tenant, plus the accounting
             // identities.
             const bool chaosAware =
-                config.chaos.armed() || config.overload.enabled();
+                config.overload.healthEnabled(config.chaos.armed());
             const std::string error =
                 chaosAware ? verifyServiceChaos(config)
                            : verifyServiceDeterminism(config);

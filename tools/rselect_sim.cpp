@@ -140,8 +140,6 @@ main(int argc, char **argv)
     cli.define("fault-spec", "",
                "fault-injection plan (e.g. "
                "'f1,tfail=20,inval=50,seed=9'); empty = disarmed");
-    cli.define("fault-seed", "0",
-               "non-zero overrides the fault plan's own seed");
     cli.define("verify", "false",
                "statically verify every emitted region "
                "(verify-on-submit)");
@@ -181,7 +179,6 @@ main(int argc, char **argv)
         if (!cli.get("fault-spec").empty())
             opts.faults =
                 resilience::FaultPlan::parse(cli.get("fault-spec"));
-        opts.faultSeed = cli.getUint("fault-seed");
         opts.verifyRegions = cli.getBool("verify");
 
         // Trace-driven single-program modes.
@@ -244,7 +241,7 @@ main(int argc, char **argv)
                     attachAlgorithm(system, algo, opts);
                     if (opts.verifyRegions)
                         system.enableVerifyOnSubmit();
-                    system.armFaults(opts.faults, opts.faultSeed);
+                    system.armFaults(opts.faults);
                     // Replay through the batched path: identical
                     // results (see batch_dispatch_test), one virtual
                     // call per EventBatch instead of per block.
