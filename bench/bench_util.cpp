@@ -132,20 +132,4 @@ medianOf(std::vector<double> values)
     return (values[n / 2 - 1] + values[n / 2]) / 2.0;
 }
 
-double
-medianTimeNanos(int warmup, int reps, const std::function<void()> &fn)
-{
-    RSEL_ASSERT(reps > 0, "need at least one timed repetition");
-    for (int i = 0; i < warmup; ++i)
-        fn();
-    std::vector<double> samples;
-    samples.reserve(static_cast<std::size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-        const std::uint64_t start = nowNanos();
-        fn();
-        samples.push_back(static_cast<double>(nowNanos() - start));
-    }
-    return medianOf(std::move(samples));
-}
-
 } // namespace rsel::bench

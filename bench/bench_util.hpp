@@ -18,7 +18,6 @@
 #ifndef RSEL_BENCH_BENCH_UTIL_HPP
 #define RSEL_BENCH_BENCH_UTIL_HPP
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -111,13 +110,6 @@ std::uint64_t nowNanos();
 
 /** Median of a sample set. @pre non-empty (takes a copy to sort). */
 double medianOf(std::vector<double> values);
-
-/**
- * Time `fn`: `warmup` untimed runs, then `reps` timed repetitions.
- * @return the median wall time of one repetition, in nanoseconds.
- */
-double medianTimeNanos(int warmup, int reps,
-                       const std::function<void()> &fn);
 
 } // namespace rsel::bench
 

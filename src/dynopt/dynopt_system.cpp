@@ -286,13 +286,12 @@ DynOptSystem::processEvent(const ExecEvent &ev)
             lastStep_.region = curRegion_;
             lastStep_.pos = regionPos_;
             lastStep_.enteredRegion = true;
-            metrics_.onRegionExecutionEnd(curRegion_, true);
+            metrics_.onCycleEnd(curRegion_);
             metrics_.onRegionEntered(curRegion_);
             metrics_.onCachedBlock(*ev.block, curRegion_);
             fetchCachedCur(regionPos_, *ev.block);
             return;
           case RegionStep::Exit:
-            metrics_.onRegionExecutionEnd(curRegion_, false);
             if (const Region *s = cache_.lookupEntry(ev.block->id())) {
                 // Exit stub linked straight to another region (or
                 // back to this one's own entry).
@@ -439,7 +438,6 @@ DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i,
             if (s == nullptr)
                 break;
             flushRun(i);
-            metrics_.onRegionExecutionEnd(curRegion_, false);
             if (s->id() != curRegion_)
                 metrics_.onRegionTransition(curRegion_, s->id());
             // The effects of enterRegion(), with the run-local
@@ -500,7 +498,7 @@ DynOptSystem::onBatch(const EventBatch &batch)
                           : n;
     std::size_t i = 0;
     while (i < n) {
-        if (inRegion_ && !interpretOnly_) {
+        if (inRegion_) {
             i = consumeRegionRun(batch, i, due);
             if (i == n)
                 break;
@@ -525,11 +523,6 @@ DynOptSystem::finish()
 {
     RSEL_ASSERT(!finished_, "finish() may only be called once");
     finished_ = true;
-    if (inRegion_) {
-        // Close the in-flight region execution.
-        metrics_.onRegionExecutionEnd(curRegion_, false);
-        inRegion_ = false;
-    }
     SimResult result = metrics_.finalize(prog_, cache_, *selector_);
     result.icacheAccesses = icache_.accesses();
     result.icacheMisses = icache_.misses();

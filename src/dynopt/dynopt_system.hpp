@@ -173,13 +173,15 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     void
     shutdownCache()
     {
+        // An in-flight execution ends here even when a flush fault
+        // already emptied the cache under it.
+        inRegion_ = false;
+        curRegionPtr_ = nullptr;
         if (cache_.liveRegionCount() == 0)
             return;
         cache_.flushAll();
         if (selector_ != nullptr)
             selector_->onCacheDisruption(CacheDisruption::Flush);
-        inRegion_ = false;
-        curRegionPtr_ = nullptr;
     }
 
     /**
@@ -324,7 +326,7 @@ class DynOptSystem : public ExecutionSink, public BatchSink
      * effect (edge profile, I-cache accesses, predecessor tracking)
      * is applied exactly as the per-event path would.
      * @return the index of the first unconsumed event.
-     * @pre inRegion_ and !interpretOnly_.
+     * @pre inRegion_ (never set on a degraded system).
      */
     std::size_t consumeRegionRun(const EventBatch &batch, std::size_t i,
                                  std::size_t end);

@@ -104,15 +104,12 @@ class MetricsCollector
         ++perRegion(region).entries;
     }
 
-    /** A region execution ended. @param byCycle branch-to-top end. */
+    /** A region execution ended by a branch to its top. */
     void
-    onRegionExecutionEnd(RegionId region, bool byCycle)
+    onCycleEnd(RegionId region)
     {
-        ++terminations_;
-        if (byCycle) {
-            ++cycleTerminations_;
-            ++perRegion(region).cycleEnds;
-        }
+        ++cycleTerminations_;
+        ++perRegion(region).cycleEnds;
     }
 
     /** A direct jump between two distinct cached regions. */
@@ -144,7 +141,7 @@ class MetricsCollector
      * instructions executed inside `region`, with `restarts`
      * cycle-restarts (each ends one region execution by cycle and
      * immediately begins the next). Equivalent to the matching
-     * sequence of onCachedBlock/onRegionExecutionEnd/onRegionEntered
+     * sequence of onCachedBlock/onCycleEnd/onRegionEntered
      * calls — the batch dispatch path accumulates locally and folds
      * the run in with one call.
      */
@@ -154,7 +151,6 @@ class MetricsCollector
     {
         cachedInsts_ += insts;
         entries_ += restarts;
-        terminations_ += restarts;
         cycleTerminations_ += restarts;
         PerRegion &pr = perRegion(region);
         pr.insts += insts;
@@ -241,7 +237,6 @@ class MetricsCollector
     std::uint64_t cachedInsts_ = 0;
     std::uint64_t transitions_ = 0;
     std::uint64_t entries_ = 0;
-    std::uint64_t terminations_ = 0;
     std::uint64_t cycleTerminations_ = 0;
     std::vector<PerRegion> regions_;
     /** entry block -> executed predecessor blocks. */

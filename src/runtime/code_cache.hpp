@@ -76,7 +76,7 @@ class CodeCache
      * service's mirror does, which is why the arena methods it
      * reaches (`ShardedCodeCache::admit`/`release`) are annotated
      * `RSEL_EXCLUDES(mu_)`: a listener fires with the tenant's
-     * session capability held, so anything it calls must be lower
+     * conductor lock held, so anything it calls must be lower
      * in the lock hierarchy than the locks already held (see
      * docs/ANALYSIS.md).
      */

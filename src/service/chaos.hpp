@@ -14,13 +14,13 @@
  * --chaos-spec and rselect-fuzz reproducer lines.
  *
  * Fault kinds (see docs/RESILIENCE.md, "Service chaos & overload"):
- *  - tenant abort: the session is torn down mid-run and produces no
+ *  - tenant abort: the tenant is torn down mid-run and produces no
  *    result; its physical residue must drain to zero.
  *  - tenant crash + warm restart: teardown through the flush
- *    machinery, then a fresh session rebuilt from the TenantSpec
- *    fast-forwarded to the replay position. Oracle: the restarted
- *    tenant's fingerprint equals a fresh solo run from that
- *    position.
+ *    machinery, then a cold system over the same program, with the
+ *    guest fast-forwarded to the replay position. Oracle: the
+ *    restarted tenant's fingerprint equals a fresh solo run from
+ *    that position.
  *  - shard quarantine: one arena shard parks admissions for K
  *    slices. Purely physical — logical results cannot change.
  *  - memory-pressure squeeze: every tenant's logical cache capacity

@@ -1,8 +1,9 @@
 /**
  * @file
- * The service overload controller: per-tenant health tracking,
- * bounded admission, slice budgets — and the TenantConductor that
- * drives one tenant through both the overload machine and its
+ * One tenant of the selection service and the overload controller
+ * that judges it: per-tenant health tracking, bounded admission,
+ * slice budgets, and the TenantConductor that owns one tenant and
+ * drives it through both the overload machine and its
  * ChaosSchedule.
  *
  * Health state machine (see docs/RESILIENCE.md for the diagram):
@@ -33,10 +34,13 @@
 #define RSEL_SERVICE_OVERLOAD_HPP
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 
+#include "dynopt/dynopt_system.hpp"
 #include "service/chaos.hpp"
-#include "service/tenant_session.hpp"
+#include "service/sharded_cache.hpp"
+#include "service/tenant_spec.hpp"
+#include "support/sync.hpp"
 
 namespace rsel {
 namespace service {
@@ -106,8 +110,8 @@ class TenantHealthMachine
         state_ = TenantHealth::Blacklisted;
     }
 
-    /** Warm restart: the replacement session starts with a clean
-     *  bill of health. */
+    /** Warm restart: the restarted tenant starts with a clean bill
+     *  of health. */
     void
     reset()
     {
@@ -145,25 +149,49 @@ struct ConductorCounters
 };
 
 /**
- * Drives ONE tenant through its ChaosSchedule and the overload
- * controller, slice by slice. All chaos triggers key off the
- * tenant's own run-slice clock (`slicesRun`), so the whole
+ * ONE tenant of the service: its guest program, an Executor and a
+ * DynOptSystem, driven in bounded slices so a small worker pool can
+ * multiplex thousands of tenants, together with the tenant's
+ * ChaosSchedule and overload state. All chaos triggers key off the
+ * tenant's own run-slice clock (`slicesRun_`), so the whole
  * trajectory — faults, health transitions, sheds — is a pure
  * function of (spec, limits, schedule, overload config), identical
  * at any worker count and reproducible solo.
  *
- * Threading: like TenantSession, a conductor has one owner at a
- * time; the scheduler offers it at most once per round.
+ * The conductor bridges the tenant's *logical* cache (its
+ * DynOptSystem's CodeCache, whose behaviour is a pure function of
+ * the spec and the quota-derived limits) and the *physical*
+ * ShardedCodeCache: as the cache's Listener it mirrors every
+ * structural mutation into the arena under the tenant's id.
+ *
+ * Threading: one thread owns a conductor at a time (the scheduler
+ * offers it at most once per round); distinct conductors run
+ * concurrently and meet only inside the arena. That contract is the
+ * capability `mu_`: every mutable field is `RSEL_GUARDED_BY(mu_)`,
+ * and offer, recordAdmissionShed, finish and teardown take it with
+ * `MutexSoleLock`, which *panics* on contention, because a second
+ * concurrent owner is a scheduler bug, not a queueing situation.
+ * `mu_` is held across the logical-cache mutations that re-enter
+ * the arena, so it sits strictly before the arena's `mu_`
+ * (docs/ANALYSIS.md).
  */
-class TenantConductor
+class TenantConductor : public CodeCache::Listener
 {
   public:
     /**
-     * Registers the tenant with the arena and builds its session.
+     * Generates the tenant's program, registers the tenant with the
+     * arena and builds its system and executor.
+     * @param limits  quota-derived logical-cache limits (must come
+     *        from the arena's partition so the global bound holds).
      * @param squeezedCapacityBytes logical-cache capacity while the
      *        memory-pressure squeeze is active (computed by the
      *        service through the limitsFor() partition; 0 =
      *        unbounded, making the squeeze a no-op).
+     * @param arena   shared physical cache; must outlive the
+     *        conductor.
+     * @param sliceEvents events per slice (non-zero).
+     * @param eventsOverride non-zero replaces the spec's own event
+     *        budget.
      */
     TenantConductor(const TenantSpec &spec, CacheLimits limits,
                     std::uint64_t squeezedCapacityBytes,
@@ -173,9 +201,9 @@ class TenantConductor
                     const ChaosSchedule &schedule,
                     const OverloadConfig &overload);
 
-    /** Lifts any still-pending quarantine; the session tears itself
-     *  down via its own destructor if teardown() never ran. */
-    ~TenantConductor();
+    /** Lifts any still-pending quarantine and, if teardown() never
+     *  ran, drops the tenant's arena residue and retires its id. */
+    ~TenantConductor() override;
 
     TenantConductor(const TenantConductor &) = delete;
     TenantConductor &operator=(const TenantConductor &) = delete;
@@ -185,7 +213,7 @@ class TenantConductor
      * either shed (SHED stride) or run one slice and feed the
      * health machine. The scheduler keeps offering until done().
      */
-    void offer();
+    void offer() RSEL_EXCLUDES(mu_);
 
     /**
      * The bounded-admission scheduler denied this round's offer:
@@ -193,67 +221,112 @@ class TenantConductor
      * clock (chaos triggers stay keyed to run slices, so the solo
      * leg — which has no admission bound — replays identically).
      */
-    void recordAdmissionShed();
+    void recordAdmissionShed() RSEL_EXCLUDES(mu_);
 
-    /** True once the tenant completed, was aborted, or stopped. */
-    bool done() const;
+    /** True once the tenant spent its budget, its guest halted, or
+     *  it was aborted. */
+    bool done() const RSEL_EXCLUDES(mu_);
 
-    /** Close the run. @pre done() && !aborted. */
-    SimResult finish();
+    /**
+     * Close the run and return its metrics (workload field set to
+     * the tenant name). @pre done() && !aborted. The result is
+     * byte-identical to the matching solo run — the service's
+     * determinism contract.
+     */
+    SimResult finish() RSEL_EXCLUDES(mu_);
 
-    /** Tear down session and any chaos residue. Idempotent. */
-    void teardown();
+    /**
+     * Tear the tenant down: lift any pending quarantine, flush the
+     * logical cache through the disruption machinery (the listener
+     * mirrors the drops out of the arena), and retire the arena id
+     * for good. Idempotent; works on finished and aborted tenants
+     * alike.
+     */
+    void teardown() RSEL_EXCLUDES(mu_);
 
     /** Current health (reports; BLACKLISTED once degraded). */
-    TenantHealth health() const;
+    TenantHealth health() const RSEL_EXCLUDES(mu_);
 
-    const ConductorCounters &counters() const { return counters_; }
+    ConductorCounters counters() const RSEL_EXCLUDES(mu_);
 
-    /** The arena id of the *current* session (the restarted id
-     *  after a crash; the retired id after an abort). */
-    TenantId tenantId() const { return id_; }
+    /** The current arena id (the restarted id after a crash; the
+     *  retired id after an abort). */
+    TenantId tenantId() const RSEL_EXCLUDES(mu_);
 
     const TenantSpec &spec() const { return spec_; }
 
+    // CodeCache::Listener — the logical->physical mirror. Fired from
+    // inside sys_, which only the holder of mu_ drives.
+    void onRegionInserted(const Region &region, std::uint64_t bytes)
+        RSEL_REQUIRES(mu_) override;
+    void onRegionDropped(const Region &region, std::uint64_t bytes,
+                         CodeCache::DropReason reason)
+        RSEL_REQUIRES(mu_) override;
+
   private:
-    void applyChaosPreSlice();
-    void restartTenant();
-    void abortTenant();
-    void liftQuarantineIfPending();
+    friend struct TsaTestProbe; // tests and negative-compile battery
+
+    /** A cold system over prog_, mirrored into the arena. */
+    void buildSystem() RSEL_REQUIRES(mu_);
+    /** Run up to sliceEvents_ further events through the system. */
+    void runSlice() RSEL_REQUIRES(mu_);
+    void applyChaosPreSlice() RSEL_REQUIRES(mu_);
+    void restartTenant() RSEL_REQUIRES(mu_);
+    void abortTenant() RSEL_REQUIRES(mu_);
+    /** Flush the system and retire the current arena id. Idempotent
+     *  until a restart registers a new id. */
+    void retire() RSEL_REQUIRES(mu_);
+    void liftQuarantineIfPending() RSEL_REQUIRES(mu_);
     /** Sum of the recovery counters the health machine listens
      *  to. */
-    std::uint64_t pressureSignals() const;
+    std::uint64_t pressureSignals() const RSEL_REQUIRES(mu_);
 
-    TenantSpec spec_;
-    CacheLimits limits_;
-    std::uint64_t squeezedCapacityBytes_;
+    const TenantSpec spec_;
+    const CacheLimits limits_;
+    const std::uint64_t squeezedCapacityBytes_;
     ShardedCodeCache &arena_;
-    std::uint64_t sliceEvents_;
-    std::uint64_t eventsOverride_;
-    ChaosSchedule schedule_;
-    OverloadConfig overload_;
+    const std::uint64_t sliceEvents_;
+    /** Events the tenant runs: the override, or the spec's own. */
+    const std::uint64_t budget_;
+    const ChaosSchedule schedule_;
+    const OverloadConfig overload_;
+    /** Generated once; a warm restart reuses it. */
+    const Program prog_;
 
-    TenantId id_ = 0;
-    std::unique_ptr<TenantSession> session_;
-    TenantHealthMachine machine_;
-    ConductorCounters counters_;
+    /**
+     * The single-owner capability. Uncontended in a correct
+     * service; MutexSoleLock turns contention into a panic. mutable
+     * so the const readers can take it.
+     */
+    mutable Mutex mu_;
+    TenantId id_ RSEL_GUARDED_BY(mu_);
+    /** Rebuilt in place by a warm restart. */
+    std::optional<DynOptSystem> sys_ RSEL_GUARDED_BY(mu_);
+    Executor exec_ RSEL_GUARDED_BY(mu_);
+    /** Events left in the budget. */
+    std::uint64_t remaining_ RSEL_GUARDED_BY(mu_);
+    TenantHealthMachine machine_ RSEL_GUARDED_BY(mu_);
+    ConductorCounters counters_ RSEL_GUARDED_BY(mu_);
 
     /** Run slices so far — the chaos/budget clock. */
-    std::uint64_t slicesRun_ = 0;
+    std::uint64_t slicesRun_ RSEL_GUARDED_BY(mu_) = 0;
     /** Offers seen while in SHED (the stride clock). */
-    std::uint64_t shedTick_ = 0;
-    std::uint64_t lastSignals_ = 0;
-    bool degraded_ = false;
-    bool crashed_ = false;
-    /** The replacement session runs chaos- and overload-free: its
+    std::uint64_t shedTick_ RSEL_GUARDED_BY(mu_) = 0;
+    std::uint64_t lastSignals_ RSEL_GUARDED_BY(mu_) = 0;
+    std::uint64_t quarLiftAt_ RSEL_GUARDED_BY(mu_) = 0;
+    std::size_t quarShard_ RSEL_GUARDED_BY(mu_) = 0;
+    /** No slice runs again: budget spent, guest halted, or
+     *  aborted. */
+    bool done_ RSEL_GUARDED_BY(mu_) = false;
+    /** The current arena id is retired. */
+    bool tornDown_ RSEL_GUARDED_BY(mu_) = false;
+    bool degraded_ RSEL_GUARDED_BY(mu_) = false;
+    /** The restarted tenant runs chaos- and overload-free: its
      *  oracle is a plain fresh solo run from the replay position. */
-    bool postRestart_ = false;
-    bool squeezeOn_ = false;
-    bool squeezeDone_ = false;
-    bool quarFired_ = false;
-    bool quarActive_ = false;
-    std::size_t quarShard_ = 0;
-    std::uint64_t quarLiftAt_ = 0;
+    bool postRestart_ RSEL_GUARDED_BY(mu_) = false;
+    bool squeezeOn_ RSEL_GUARDED_BY(mu_) = false;
+    bool squeezeDone_ RSEL_GUARDED_BY(mu_) = false;
+    bool quarActive_ RSEL_GUARDED_BY(mu_) = false;
 };
 
 } // namespace service

@@ -12,7 +12,6 @@
 #include "driver/thread_pool.hpp"
 #include "program/executor.hpp"
 #include "service/overload.hpp"
-#include "service/tenant_session.hpp"
 #include "support/error.hpp"
 #include "testing/differential.hpp"
 #include "testing/random_program.hpp"
@@ -91,7 +90,7 @@ tenantLimitsFor(const ServiceConfig &config, const TenantSpec &spec)
     if (config.cacheKb > 0) {
         // Bounded service: the arena's quota partition, computed by
         // the one shared routine so this can never drift from what
-        // runService hands its sessions.
+        // runService hands its tenants.
         return ShardedCodeCache::limitsFor(arenaConfigFor(config),
                                            config.tenants.size());
     }
@@ -163,10 +162,10 @@ runService(const ServiceConfig &config)
     // completion, not tenant order. Nothing depends on an id's
     // value: shards hash the entrance, quarantine shards come from
     // the schedule, and report rows are indexed by tenant. Warm
-    // restarts register replacement ids mid-traffic too, which the
-    // arena's chunked account table makes safe. Conductors are
-    // declared after the arena so their destructors (which lift any
-    // pending quarantine) run first.
+    // restarts register replacement ids mid-traffic too, under the
+    // arena's one mutex like every other account change. Conductors
+    // are declared after the arena so their destructors (which lift
+    // any pending quarantine) run first.
     std::vector<std::unique_ptr<TenantConductor>> conductors(n);
     forEachIndex(pool.get(), n, [&](std::size_t i) {
         conductors[i] = makeConductor(config, i, arena, slice);
@@ -179,9 +178,9 @@ runService(const ServiceConfig &config)
     // because the pending set is itself a per-tenant deterministic
     // function of the slice clock. A conductor appears at most once
     // per round, so it never runs on two workers at once: that is
-    // the session capability (sessionMu_) the analyze preset checks,
-    // and MutexSoleLock panics if two workers ever slice one session
-    // at the same time.
+    // the conductor's single-owner capability (its mu_) the analyze
+    // preset checks, and MutexSoleLock panics if two workers ever
+    // offer one conductor at the same time.
     const std::size_t bound = config.overload.maxInflight;
     std::vector<std::size_t> grants;
     std::size_t cursor = 0;
@@ -299,6 +298,25 @@ soloTenantRun(const TenantSpec &spec, CacheLimits limits,
     return result;
 }
 
+std::uint64_t
+fastForward(Executor &exec, std::uint64_t events, std::uint64_t budget)
+{
+    RSEL_ASSERT(events <= budget,
+                "fast-forward beyond the event budget");
+    // The batched equivalence proof makes the skip independent of
+    // scratch-batch sizing.
+    EventBatch scratch;
+    std::uint64_t left = events;
+    while (left != 0) {
+        const std::uint64_t got = exec.fillBatch(
+            scratch,
+            static_cast<std::size_t>(std::min<std::uint64_t>(left, 4096)));
+        RSEL_ASSERT(got != 0, "fast-forward beyond the guest's halt");
+        left -= got;
+    }
+    return budget - events;
+}
+
 SimResult
 soloTenantChaosRun(const ServiceConfig &config,
                    std::size_t tenantIndex)
@@ -414,7 +432,7 @@ verifyServiceChaos(const ServiceConfig &config)
             //  - a crash discards everything before the restart, so
             //    the oracle is a fresh solo run from the replay
             //    position (chaos- and overload-free, like the
-            //    replacement session);
+            //    restarted tenant);
             //  - an applied squeeze or overload degradation changes
             //    logical decisions, so the oracle is the
             //    conductor-driven solo chaos leg;

@@ -153,6 +153,15 @@ SimResult soloTenantRun(const TenantSpec &spec, CacheLimits limits,
                         std::uint64_t skipEvents = 0);
 
 /**
+ * Warm-restart fast-forward: advance `exec` past its first `events`
+ * events without delivering them to any system. Asserts that the
+ * skip fits in `budget` and ends before the guest halts.
+ * @return the event budget left after the skip.
+ */
+std::uint64_t fastForward(Executor &exec, std::uint64_t events,
+                          std::uint64_t budget);
+
+/**
  * The logical-cache capacity in effect while `config.chaos`'s
  * memory-pressure squeeze is active for tenant `spec`: the quota a
  * population `factor` times larger would get (computed through the

@@ -37,7 +37,7 @@
  * guards every field but the configuration and the contention
  * counter. The arena calls nothing while holding it, so it is last
  * in every lock order: admit/release run from a tenant's
- * logical-cache mutation with the tenant's `sessionMu_` held.
+ * logical-cache mutation with the tenant's conductor lock held.
  */
 
 #ifndef RSEL_SERVICE_SHARDED_CACHE_HPP
@@ -115,10 +115,10 @@ struct ArenaStats
 
 /**
  * The shared physical code cache. All methods are thread-safe; a
- * single tenant's calls must be serialized by its session (they
- * are — a session runs one slice at a time, and TenantSession's
- * session capability enforces it), but different tenants call
- * concurrently from any pool worker.
+ * single tenant's calls must be serialized by its conductor (they
+ * are — a conductor runs one slice at a time, and its single-owner
+ * capability enforces it), but different tenants call concurrently
+ * from any pool worker.
  */
 class ShardedCodeCache
 {

@@ -84,7 +84,7 @@ std::vector<TenantSpec> loadTenantSpecs(std::istream &in);
  * The SimOptions a tenant's selector thresholds run with. This is
  * the differential oracle's GenSpec -> SimOptions mapping (budget
  * and seed from the spec, every threshold at its default), shared
- * by the service session and the solo reference leg so their
+ * by the service's conductor and the solo reference leg so their
  * fingerprints compare meaningfully.
  */
 SimOptions tenantSimOptions(const TenantSpec &spec);

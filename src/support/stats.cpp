@@ -1,7 +1,6 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/error.hpp"
 
@@ -16,26 +15,6 @@ mean(const std::vector<double> &values)
     for (double v : values)
         sum += v;
     return sum / static_cast<double>(values.size());
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 1.0;
-    double logSum = 0.0;
-    for (double v : values) {
-        RSEL_ASSERT(v > 0.0, "geomean requires positive values");
-        logSum += std::log(v);
-    }
-    return std::exp(logSum / static_cast<double>(values.size()));
-}
-
-double
-minOf(const std::vector<double> &values)
-{
-    RSEL_ASSERT(!values.empty(), "minOf requires a non-empty vector");
-    return *std::min_element(values.begin(), values.end());
 }
 
 double

@@ -14,15 +14,6 @@ namespace rsel {
 /** Arithmetic mean. @return 0 for an empty vector. */
 double mean(const std::vector<double> &values);
 
-/**
- * Geometric mean; the conventional way to average ratios across
- * benchmarks. @pre all values positive. @return 1 for an empty vector.
- */
-double geomean(const std::vector<double> &values);
-
-/** Minimum. @pre non-empty. */
-double minOf(const std::vector<double> &values);
-
 /** Maximum. @pre non-empty. */
 double maxOf(const std::vector<double> &values);
 

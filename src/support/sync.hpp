@@ -26,20 +26,18 @@
  * # gate's human half)
  *
  * TSA cannot model lock-free publication, so every `std::atomic`
- * member carries a role tag in its declaration comment, and the tag
- * dictates the strongest memory order the member may use:
+ * carries a role tag in its declaration comment, and the tag
+ * dictates the strongest memory order it may use. One role is in
+ * use:
  *
  *  - `role: counter (relaxed)` — a monotonic count (the arena's
  *    contention, a pool's next work index). Nothing is ordered
  *    against it; every access must be `memory_order_relaxed`.
- *  - `role: flag (release/acquire)` — a one-way state transition
- *    (`stop_`) that *publishes* everything written before the
- *    store. Writers use `memory_order_release`, readers
- *    `memory_order_acquire`.
  *
- * `memory_order_seq_cst` (the default) is banned in first-party
- * code: if an access needs it, the design is wrong — say why in a
- * comment or take a mutex.
+ * State that one thread publishes to another takes a mutex instead,
+ * so `RSEL_GUARDED_BY` checks it. `memory_order_seq_cst` (the
+ * default) is banned in first-party code: if an access needs it,
+ * the design is wrong — say why in a comment or take a mutex.
  */
 
 #ifndef RSEL_SUPPORT_SYNC_HPP
@@ -179,9 +177,10 @@ class RSEL_SCOPED_CAPABILITY MutexLock
 
 /**
  * RAII acquisition that treats contention as a *caller bug*: the
- * capability models a single-owner contract (e.g. "one thread runs
- * a TenantSession at a time"), so a blocked acquisition means two
- * owners and the only safe move is to panic before state corrupts.
+ * capability models a single-owner contract (e.g. "one thread
+ * drives a TenantConductor at a time"), so a blocked acquisition
+ * means two owners and the only safe move is to panic before state
+ * corrupts.
  */
 class RSEL_SCOPED_CAPABILITY MutexSoleLock
 {

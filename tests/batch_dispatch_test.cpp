@@ -156,24 +156,32 @@ TEST(BatchDispatchTest, RunBatchedDeliversIdenticalStream)
     }
 }
 
-TEST(BatchDispatchTest, BatchedSimulationMatchesPerEvent)
+TEST(BatchDispatchTest, BatchedMatchesPerEventForEverySelector)
 {
     // The headline equivalence: for every selector, the batched
     // DynOptSystem run is byte-identical to the per-event run —
     // including batch size 1 (maximal boundary count) and odd sizes
     // that end batches mid-region and mid-trace-formation. Two
-    // caches: unbounded, and suite-churn's 1 KiB FullFlush cache,
-    // where runs chain between trace and multi-path regions and
-    // flushes land mid-run (long enough that every selector
+    // programs, gzip and gcc (601 blocks, full-size tables), and on
+    // gzip two caches: unbounded, and suite-churn's 1 KiB FullFlush
+    // cache, where runs chain between trace and multi-path regions
+    // and flushes land mid-run (long enough that every selector
     // flushes).
-    const Program prog = gzipProgram();
     CacheLimits churn;
     churn.capacityBytes = 1024;
     churn.policy = CacheLimits::Policy::FullFlush;
-    const std::pair<CacheLimits, std::uint64_t> configs[] = {
-        {CacheLimits{}, 60'000}, {churn, 200'000}};
-    for (const auto &[cache, events] : configs) {
+    const struct
+    {
+        const char *workload;
+        CacheLimits cache;
+        std::uint64_t events;
+    } configs[] = {{"gzip", CacheLimits{}, 60'000},
+                   {"gzip", churn, 200'000},
+                   {"gcc", CacheLimits{}, 60'000}};
+    for (const auto &[workload, cache, events] : configs) {
+        SCOPED_TRACE(workload);
         SCOPED_TRACE(cache.capacityBytes);
+        const Program prog = findWorkload(workload)->build(42);
         for (const Algorithm algo : allSelectors) {
             SCOPED_TRACE(algorithmName(algo));
             SimOptions opts;
@@ -195,6 +203,86 @@ TEST(BatchDispatchTest, BatchedSimulationMatchesPerEvent)
                           fp)
                     << "batch size " << bs;
             }
+        }
+    }
+}
+
+/**
+ * Per-event reference for the degradation test below: forwards each
+ * event to the system and degrades it right after the first event
+ * that ran from a region whose cache a flush fault had emptied.
+ */
+struct DegradeAfterEmptiedRegion : ExecutionSink
+{
+    explicit DegradeAfterEmptiedRegion(DynOptSystem &system)
+        : sys(system)
+    {}
+
+    bool
+    onEvent(const ExecEvent &ev) override
+    {
+        sys.onEvent(ev);
+        ++seen;
+        if (degradedAfter == 0 &&
+            sys.lastStep().where == StepTrace::Where::Cached &&
+            sys.cache().liveRegionCount() == 0) {
+            sys.degradeToInterpretation();
+            degradedAfter = seen;
+        }
+        return true;
+    }
+
+    DynOptSystem &sys;
+    std::uint64_t seen = 0;
+    /** Events run before the degradation; 0 = not degraded. */
+    std::uint64_t degradedAfter = 0;
+};
+
+TEST(BatchDispatchTest, DegradingAfterAFlushEmptiedTheCacheMidRegion)
+{
+    // A flush fault empties the cache while a region runs, and the
+    // system degrades to interpretation right after: the degraded
+    // system must never resume that region, batched or not.
+    const Program prog = gzipProgram();
+    constexpr std::uint64_t events = 60'000;
+    resilience::FaultPlan plan;
+    plan.flushRate = 200; // one flush per 500 events on average
+    plan.seed = 3;
+    for (const Algorithm algo : allSelectors) {
+        SCOPED_TRACE(algorithmName(algo));
+        const auto makeSystem = [&] {
+            auto sys = std::make_unique<DynOptSystem>(prog);
+            attachAlgorithm(*sys, algo);
+            sys->armFaults(plan);
+            return sys;
+        };
+
+        const auto ref = makeSystem();
+        DegradeAfterEmptiedRegion sink(*ref);
+        Executor(prog, 7).run(events, sink);
+        ASSERT_NE(sink.degradedAfter, 0u);
+        const std::string fp = testing::resultFingerprint(ref->finish());
+
+        for (const std::size_t bs :
+             {std::size_t{1}, std::size_t{257}, defaultBatchSize}) {
+            const auto sys = makeSystem();
+            Executor exec(prog, 7);
+            EventBatch batch;
+            for (std::uint64_t ran = 0; ran < events;) {
+                const std::uint64_t upto =
+                    ran < sink.degradedAfter ? sink.degradedAfter
+                                             : events;
+                const std::uint64_t got = exec.fillBatch(
+                    batch, static_cast<std::size_t>(
+                               std::min<std::uint64_t>(bs, upto - ran)));
+                ASSERT_NE(got, 0u);
+                sys->onBatch(batch);
+                ran += got;
+                if (ran == sink.degradedAfter)
+                    sys->degradeToInterpretation();
+            }
+            EXPECT_EQ(testing::resultFingerprint(sys->finish()), fp)
+                << "batch size " << bs;
         }
     }
 }

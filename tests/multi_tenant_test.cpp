@@ -3,8 +3,9 @@
  * Multi-tenant selection-service tests: the determinism contract
  * (every tenant's fingerprint byte-identical to a solo run at any
  * concurrency, shard count and scheduling), cross-tenant accounting
- * disjointness, per-tenant and global conservation, and the
- * no-resurrection guarantee of tenant teardown.
+ * disjointness, per-tenant and global conservation, the
+ * no-resurrection guarantee of tenant teardown, and the conductor's
+ * single-owner contract.
  */
 
 #include <gtest/gtest.h>
@@ -12,16 +13,27 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "metrics/sim_result.hpp"
 #include "service/selection_service.hpp"
-#include "service/tenant_session.hpp"
 #include "support/error.hpp"
 #include "testing/differential.hpp"
 
 namespace rsel {
 namespace service {
+
+/** The conductor's friend: reaches its single-owner mutex. */
+struct TsaTestProbe
+{
+    static Mutex &
+    ownerMutex(TenantConductor &conductor)
+    {
+        return conductor.mu_;
+    }
+};
+
 namespace {
 
 /** A seed-derived tenant set: selectors cycle through all seven. */
@@ -37,6 +49,18 @@ seedConfig(std::size_t tenants, std::uint64_t cacheKb,
     config.jobs = jobs;
     config.eventsOverride = events;
     return config;
+}
+
+/** A conductor for `spec` alone in `arena`, chaos- and overload-free
+ *  unless `schedule` says otherwise. */
+TenantConductor
+makeTenant(const TenantSpec &spec, CacheLimits limits,
+           ShardedCodeCache &arena, std::uint64_t sliceEvents,
+           std::uint64_t events, const ChaosSchedule &schedule = {})
+{
+    return TenantConductor(spec, limits, limits.capacityBytes, arena,
+                           sliceEvents, events, schedule,
+                           OverloadConfig{});
 }
 
 std::vector<std::string>
@@ -306,22 +330,23 @@ TEST(MultiTenantTest, TeardownNeverResurrects)
     cfg.shardCount = 4;
     ShardedCodeCache arena(cfg);
 
-    const TenantId early = arena.registerTenant();
     // Seed 1 reliably selects regions within this budget (seeds
     // whose selector thresholds never trip would make the test
     // vacuous).
     TenantSpec spec = TenantSpec::fromSeed(1);
+    TenantId early = 0;
     std::string fpEarly;
     {
-        TenantSession session(early, spec, CacheLimits{}, arena,
-                              20000);
-        while (session.runSlice(512)) {
-        }
-        const SimResult result = session.finish();
+        TenantConductor tenant =
+            makeTenant(spec, CacheLimits{}, arena, 512, 20000);
+        early = tenant.tenantId();
+        while (!tenant.done())
+            tenant.offer();
+        const SimResult result = tenant.finish();
         EXPECT_GT(result.regionCount, 0u);
         EXPECT_GT(arena.liveEntryCount(early), 0u);
         fpEarly = testing::resultFingerprint(result);
-        session.teardown();
+        tenant.teardown();
     }
     EXPECT_EQ(arena.liveEntryCount(early), 0u);
     EXPECT_EQ(arena.tenantStats(early).liveBytes, 0u);
@@ -330,17 +355,18 @@ TEST(MultiTenantTest, TeardownNeverResurrects)
 
     // Ids are never reused: a fresh tenant gets a fresh id and a
     // clean account even though it runs the same guest program.
-    const TenantId fresh = arena.registerTenant();
+    TenantConductor tenant =
+        makeTenant(spec, CacheLimits{}, arena, 512, 20000);
+    const TenantId fresh = tenant.tenantId();
     EXPECT_NE(fresh, early);
-    TenantSession session(fresh, spec, CacheLimits{}, arena, 20000);
-    while (session.runSlice(512)) {
-    }
+    while (!tenant.done())
+        tenant.offer();
     EXPECT_EQ(arena.tenantStats(fresh).evictionReleases, 0u);
-    const SimResult rerun = session.finish();
+    const SimResult rerun = tenant.finish();
     // The rerun is a pure function of the spec: identical to the
     // torn-down tenant's run, untouched by the teardown history.
     EXPECT_EQ(testing::resultFingerprint(rerun), fpEarly);
-    session.teardown();
+    tenant.teardown();
     EXPECT_EQ(arena.stats().liveBytes, 0u);
 }
 
@@ -381,24 +407,69 @@ TEST(MultiTenantTest, ArenaKeyRangeBoundary)
     EXPECT_EQ(arena.stats().liveEntries, 0u);
 }
 
-// Aborting a tenant mid-flight (requestStop) must still tear down
-// to zero residue even though the session never finished.
-TEST(MultiTenantTest, AbortedSessionLeavesNoResidue)
+// Aborting a tenant mid-flight (a scheduled chaos abort) must still
+// tear down to zero residue even though the tenant never finished.
+TEST(MultiTenantTest, AbortedTenantLeavesNoResidue)
 {
     ArenaConfig cfg;
     cfg.capacityBytes = 8 * 1024;
     ShardedCodeCache arena(cfg);
-    const TenantId id = arena.registerTenant();
-    TenantSession session(id, TenantSpec::fromSeed(5),
-                          arena.tenantLimits(1), arena, 100000);
-    session.runSlice(512);
-    session.runSlice(512);
-    session.requestStop();
-    EXPECT_FALSE(session.runSlice(512));
-    EXPECT_TRUE(session.done());
-    session.teardown();
+    ChaosSchedule abortAtTwo;
+    abortAtTwo.abort = true;
+    abortAtTwo.abortSlice = 2;
+    // Seed 4's guest runs past the budget, so the abort lands
+    // mid-run.
+    TenantConductor tenant =
+        makeTenant(TenantSpec::fromSeed(4), arena.tenantLimits(1),
+                   arena, 512, 100000, abortAtTwo);
+    const TenantId id = tenant.tenantId();
+    while (!tenant.done())
+        tenant.offer();
+    const ConductorCounters counters = tenant.counters();
+    EXPECT_TRUE(counters.aborted);
+    EXPECT_EQ(counters.completedSlices, 2u);
+    EXPECT_EQ(counters.scheduledSlices, 2u);
+    EXPECT_THROW(tenant.finish(), PanicError);
+    tenant.teardown();
     EXPECT_EQ(arena.liveEntryCount(id), 0u);
     EXPECT_EQ(arena.stats().liveBytes, 0u);
+    const TenantCacheStats cs = arena.tenantStats(id);
+    EXPECT_EQ(cs.admissions, cs.evictionReleases +
+                                 cs.invalidationReleases +
+                                 cs.flushReleases);
+}
+
+// The single-owner contract: while one thread holds a conductor (the
+// main thread, here through the probe), a second thread offering it
+// panics instead of interleaving with the owner. The conductor is
+// untouched by the refused offer and still runs to completion.
+TEST(MultiTenantTest, SecondOwnerOfAConductorPanics)
+{
+    ShardedCodeCache arena(ArenaConfig{});
+    TenantConductor tenant = makeTenant(TenantSpec::fromSeed(1),
+                                        CacheLimits{}, arena, 512, 4000);
+    Mutex &owner = TsaTestProbe::ownerMutex(tenant);
+    owner.lock();
+    bool panicked = false;
+    std::thread second([&] {
+        try {
+            tenant.offer();
+        } catch (const PanicError &) {
+            panicked = true;
+        }
+    });
+    second.join();
+    owner.unlock();
+    EXPECT_TRUE(panicked);
+    EXPECT_EQ(tenant.counters().scheduledSlices, 0u);
+
+    while (!tenant.done())
+        tenant.offer();
+    EXPECT_EQ(testing::resultFingerprint(tenant.finish()),
+              testing::resultFingerprint(
+                  soloTenantRun(TenantSpec::fromSeed(1), CacheLimits{},
+                                4000)));
+    tenant.teardown();
 }
 
 // The quota partition: equal shares, floored, at least one byte;

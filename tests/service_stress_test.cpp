@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "service/selection_service.hpp"
-#include "service/tenant_session.hpp"
 #include "testing/differential.hpp"
 
 namespace rsel {
@@ -38,6 +37,49 @@ maxRegionEstimate(const SimResult &result)
                                   r.exitStubs) *
                                   10);
     return maxEst;
+}
+
+/** Seeds whose guests run past 200000 events (the guests of seeds
+ *  2, 3, 5, 6 and 10 halt within their first slice). */
+constexpr std::uint64_t longSeeds[] = {1, 4, 7, 8, 9, 11, 12, 13};
+
+/** `count` (at most 8) conductors of long-running guests, each with
+ *  an equal share of `arena`, built before any traffic; tenant i
+ *  follows `schedules[i]` where one is given, and is chaos- and
+ *  overload-free otherwise. */
+std::vector<std::unique_ptr<TenantConductor>>
+makeTenants(ShardedCodeCache &arena, std::size_t count,
+            std::uint64_t events,
+            const std::vector<ChaosSchedule> &schedules = {})
+{
+    std::vector<std::unique_ptr<TenantConductor>> tenants;
+    const CacheLimits limits = arena.tenantLimits(count);
+    for (std::size_t i = 0; i < count; ++i)
+        tenants.push_back(std::make_unique<TenantConductor>(
+            TenantSpec::fromSeed(longSeeds[i]), limits,
+            limits.capacityBytes, arena, 256, events,
+            i < schedules.size() ? schedules[i] : ChaosSchedule{},
+            OverloadConfig{}));
+    return tenants;
+}
+
+/** Drive every tenant on its own thread (the per-conductor
+ *  serialization the contract requires) and tear each down on its
+ *  owner thread, concurrent with every other tenant's slices and
+ *  teardowns. */
+std::vector<std::thread>
+driveEachOnItsOwnThread(
+    const std::vector<std::unique_ptr<TenantConductor>> &tenants)
+{
+    std::vector<std::thread> drivers;
+    drivers.reserve(tenants.size());
+    for (const auto &tenant : tenants)
+        drivers.emplace_back([&tenant] {
+            while (!tenant->done())
+                tenant->offer();
+            tenant->teardown();
+        });
+    return drivers;
 }
 
 // Every admission and release of every tenant serializes on the
@@ -72,11 +114,10 @@ TEST(ServiceStressTest, ShardContentionStress)
 }
 
 // Tenant teardown while other tenants' batches are in flight: each
-// session is driven by its own thread (the per-session serialization
-// the contract requires); the odd tenants are stopped from the main
-// thread mid-run and torn down by their owners while even tenants
-// keep admitting and releasing through the same arena. Nothing may
-// leak or resurrect.
+// conductor is driven by its own thread; the odd tenants abort
+// mid-run on a scheduled chaos abort and are torn down by their
+// owners while even tenants keep admitting and releasing through the
+// same arena. Nothing may leak or resurrect.
 TEST(ServiceStressTest, ConcurrentTeardownDuringInflightBatches)
 {
     ArenaConfig cfg;
@@ -85,40 +126,29 @@ TEST(ServiceStressTest, ConcurrentTeardownDuringInflightBatches)
     ShardedCodeCache arena(cfg);
 
     constexpr std::size_t tenantCount = 8;
-    std::vector<std::unique_ptr<TenantSession>> sessions;
-    // Registration happens strictly before any traffic (the
-    // registerTenant precondition); teardown has no such restriction.
-    for (std::size_t i = 0; i < tenantCount; ++i) {
-        const TenantId id = arena.registerTenant();
-        sessions.push_back(std::make_unique<TenantSession>(
-            id, TenantSpec::fromSeed(1 + i),
-            arena.tenantLimits(tenantCount), arena, 200000));
+    // 200000 events are 782 slices of 256; the odd tenants abort at
+    // different slices well inside that.
+    std::vector<ChaosSchedule> schedules(tenantCount);
+    for (std::size_t i = 1; i < tenantCount; i += 2) {
+        schedules[i].abort = true;
+        schedules[i].abortSlice = 40 * i;
     }
-
-    std::vector<std::thread> drivers;
-    drivers.reserve(tenantCount);
-    for (std::size_t i = 0; i < tenantCount; ++i)
-        drivers.emplace_back([&, i] {
-            while (sessions[i]->runSlice(256)) {
-            }
-            // Tear down on the owner thread, concurrent with every
-            // other tenant's slices and teardowns.
-            sessions[i]->teardown();
-        });
-    // Stop the odd tenants mid-flight from outside.
-    for (std::size_t i = 1; i < tenantCount; i += 2)
-        sessions[i]->requestStop();
-    for (std::thread &t : drivers)
+    const auto tenants =
+        makeTenants(arena, tenantCount, 200000, schedules);
+    for (std::thread &t : driveEachOnItsOwnThread(tenants))
         t.join();
 
     EXPECT_EQ(arena.stats().liveBytes, 0u);
     for (std::size_t i = 0; i < tenantCount; ++i) {
-        EXPECT_EQ(arena.liveEntryCount(
-                      sessions[i]->tenantId()),
-                  0u);
-        EXPECT_EQ(
-            arena.tenantStats(sessions[i]->tenantId()).liveBytes,
-            0u);
+        const TenantId id = tenants[i]->tenantId();
+        EXPECT_EQ(tenants[i]->counters().aborted, i % 2 == 1) << i;
+        EXPECT_EQ(arena.liveEntryCount(id), 0u) << i;
+        const TenantCacheStats cs = arena.tenantStats(id);
+        EXPECT_EQ(cs.liveBytes, 0u) << i;
+        EXPECT_EQ(cs.admissions, cs.evictionReleases +
+                                     cs.invalidationReleases +
+                                     cs.flushReleases)
+            << i;
     }
     EXPECT_EQ(arena.stats().tenantsActive, 0u);
 }
@@ -183,22 +213,8 @@ TEST(ServiceStressTest, ConcurrentQuarantineDuringInflightAdmissions)
     ShardedCodeCache arena(cfg);
 
     constexpr std::size_t tenantCount = 6;
-    std::vector<std::unique_ptr<TenantSession>> sessions;
-    for (std::size_t i = 0; i < tenantCount; ++i) {
-        const TenantId id = arena.registerTenant();
-        sessions.push_back(std::make_unique<TenantSession>(
-            id, TenantSpec::fromSeed(1 + i),
-            arena.tenantLimits(tenantCount), arena, 100000));
-    }
-
-    std::vector<std::thread> drivers;
-    drivers.reserve(tenantCount);
-    for (std::size_t i = 0; i < tenantCount; ++i)
-        drivers.emplace_back([&, i] {
-            while (sessions[i]->runSlice(256)) {
-            }
-            sessions[i]->teardown();
-        });
+    const auto tenants = makeTenants(arena, tenantCount, 100000);
+    std::vector<std::thread> drivers = driveEachOnItsOwnThread(tenants);
     // Balanced quarantine/lift cycles on both shards, concurrent
     // with every admission and release above. Each cycle nests to
     // depth one and lifts before the next, so the loop leaves both
@@ -223,8 +239,7 @@ TEST(ServiceStressTest, ConcurrentQuarantineDuringInflightAdmissions)
     EXPECT_EQ(stats.admissions, stats.releases);
     for (std::size_t i = 0; i < tenantCount; ++i)
         EXPECT_EQ(
-            arena.tenantStats(sessions[i]->tenantId()).liveBytes,
-            0u)
+            arena.tenantStats(tenants[i]->tenantId()).liveBytes, 0u)
             << i;
 }
 
