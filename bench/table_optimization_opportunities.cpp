@@ -8,13 +8,11 @@
  * with in-region preheaders (loop-invariant code motion, which even
  * a cycle-spanning trace cannot do).
  *
- * The second table extends the argument across call boundaries: the
- * interprocedural analyzer's per-workload inlining opportunities
- * (call sites, hot-loop sites, sound duplication-growth bound)
- * against the measured dynamic call behaviour, with the tightness
- * ratio bound/observed and the share of dynamic calls flowing
- * through the top quartile of the ranked table. An in-binary gate
- * re-checks every sound claim (callee sets, return edges, bound
+ * The second table extends the argument across call boundaries:
+ * each workload's call sites and their summed sound
+ * duplication-growth bound against the measured dynamic call
+ * behaviour, with the tightness ratio bound/observed. An in-binary
+ * gate re-checks every sound claim (callee sets, return edges, bound
  * chain) and fails the run on any violation.
  */
 
@@ -46,10 +44,9 @@ bool
 printInterTable(SuiteRunner &runner)
 {
     const BenchOptions &opts = runner.options();
-    Table table("Interprocedural opportunities vs dynamic calls",
-                {"workload", "callSites", "hotSites", "staticBound",
-                 "dynCalls", "observedInsts", "tightness",
-                 "topQuartile"});
+    Table table("Interprocedural bounds vs dynamic calls",
+                {"workload", "callSites", "staticBound", "dynCalls",
+                 "observedInsts", "tightness"});
     bool held = true;
     for (const WorkloadInfo *w : runner.workloads()) {
         const Program prog = w->build(opts.buildSeed);
@@ -63,19 +60,12 @@ printInterTable(SuiteRunner &runner)
                         val.error.c_str());
             held = false;
         }
-        analysis::AnalysisManager mgr;
-        const analysis::OpportunityReport opp =
-            analysis::analyzeInlineOpportunities(
-                mgr.interFacts(prog));
-        table.addRow({w->name,
-                      std::to_string(opp.ranked.size()),
-                      std::to_string(opp.hotLoopSites),
+        table.addRow({w->name, std::to_string(val.siteCalls.size()),
                       std::to_string(val.dupGrowthBoundInsts),
                       std::to_string(val.callTransfers),
                       std::to_string(val.observedCalleeInsts),
                       tightness(val.dupGrowthBoundInsts,
-                                val.observedCalleeInsts),
-                      formatDouble(val.topQuartileCallShare, 2)});
+                                val.observedCalleeInsts)});
     }
     table.print(std::cout);
     return held;

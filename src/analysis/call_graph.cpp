@@ -35,12 +35,11 @@ buildCallGraph(const ProgramFacts &pf)
     cg.graph = DiGraph(nFuncs);
     cg.sitesOf.resize(nFuncs);
     cg.fanIn.assign(nFuncs, 0);
-    cg.fanOut.assign(nFuncs, 0);
     cg.recursive.assign(nFuncs, 0);
 
     // Block-level natural-loop nesting depth: the number of loop
     // bodies (in the caller CFG, conservative return edges included)
-    // a block belongs to. Same notion as the predictor's loop facts.
+    // a block belongs to.
     cg.blockLoopDepth.assign(nBlocks, 0);
     for (const NaturalLoop &loop : pf.cfg.loops)
         for (const std::uint32_t node : loop.body)
@@ -58,7 +57,6 @@ buildCallGraph(const ProgramFacts &pf)
         CallSite site;
         site.block = b.id();
         site.caller = b.func();
-        site.kind = kind;
         site.loopDepth = cg.blockLoopDepth[b.id()];
         // The return landing pad: fallThroughOf excludes calls
         // (canFallThrough is about *un-taken* control flow), so
@@ -86,7 +84,7 @@ buildCallGraph(const ProgramFacts &pf)
         cg.sites.push_back(std::move(site));
     }
 
-    // Edges + per-function fan counts.
+    // Edges + per-function fan-in.
     for (const CallSite &site : cg.sites) {
         if (site.caller >= nFuncs)
             continue;
@@ -97,9 +95,6 @@ buildCallGraph(const ProgramFacts &pf)
             ++cg.fanIn[callee];
         }
     }
-    for (FuncId f = 0; f < nFuncs; ++f)
-        cg.fanOut[f] =
-            static_cast<std::uint32_t>(cg.graph.succs(f).size());
 
     // Condensation facts. CfgFacts computes SCCs over *all* nodes,
     // so call-unreachable functions still get components and an

@@ -44,8 +44,6 @@ struct CallSite
     BlockId block = invalidBlock;
     /** Function owning the call block. */
     FuncId caller = invalidFunc;
-    /** BranchKind::Call or BranchKind::IndirectCall. */
-    BranchKind kind = BranchKind::Call;
     /** Possible callees, deduplicated, ascending. */
     std::vector<FuncId> callees;
     /** Natural-loop nesting depth of the call block in the caller's
@@ -72,8 +70,6 @@ struct CallGraph
     std::vector<std::vector<std::uint32_t>> sitesOf;
     /** Per function: number of call sites that may target it. */
     std::vector<std::uint32_t> fanIn;
-    /** Per function: number of distinct functions it may call. */
-    std::vector<std::uint32_t> fanOut;
     /** Per function: 1 iff it sits on a call cycle (its SCC cycles). */
     std::vector<std::uint8_t> recursive;
     /** Natural-loop nesting depth per basic block (caller CFG). */

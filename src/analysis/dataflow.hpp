@@ -16,12 +16,12 @@
  * The worklist is seeded in reverse post order (reverse RPO for
  * backward problems) so acyclic regions settle in one sweep; nodes
  * unreachable from the entry are appended in index order and get a
- * defined (usually bottom) value. Two canned lattices cover the
- * predictor suite: `BitsetLattice` (powerset, meet = union) and
- * `BoolOrLattice` (two-point, meet = or). Two canned analyses built
- * on them — multi-source reachability (`reachingSources`, forward)
- * and can-reach-target (`reachesAnyOf`, backward) — are what the
- * static region-quality predictors consume.
+ * defined (usually bottom) value. Two canned lattices ship with it:
+ * `BitsetLattice` (powerset, meet = union), on which the call-closure
+ * fixpoint of `inter_facts` runs, and `BoolOrLattice` (two-point,
+ * meet = or). Two canned analyses built on them — multi-source
+ * reachability (`reachingSources`, forward) and can-reach-target
+ * (`reachesAnyOf`, backward) — exercise both solver directions.
  */
 
 #ifndef RSEL_ANALYSIS_DATAFLOW_HPP

@@ -14,8 +14,6 @@ severityName(Severity sev)
         return "error";
     case Severity::Warning:
         return "warning";
-    case Severity::Note:
-        return "note";
     }
     return "error";
 }
@@ -39,10 +37,8 @@ DiagnosticEngine::report(Severity sev, const std::string &pass,
     diagnostics_.push_back(std::move(d));
     if (sev == Severity::Error)
         ++errors_;
-    else if (sev == Severity::Warning)
-        ++warnings_;
     else
-        ++notes_;
+        ++warnings_;
 }
 
 void
@@ -59,14 +55,6 @@ DiagnosticEngine::warning(const std::string &pass,
                           const std::string &message)
 {
     report(Severity::Warning, pass, object, message);
-}
-
-void
-DiagnosticEngine::note(const std::string &pass,
-                       const std::string &object,
-                       const std::string &message)
-{
-    report(Severity::Note, pass, object, message);
 }
 
 std::vector<Diagnostic>
@@ -107,14 +95,10 @@ DiagnosticEngine::firstErrorAfter(std::size_t start) const
 std::string
 DiagnosticEngine::summary() const
 {
-    std::string s = std::to_string(errors_) +
-                    (errors_ == 1 ? " error, " : " errors, ") +
-                    std::to_string(warnings_) +
-                    (warnings_ == 1 ? " warning" : " warnings");
-    if (notes_ != 0)
-        s += ", " + std::to_string(notes_) +
-             (notes_ == 1 ? " note" : " notes");
-    return s;
+    return std::to_string(errors_) +
+           (errors_ == 1 ? " error, " : " errors, ") +
+           std::to_string(warnings_) +
+           (warnings_ == 1 ? " warning" : " warnings");
 }
 
 Table

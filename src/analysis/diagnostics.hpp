@@ -39,7 +39,6 @@ class VerifyError : public std::runtime_error
 enum class Severity : std::uint8_t {
     Error,   ///< Invariant violation: the object is malformed.
     Warning, ///< Lint: legal but suspicious.
-    Note,    ///< Machine-readable fact: informational only.
 };
 
 /** Severity name as printed ("error" / "warning"). */
@@ -72,10 +71,6 @@ class DiagnosticEngine
     void warning(const std::string &pass, const std::string &object,
                  const std::string &message);
 
-    /** Record one note-severity diagnostic (a fact). */
-    void note(const std::string &pass, const std::string &object,
-              const std::string &message);
-
     /** All diagnostics, in report order. */
     const std::vector<Diagnostic> &diagnostics() const
     {
@@ -93,7 +88,6 @@ class DiagnosticEngine
 
     std::size_t errorCount() const { return errors_; }
     std::size_t warningCount() const { return warnings_; }
-    std::size_t noteCount() const { return notes_; }
     bool hasErrors() const { return errors_ != 0; }
     bool empty() const { return diagnostics_.empty(); }
 
@@ -107,7 +101,7 @@ class DiagnosticEngine
      */
     std::string firstErrorAfter(std::size_t start) const;
 
-    /** "N errors, M warnings" (plus ", K notes" when any). */
+    /** "N errors, M warnings". */
     std::string summary() const;
 
     /**
@@ -124,7 +118,6 @@ class DiagnosticEngine
     std::vector<Diagnostic> diagnostics_;
     std::size_t errors_ = 0;
     std::size_t warnings_ = 0;
-    std::size_t notes_ = 0;
 };
 
 } // namespace analysis

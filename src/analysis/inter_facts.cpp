@@ -5,6 +5,22 @@
 namespace rsel {
 namespace analysis {
 
+namespace {
+
+/** Instruction mass of the functions in `funcs`. */
+std::uint64_t
+instsOf(const std::vector<FuncSummary> &summaries,
+        const BitsetLattice::Value &funcs)
+{
+    std::uint64_t insts = 0;
+    for (FuncId g = 0; g < summaries.size(); ++g)
+        if (BitsetLattice::testBit(funcs, g))
+            insts += summaries[g].insts;
+    return insts;
+}
+
+} // namespace
+
 InterFacts
 buildInterFacts(const ProgramFacts &pf)
 {
@@ -28,11 +44,8 @@ buildInterFacts(const ProgramFacts &pf)
             const BasicBlock &bb = prog.block(b);
             ++s.blockCount;
             s.insts += bb.instCount();
-            s.bytes += bb.sizeBytes();
             s.maxLoopDepth =
                 std::max(s.maxLoopDepth, cg.blockLoopDepth[b]);
-            if (bb.terminator() == BranchKind::Return)
-                s.hasReturn = true;
         }
         s.callSites =
             static_cast<std::uint32_t>(cg.sitesOf[f].size());
@@ -59,16 +72,22 @@ buildInterFacts(const ProgramFacts &pf)
 
     for (FuncId f = 0; f < nFuncs; ++f) {
         FuncSummary &s = inf.summaries[f];
-        for (FuncId g = 0; g < nFuncs; ++g) {
-            if (!BitsetLattice::testBit(inf.closure[f], g))
-                continue;
-            ++s.closureFuncs;
-            s.closureInsts += inf.summaries[g].insts;
-            s.closureMaxLoopDepth = std::max(
-                s.closureMaxLoopDepth, inf.summaries[g].maxLoopDepth);
-        }
+        s.closureFuncs = BitsetLattice::countBits(inf.closure[f]);
+        s.closureInsts = instsOf(inf.summaries, inf.closure[f]);
     }
     return inf;
+}
+
+std::uint64_t
+InterFacts::closureInstsOf(const CallSite &site) const
+{
+    const BitsetLattice lattice(
+        static_cast<std::uint32_t>(summaries.size()));
+    BitsetLattice::Value reach = lattice.bottom();
+    for (const FuncId callee : site.callees)
+        if (callee < closure.size())
+            lattice.meetInto(reach, closure[callee]);
+    return instsOf(summaries, reach);
 }
 
 } // namespace analysis

@@ -18,8 +18,8 @@
  * The closure is the sound currency of the layer: any inlining or
  * cross-call region growth at a call site can duplicate at most the
  * closure of its callees (you cannot reach code outside the closure
- * by following calls), which is what the inlining-opportunity
- * analyzer uses as its duplication upper bound.
+ * by following calls), which `closureInstsOf` turns into the site's
+ * duplication-growth bound.
  */
 
 #ifndef RSEL_ANALYSIS_INTER_FACTS_HPP
@@ -40,17 +40,14 @@ struct FuncSummary
     FuncId func = invalidFunc;
     /** Blocks in the function's layout range. */
     std::uint32_t blockCount = 0;
-    /** Static instructions / bytes of the function body. */
+    /** Static instructions of the function body. */
     std::uint64_t insts = 0;
-    std::uint64_t bytes = 0;
     /** Max natural-loop nesting depth over the function's blocks. */
     std::uint32_t maxLoopDepth = 0;
     /** Call sites inside the function. */
     std::uint32_t callSites = 0;
     /** Call sites elsewhere that may target the function. */
     std::uint32_t fanIn = 0;
-    /** True iff the function contains a Return terminator. */
-    bool hasReturn = false;
     /** True iff the function contains no call sites. */
     bool leaf = false;
     /** True iff the function sits on a call cycle. */
@@ -62,8 +59,6 @@ struct FuncSummary
      *  per function — the code-cache cost model, where a function
      *  body is materialized at most once per inlining decision). */
     std::uint64_t closureInsts = 0;
-    /** Max loop depth over the closure's functions. */
-    std::uint32_t closureMaxLoopDepth = 0;
 };
 
 /** Interprocedural facts of one Program, cached by AnalysisManager. */
@@ -86,6 +81,14 @@ struct InterFacts
         return from < closure.size() &&
                BitsetLattice::testBit(closure[from], to);
     }
+
+    /**
+     * Sound duplication-growth bound of one call site: the
+     * instruction mass of the union of its callees' call closures,
+     * each function counted once. No inline at the site can copy
+     * code outside that union.
+     */
+    std::uint64_t closureInstsOf(const CallSite &site) const;
 };
 
 /** Build interprocedural facts from cached program facts. */

@@ -6,62 +6,81 @@
 #include "driver/thread_pool.hpp"
 #include "program/trace_io.hpp"
 #include "testing/inter_check.hpp"
-#include "testing/prediction_check.hpp"
 #include "testing/random_program.hpp"
 #include "testing/shrinker.hpp"
 
 namespace rsel {
 namespace testing {
 
+namespace {
+
+/** The rselect-fuzz command line replaying `spec` under `opts`. */
 std::string
-fuzzCliLine(const GenSpec &spec, BrokenMode mode, bool verify,
-            const resilience::FaultPlan &faults, bool analyze,
-            bool interprocedural)
+fuzzCliLine(const GenSpec &spec, const FuzzOptions &opts,
+            const resilience::FaultPlan &faults)
 {
     std::string line = "rselect-fuzz --spec '" + spec.toString() + "'";
-    if (mode != BrokenMode::None)
+    if (opts.broken != BrokenMode::None)
         line += std::string(" --break-selector ") +
-                brokenModeName(mode);
-    if (verify)
+                brokenModeName(opts.broken);
+    if (opts.verify)
         line += " --verify";
-    if (analyze)
-        line += " --analyze";
-    if (interprocedural)
+    if (opts.interprocedural)
         line += " --interprocedural";
     if (faults.armed())
         line += " --fault-spec '" + faults.toString() + "'";
     return line;
 }
 
-namespace {
+} // namespace
 
-/** True for failures the differential-based shrinker cannot
- *  reproduce (static-prediction checks run outside the oracle). */
-bool
-isAnalyzeFailure(const std::string &error)
-{
-    return error.rfind("static-prediction:", 0) == 0 ||
-           error.rfind("interprocedural:", 0) == 0;
-}
-
-/** One seed's full check: the differential oracle, then (when
- *  requested and clean) the static-prediction validation. */
-DiffReport
-runSeedCheck(const GenSpec &spec, const FuzzOptions &opts,
-             const resilience::FaultPlan &plan)
+SpecCheck
+checkSpec(const GenSpec &spec, const FuzzOptions &opts,
+          const resilience::FaultPlan &faults)
 {
     DiffReport report =
-        runDifferential(spec, opts.broken, opts.verify, plan);
-    // Prediction bounds assume fault-free runs; a fault plan only
-    // affects the differential leg, never the analyze leg.
-    if (report.error.empty() && opts.analyze)
-        report.error = checkSpecPredictions(spec);
+        runDifferential(spec, opts.broken, opts.verify, faults);
+    // The interprocedural claims assume fault-free runs; a fault
+    // plan only affects the differential leg.
     if (report.error.empty() && opts.interprocedural)
         report.error = checkSpecInterprocedural(spec);
-    return report;
-}
+    SpecCheck check;
+    check.programBlocks = report.programBlocks;
+    if (report.error.empty())
+        return check;
 
-} // namespace
+    FuzzFailure &failure = check.failure.emplace();
+    failure.spec = spec;
+    failure.error = report.error;
+    failure.faults = faults;
+    failure.shrunkSpec = spec;
+    failure.shrunkError = report.error;
+    failure.shrunkBlocks = report.programBlocks;
+
+    // Interprocedural failures are found outside the differential
+    // predicate, so the shrinker cannot reproduce them; the original
+    // spec is the reproducer instead.
+    if (opts.shrink && report.error.rfind("interprocedural:", 0) != 0) {
+        const ShrinkOutcome shrunk = shrinkSpec(
+            spec, opts.broken, report.error, opts.verify, faults);
+        failure.shrunk = true;
+        failure.shrunkSpec = shrunk.spec;
+        failure.shrunkError = shrunk.error;
+        failure.shrunkBlocks = shrunk.programBlocks;
+    }
+
+    try {
+        std::ostringstream os;
+        saveProgram(generateProgram(failure.shrunkSpec), os);
+        failure.reproProgram = os.str();
+    } catch (const std::exception &e) {
+        failure.reproProgram =
+            std::string("<program generation failed: ") + e.what() +
+            ">";
+    }
+    failure.cliLine = fuzzCliLine(failure.shrunkSpec, opts, faults);
+    return check;
+}
 
 FuzzSummary
 runFuzz(const FuzzOptions &opts)
@@ -86,61 +105,34 @@ runFuzz(const FuzzOptions &opts)
         plans.push_back(plan);
     }
 
-    // Fan the checks out; results land in per-seed slots, so the
-    // collected outcome is independent of scheduling and job count.
-    std::vector<DiffReport> reports(specs.size());
+    // Fan the checks out without shrinking; results land in per-seed
+    // slots, so the collected outcome is independent of scheduling
+    // and job count.
+    FuzzOptions unshrunk = opts;
+    unshrunk.shrink = false;
+    std::vector<SpecCheck> checks(specs.size());
     std::unique_ptr<ThreadPool> pool;
     if (opts.jobs != 1 && specs.size() > 1)
         pool = std::make_unique<ThreadPool>(
             opts.jobs == 0 ? ThreadPool::hardwareWorkers() : opts.jobs);
     forEachIndex(pool.get(), specs.size(), [&](std::size_t i) {
-        reports[i] = runSeedCheck(specs[i], opts, plans[i]);
+        checks[i] = checkSpec(specs[i], unshrunk, plans[i]);
     });
 
     FuzzSummary summary;
     summary.seedsRun = specs.size();
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (reports[i].error.empty())
+        if (!checks[i].failure)
             continue;
         ++summary.failures;
-
-        FuzzFailure failure;
+        // Shrinking is serial and covers the first maxShrinks
+        // failures in seed order. Checking the spec again to shrink
+        // it costs one differential beside the shrinker's hundreds.
+        FuzzFailure failure =
+            opts.shrink && summary.detail.size() < opts.maxShrinks
+                ? checkSpec(specs[i], opts, plans[i]).failure.value()
+                : std::move(*checks[i].failure);
         failure.seed = opts.startSeed + i;
-        failure.spec = specs[i];
-        failure.error = reports[i].error;
-        failure.faults = plans[i];
-        failure.shrunkSpec = specs[i];
-        failure.shrunkError = reports[i].error;
-        failure.shrunkBlocks = reports[i].programBlocks;
-
-        // Static-prediction failures are found outside the
-        // differential predicate, so the shrinker cannot reproduce
-        // them; report the original spec as the reproducer instead.
-        if (opts.shrink && !isAnalyzeFailure(reports[i].error) &&
-            static_cast<std::uint32_t>(summary.detail.size()) <
-                opts.maxShrinks) {
-            const ShrinkOutcome shrunk =
-                shrinkSpec(specs[i], opts.broken, reports[i].error,
-                           opts.verify, plans[i]);
-            failure.shrunk = true;
-            failure.shrunkSpec = shrunk.spec;
-            failure.shrunkError = shrunk.error;
-            failure.shrunkBlocks = shrunk.programBlocks;
-        }
-
-        try {
-            std::ostringstream os;
-            saveProgram(generateProgram(failure.shrunkSpec), os);
-            failure.reproProgram = os.str();
-        } catch (const std::exception &e) {
-            failure.reproProgram =
-                std::string("<program generation failed: ") +
-                e.what() + ">";
-        }
-        failure.cliLine =
-            fuzzCliLine(failure.shrunkSpec, opts.broken, opts.verify,
-                        plans[i], opts.analyze,
-                        opts.interprocedural);
         summary.detail.push_back(std::move(failure));
     }
     return summary;

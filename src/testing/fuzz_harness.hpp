@@ -19,6 +19,7 @@
 #define RSEL_TESTING_FUZZ_HARNESS_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,19 +45,13 @@ struct FuzzOptions
     /** Run the static verifier on every emitted region (--verify). */
     bool verify = false;
     /**
-     * After a clean differential, additionally validate the static
-     * region-quality predictions against measured unbounded-cache
-     * runs of every selector (--analyze).
-     */
-    bool analyze = false;
-    /**
      * After a clean differential, additionally validate the
      * interprocedural analysis (call-graph soundness, return-edge
      * layout, duplication bounds) against the counted dynamic call
      * behaviour of every seed (--interprocedural).
      */
     bool interprocedural = false;
-    /** Shrink failing specs and build reproducers. */
+    /** Shrink failing specs (reproducers are built either way). */
     bool shrink = true;
     /** Shrink at most this many failures (the rest report as-is). */
     std::uint32_t maxShrinks = 3;
@@ -73,6 +68,7 @@ struct FuzzOptions
 /** One failing seed, with its reproducer. */
 struct FuzzFailure
 {
+    /** The corpus seed (0 for a spec given directly). */
     std::uint64_t seed = 0;
     /** The spec derived from the seed. */
     GenSpec spec;
@@ -99,15 +95,29 @@ struct FuzzSummary
 {
     std::uint64_t seedsRun = 0;
     std::uint64_t failures = 0;
+    /** Every failure, in seed order. */
     std::vector<FuzzFailure> detail;
 };
 
-/** The rselect-fuzz command line replaying `spec` under `mode`. */
-std::string fuzzCliLine(const GenSpec &spec, BrokenMode mode,
-                        bool verify = false,
-                        const resilience::FaultPlan &faults = {},
-                        bool analyze = false,
-                        bool interprocedural = false);
+/** Outcome of checking one spec. */
+struct SpecCheck
+{
+    /** Static block count of the spec's program. */
+    std::uint32_t programBlocks = 0;
+    /** The failure with its reproducer; empty when every check held. */
+    std::optional<FuzzFailure> failure;
+};
+
+/**
+ * Check one spec under `opts` with fault plan `faults`: the
+ * differential oracle, then, when that is clean and
+ * `opts.interprocedural` is set, the interprocedural validation. A
+ * failure comes back with its reproducer: shrunk when `opts.shrink`
+ * is set and the shrinker can replay the error, plus the repro
+ * program and the rselect-fuzz command line. Its `seed` is 0.
+ */
+SpecCheck checkSpec(const GenSpec &spec, const FuzzOptions &opts,
+                    const resilience::FaultPlan &faults);
 
 /** Run the corpus described by `opts`. */
 FuzzSummary runFuzz(const FuzzOptions &opts);

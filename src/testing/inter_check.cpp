@@ -166,8 +166,6 @@ validateInterprocedural(const Program &prog, std::uint64_t events,
     analysis::AnalysisManager mgr;
     const analysis::InterFacts &inf = mgr.interFacts(prog);
     const analysis::CallGraph &cg = inf.callGraph;
-    const analysis::OpportunityReport opp =
-        analysis::analyzeInlineOpportunities(inf);
 
     // Replay the deterministic stream once, counting.
     CallCountSink sink(prog, cg, val);
@@ -177,9 +175,6 @@ validateInterprocedural(const Program &prog, std::uint64_t events,
 
     // Per-site bound chain: observed-callee mass <= static callee
     // mass <= duplication-growth bound, over executed sites.
-    std::vector<std::uint64_t> boundOf(cg.sites.size(), 0);
-    for (const analysis::InlineOpportunity &op : opp.ranked)
-        boundOf[op.site] = op.dupGrowthBoundInsts;
     const std::uint32_t nFuncs =
         static_cast<std::uint32_t>(prog.functions().size());
     for (std::uint32_t s = 0;
@@ -194,9 +189,10 @@ validateInterprocedural(const Program &prog, std::uint64_t events,
         for (const FuncId g : cg.sites[s].callees)
             if (g < nFuncs)
                 stat += inf.summaries[g].insts;
+        const std::uint64_t bound = inf.closureInstsOf(cg.sites[s]);
         val.observedCalleeInsts += observed;
         val.staticCalleeInsts += stat;
-        val.dupGrowthBoundInsts += boundOf[s];
+        val.dupGrowthBoundInsts += bound;
         if (val.error.empty() && observed > stat)
             val.error = "interprocedural: site at block " +
                         std::to_string(cg.sites[s].block) +
@@ -204,26 +200,13 @@ validateInterprocedural(const Program &prog, std::uint64_t events,
                         std::to_string(observed) +
                         " exceeds static callee mass " +
                         std::to_string(stat);
-        if (val.error.empty() && stat > boundOf[s])
+        if (val.error.empty() && stat > bound)
             val.error = "interprocedural: site at block " +
                         std::to_string(cg.sites[s].block) +
                         ": static callee mass " +
                         std::to_string(stat) +
                         " exceeds duplication bound " +
-                        std::to_string(boundOf[s]);
-    }
-
-    // Heuristic tightness: share of dynamic calls flowing through
-    // the top quartile of the ranked table (report-only).
-    if (val.callTransfers > 0 && !opp.ranked.empty()) {
-        const std::size_t quartile =
-            std::max<std::size_t>(1, (opp.ranked.size() + 3) / 4);
-        std::uint64_t topCalls = 0;
-        for (std::size_t i = 0; i < quartile; ++i)
-            topCalls += val.siteCalls[opp.ranked[i].site];
-        val.topQuartileCallShare =
-            static_cast<double>(topCalls) /
-            static_cast<double>(val.callTransfers);
+                        std::to_string(bound);
     }
 
     // Cross-tie: the stream is selector-independent, so every
@@ -233,14 +216,14 @@ validateInterprocedural(const Program &prog, std::uint64_t events,
         SimOptions opts;
         opts.maxEvents = events;
         opts.seed = seed;
-        SimResult res = simulate(prog, algo, opts);
-        if (val.error.empty() && res.events != val.streamEvents)
+        const std::uint64_t consumed =
+            simulate(prog, algo, opts).events;
+        if (val.error.empty() && consumed != val.streamEvents)
             val.error = "interprocedural: selector " +
                         algorithmName(algo) + " consumed " +
-                        std::to_string(res.events) +
+                        std::to_string(consumed) +
                         " events, counting replay delivered " +
                         std::to_string(val.streamEvents);
-        val.measured.push_back(std::move(res));
     }
     return val;
 }

@@ -3,8 +3,8 @@
  * Interprocedural-analysis-vs-simulator validation: replay the
  * deterministic block stream, reconstruct the dynamic call behaviour
  * with a shadow call stack, and check every *sound* claim of the
- * call-graph layer (src/analysis/call_graph, inter_facts,
- * inline_opportunity) against it:
+ * call-graph layer (src/analysis/call_graph, inter_facts) against
+ * it:
  *
  *  - every dynamic call transfer at a site lands in a function of
  *    the site's static callee set (one-step callee soundness; with
@@ -14,15 +14,11 @@
  *    the site on top of the shadow stack (the return-edge /
  *    call-site-layout claim of the call-graph-consistency pass);
  *  - dynamically observed per-site callee instruction mass never
- *    exceeds the static callee mass, which never exceeds the
- *    inlining-opportunity duplication-growth bound;
+ *    exceeds the static callee mass, which never exceeds the site's
+ *    duplication-growth bound (`InterFacts::closureInstsOf`);
  *  - the counted stream cross-ties to every shipped selector's
  *    SimResult (the stream is selector-independent, so all 7 runs
  *    must have consumed exactly the counted number of events).
- *
- * Opportunity *scores* are heuristics; their tightness (bound over
- * measured, top-ranked call share) is reported for the bench table,
- * never gated on.
  */
 
 #ifndef RSEL_TESTING_INTER_CHECK_HPP
@@ -32,9 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/inline_opportunity.hpp"
 #include "analysis/inter_facts.hpp"
-#include "metrics/sim_result.hpp"
 #include "program/program.hpp"
 #include "testing/gen_spec.hpp"
 
@@ -68,12 +62,6 @@ struct InterValidation
     std::uint64_t staticCalleeInsts = 0;
     /** Σ over executed sites of the duplication-growth bound. */
     std::uint64_t dupGrowthBoundInsts = 0;
-    /** Fraction of dynamic calls through the top quartile of the
-     *  ranked opportunity table (heuristic tightness, report-only). */
-    double topQuartileCallShare = 0.0;
-
-    /** Per-selector measured runs (cross-tie legs). */
-    std::vector<SimResult> measured;
 };
 
 /**

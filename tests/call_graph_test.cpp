@@ -2,11 +2,12 @@
  * @file
  * Degenerate-shape battery for the interprocedural layer: the call
  * graph (SCC condensation, bottom-up order), the summary fixpoint
- * (closure convergence and transitivity) and the
- * inlining-opportunity analyzer, each on the smallest program that
+ * (closure convergence and transitivity) and the per-site
+ * duplication-growth bound, each on the smallest program that
  * exhibits the shape — single function, self-recursion, a
- * mutual-recursion ring, a call inside a loop body, an unreachable
- * callee, and a deep call chain.
+ * mutual-recursion ring, a call inside a loop body, an indirect call
+ * whose callees share a callee, an unreachable callee, and a deep
+ * call chain.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "analysis/analysis_manager.hpp"
-#include "analysis/inline_opportunity.hpp"
 #include "analysis/inter_facts.hpp"
 #include "program/program_builder.hpp"
 
@@ -157,7 +157,7 @@ TEST(CallGraphTest, MutualRecursionRingCondensesToOneScc)
     EXPECT_LT(hi, bottomUpPos(cg, fm));
 }
 
-TEST(CallGraphTest, CallInsideLoopBodyIsAHotOpportunity)
+TEST(CallGraphTest, CallInsideLoopBodyIsBoundedByItsLeafCallee)
 {
     ProgramBuilder pb;
     const FuncId leaf = pb.beginFunction("leaf");
@@ -182,16 +182,52 @@ TEST(CallGraphTest, CallInsideLoopBodyIsAHotOpportunity)
     EXPECT_EQ(cg.sites[0].block, body);
     EXPECT_EQ(cg.sites[0].loopDepth, 1u);
     EXPECT_EQ(cg.sites[0].returnBlock, land);
+    // A leaf's call closure is its own body.
+    EXPECT_EQ(inf.closureInstsOf(cg.sites[0]), inf.summaries[leaf].insts);
+}
 
-    const OpportunityReport opp = analyzeInlineOpportunities(inf);
-    ASSERT_EQ(opp.ranked.size(), 1u);
-    EXPECT_TRUE(opp.ranked[0].hotLoop);
-    EXPECT_TRUE(opp.ranked[0].smallLeafCallee);
-    EXPECT_TRUE(opp.ranked[0].singleCallSite);
-    EXPECT_TRUE(opp.ranked[0].returnRejoins);
-    EXPECT_EQ(opp.ranked[0].dupGrowthBoundInsts,
-              inf.summaries[leaf].insts);
-    EXPECT_EQ(opp.hotLoopSites, 1u);
+TEST(CallGraphTest, IndirectSiteBoundCountsASharedCalleeOnce)
+{
+    ProgramBuilder pb;
+    const FuncId shared = pb.beginFunction("shared");
+    const BlockId s0 = pb.block(4);
+    pb.ret(s0);
+    const FuncId f = pb.beginFunction("f");
+    const BlockId f0 = pb.block(2);
+    const BlockId f1 = pb.block(1);
+    pb.callTo(f0, shared);
+    pb.ret(f1);
+    const FuncId g = pb.beginFunction("g");
+    const BlockId g0 = pb.block(3);
+    const BlockId g1 = pb.block(1);
+    pb.callTo(g0, shared);
+    pb.ret(g1);
+    pb.beginFunction("main");
+    const BlockId m0 = pb.block(2);
+    const BlockId m1 = pb.block(1);
+    pb.indirectCall(m0, IndirectBehavior::weighted(
+                            {pb.functionEntry(f), pb.functionEntry(g)},
+                            {0.5, 0.5}));
+    pb.halt(m1);
+    pb.setEntry(m0);
+    const Program prog = pb.build();
+
+    AnalysisManager mgr;
+    const InterFacts &inf = mgr.interFacts(prog);
+    const CallGraph &cg = inf.callGraph;
+
+    // Sites in block-id order: f's, g's, then main's indirect call.
+    ASSERT_EQ(cg.sites.size(), 3u);
+    const CallSite &site = cg.sites[2];
+    EXPECT_EQ(site.block, m0);
+    EXPECT_EQ(site.callees, (std::vector<FuncId>{f, g}));
+
+    // The callees' closures weigh 3 + 4 and 4 + 4 insts, 15 summed
+    // with `shared` counted twice; their union {f, g, shared} weighs
+    // 3 + 4 + 4.
+    EXPECT_EQ(inf.summaries[f].closureInsts, 7u);
+    EXPECT_EQ(inf.summaries[g].closureInsts, 8u);
+    EXPECT_EQ(inf.closureInstsOf(site), 11u);
 }
 
 TEST(CallGraphTest, UnreachableCalleeIsNotCallReachable)

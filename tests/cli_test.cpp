@@ -157,6 +157,10 @@ TEST(ExitCodeTest, FuzzSignalsFailuresFound)
     EXPECT_EQ(toolExit("rselect-fuzz",
                        "--fault-fuzz --fault-spec f1,tfail=5"),
               ExitUsageError);
+    // A flag the tool does not define is a usage error.
+    EXPECT_EQ(toolExit("rselect-fuzz",
+                       "--seeds 1 --events 1500 --analyze"),
+              ExitUsageError);
 }
 
 TEST(ExitCodeTest, VerifySignalsVerdicts)
@@ -191,15 +195,21 @@ TEST(ExitCodeTest, AnalyzeSignalsVerdicts)
     EXPECT_EQ(toolExit("rselect-analyze",
                        "--workload gzip --validate --events 4000"),
               ExitOk);
-    EXPECT_EQ(toolExit("rselect-analyze",
-                       "--workload gzip --json --selector NET"),
+    EXPECT_EQ(toolExit("rselect-analyze", "--workload gzip --json"),
               ExitOk);
     // No mode selected prints usage and flags the invocation.
     EXPECT_EQ(toolExit("rselect-analyze", ""), ExitUsageError);
     EXPECT_EQ(toolExit("rselect-analyze", "--workload bogus"),
               ExitUsageError);
-    EXPECT_EQ(toolExit("rselect-analyze", "--selector bogus"),
-              ExitUsageError);
+    // Flags the tool does not define are usage errors; the
+    // call-graph layer needs no switch.
+    for (const char *gone :
+         {"--selector NET", "--self-test", "--interprocedural",
+          "--list-passes"})
+        EXPECT_EQ(toolExit("rselect-analyze",
+                           std::string("--workload gzip ") + gone),
+                  ExitUsageError)
+            << gone;
 }
 
 TEST(ExitCodeTest, ServeHonoursTheContract)

@@ -3,7 +3,8 @@
  * Tests for the fuzzing subsystem itself: the spec codec, the
  * generator's guarantees, the differential oracle on healthy
  * selectors, and — crucially — that the oracle catches deliberately
- * broken selectors and shrinks the reproducer.
+ * broken selectors, shrinks the reproducer, and that the reproducer
+ * replays.
  */
 
 #include <gtest/gtest.h>
@@ -253,6 +254,16 @@ TEST(FuzzHarnessTest, BrokenCorpusEmitsReproducers)
     ASSERT_NE(q2, std::string::npos);
     EXPECT_EQ(GenSpec::parse(specArg.substr(q1 + 1, q2 - q1 - 1)),
               f.shrunkSpec);
+
+    // Replaying the shrunk spec, as `rselect-fuzz --spec` does for
+    // that line, fails again with the recorded error.
+    opts.shrink = false;
+    const testing::SpecCheck replay =
+        testing::checkSpec(f.shrunkSpec, opts, f.faults);
+    ASSERT_TRUE(replay.failure.has_value());
+    EXPECT_EQ(replay.failure->error, f.shrunkError);
+    EXPECT_EQ(replay.programBlocks, f.shrunkBlocks);
+    EXPECT_EQ(replay.failure->cliLine, f.cliLine);
 }
 
 TEST(InvariantSinkTest, AcceptsHealthyRunAndCountsConserve)

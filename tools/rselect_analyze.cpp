@@ -1,40 +1,24 @@
 /**
  * @file
- * rselect-analyze: static region-quality predictor front end.
+ * rselect-analyze: front end of the call-graph layer.
  *
- * Runs the dataflow-based pass suite (src/analysis/static_predictor)
- * over a program and prints the shared shape facts, the per-selector
- * predictions (sound bounds plus heuristic estimates), and the
- * machine-readable fact/lint diagnostics.
+ * Builds a program's interprocedural facts (src/analysis/call_graph,
+ * inter_facts) and prints its bottom-up function summaries and every
+ * call site's duplication-growth bound.
  *
  * Modes (first match wins):
  *
- *  - --self-test       compute genuine predictions for a hand-built
- *    loop program, demand they hold against measured runs of every
- *    selector, then plant one mis-prediction per bound kind and
- *    demand checkPrediction catches each. Exit 0 iff all caught.
  *  - --program FILE    analyze a saved program (trace_io format).
  *  - --spec 'SPEC'     generate the fuzz spec's program and analyze.
  *  - --workload NAME   analyze one synthetic workload, or all.
  *
- * --selector NAME restricts the prediction table to one selector.
- * --validate additionally measures every selector (unbounded cache,
- * fault-free) and checks the bounds; violations are red. --json
- * emits the whole report as JSON instead of tables (schema field
- * versions the layout).
+ * --validate additionally replays the program and checks every sound
+ * claim of the layer against its counted dynamic call behaviour
+ * (testing::validateInterprocedural). --json emits the report as
+ * JSON instead of tables (the schema field versions the layout).
  *
- * --interprocedural adds the call-graph layer: per-function
- * bottom-up summaries, the ranked inlining-opportunity table with
- * sound duplication-growth bounds, and (with --validate) the
- * dynamic-call ground-truth check of every sound claim.
- *
- * --list-passes prints every analyze pass name and exits;
- * --only=a,b / --skip=a,b filter which passes' diagnostics are
- * reported (parity with rselect-verify).
- *
- * Exit codes: 0 = clean (or self-test caught everything), 1 =
- * runtime fault, 2 = usage error, 3 = validation found a violated
- * bound (or self-test missed a planted bug).
+ * Exit codes: 0 = clean, 1 = runtime fault, 2 = usage error, 3 =
+ * validation found a violated claim.
  */
 
 #include <algorithm>
@@ -44,10 +28,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/inline_opportunity.hpp"
-#include "analysis/static_predictor.hpp"
-#include "dynopt/dynopt_system.hpp"
-#include "program/program_builder.hpp"
+#include "analysis/analysis_manager.hpp"
+#include "analysis/inter_facts.hpp"
 #include "program/trace_io.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -55,7 +37,6 @@
 #include "support/table.hpp"
 #include "testing/gen_spec.hpp"
 #include "testing/inter_check.hpp"
-#include "testing/prediction_check.hpp"
 #include "testing/random_program.hpp"
 #include "workloads/workloads.hpp"
 
@@ -66,29 +47,11 @@ namespace {
 /** Options shared by every analyze mode. */
 struct AnalyzeOptions
 {
-    std::string selector; ///< restrict tables to one selector
     bool json = false;
     bool validate = false;
-    bool interprocedural = false; ///< add the call-graph layer
     std::uint64_t events = 20000; ///< validation run length
     std::uint64_t seed = 1;       ///< validation executor seed
-    /** --only: when non-empty, report only these passes. */
-    std::vector<std::string> only;
-    /** --skip: never report these passes (applied after only). */
-    std::vector<std::string> skip;
 };
-
-/** True iff `pass` survives the --only/--skip filters. */
-bool
-passEnabled(const AnalyzeOptions &opts, const std::string &pass)
-{
-    if (!opts.only.empty() &&
-        std::find(opts.only.begin(), opts.only.end(), pass) ==
-            opts.only.end())
-        return false;
-    return std::find(opts.skip.begin(), opts.skip.end(), pass) ==
-           opts.skip.end();
-}
 
 std::string
 u64(std::uint64_t v)
@@ -96,7 +59,8 @@ u64(std::uint64_t v)
     return std::to_string(v);
 }
 
-/** Minimal JSON string escape (names here are ASCII identifiers). */
+/** Minimal JSON string escape: quotes and backslashes only (names,
+ *  labels, specs and paths are taken to hold no control characters). */
 std::string
 jsonStr(const std::string &s)
 {
@@ -110,12 +74,12 @@ jsonStr(const std::string &s)
 }
 
 /** JSON layout version; bump when fields move or change meaning. */
-constexpr int jsonSchemaVersion = 2;
+constexpr int jsonSchemaVersion = 3;
 
 void
-emitInterJson(const Program &prog, const analysis::InterFacts &inf,
-              const analysis::OpportunityReport &opp,
-              const testing::InterValidation *ival, std::ostream &os)
+emitJson(const Program &prog, const std::string &what,
+         const analysis::InterFacts &inf,
+         const testing::InterValidation *val, std::ostream &os)
 {
     const analysis::CallGraph &cg = inf.callGraph;
     std::uint32_t reachable = 0, recursive = 0;
@@ -125,17 +89,18 @@ emitInterJson(const Program &prog, const analysis::InterFacts &inf,
         if (s.recursive)
             ++recursive;
     }
-    os << ",\n  \"interprocedural\": {"
-       << "\"funcs\": " << inf.summaries.size()
+    os << "{\n  \"schema\": " << jsonSchemaVersion
+       << ",\n  \"program\": " << jsonStr(what)
+       << ",\n  \"funcs\": " << inf.summaries.size()
        << ", \"callSites\": " << cg.sites.size()
        << ", \"callReachable\": " << reachable
        << ", \"recursive\": " << recursive
        << ", \"dataflowTransfers\": " << inf.dataflowTransfers
-       << ", \"converged\": "
-       << (inf.converged ? "true" : "false") << ",\n    \"functions\": [";
+       << ", \"converged\": " << (inf.converged ? "true" : "false")
+       << ",\n  \"functions\": [";
     for (std::size_t i = 0; i < inf.summaries.size(); ++i) {
         const analysis::FuncSummary &s = inf.summaries[i];
-        os << (i == 0 ? "\n" : ",\n") << "      {\"name\": "
+        os << (i == 0 ? "\n" : ",\n") << "    {\"name\": "
            << jsonStr(prog.functions()[s.func].name)
            << ", \"blocks\": " << s.blockCount
            << ", \"insts\": " << s.insts
@@ -143,187 +108,34 @@ emitInterJson(const Program &prog, const analysis::InterFacts &inf,
            << ", \"callSites\": " << s.callSites
            << ", \"fanIn\": " << s.fanIn
            << ", \"leaf\": " << (s.leaf ? "true" : "false")
-           << ", \"recursive\": "
-           << (s.recursive ? "true" : "false")
+           << ", \"recursive\": " << (s.recursive ? "true" : "false")
            << ", \"closureFuncs\": " << s.closureFuncs
            << ", \"closureInsts\": " << s.closureInsts << "}";
     }
-    os << "\n    ],\n    \"opportunities\": [";
-    for (std::size_t i = 0; i < opp.ranked.size(); ++i) {
-        const analysis::InlineOpportunity &op = opp.ranked[i];
-        os << (i == 0 ? "\n" : ",\n") << "      {\"block\": "
-           << op.block << ", \"caller\": "
-           << jsonStr(prog.functions()[op.caller].name)
-           << ", \"loopDepth\": " << op.loopDepth
-           << ", \"hotLoop\": " << (op.hotLoop ? "true" : "false")
-           << ", \"smallLeafCallee\": "
-           << (op.smallLeafCallee ? "true" : "false")
-           << ", \"singleCallSite\": "
-           << (op.singleCallSite ? "true" : "false")
-           << ", \"returnRejoins\": "
-           << (op.returnRejoins ? "true" : "false")
-           << ", \"dupGrowthBoundInsts\": " << op.dupGrowthBoundInsts
-           << ", \"score\": " << formatDouble(op.score, 2) << "}";
-    }
-    os << "\n    ]";
-    if (ival != nullptr) {
-        os << ",\n    \"validation\": {\"callTransfers\": "
-           << ival->callTransfers
-           << ", \"returnTransfers\": " << ival->returnTransfers
-           << ", \"maxDynamicDepth\": " << ival->maxDynamicDepth
-           << ", \"dynCalledFuncs\": " << ival->dynCalledFuncs
-           << ", \"sitesExecuted\": " << ival->sitesExecuted
-           << ", \"observedCalleeInsts\": "
-           << ival->observedCalleeInsts
-           << ", \"staticCalleeInsts\": " << ival->staticCalleeInsts
-           << ", \"dupGrowthBoundInsts\": "
-           << ival->dupGrowthBoundInsts
-           << ", \"topQuartileCallShare\": "
-           << formatDouble(ival->topQuartileCallShare, 2)
-           << ", \"error\": " << jsonStr(ival->error) << "}";
-    }
-    os << "}";
-}
-
-void
-emitJson(const analysis::StaticReport &rep, const Program &prog,
-         const analysis::InterFacts *inf,
-         const analysis::OpportunityReport *opp,
-         const testing::InterValidation *ival,
-         const testing::PredictionValidation *val,
-         const AnalyzeOptions &opts, std::ostream &os)
-{
-    os << "{\n  \"schema\": " << jsonSchemaVersion
-       << ",\n  \"program\": {"
-       << "\"blocks\": " << rep.blockCount
-       << ", \"reachableBlocks\": " << rep.reachableBlocks
-       << ", \"staticInsts\": " << rep.staticInsts
-       << ", \"reachableInsts\": " << rep.reachableInsts
-       << ", \"loops\": " << rep.loopCount
-       << ", \"maxLoopDepth\": " << rep.maxLoopDepth
-       << ", \"innerLoops\": " << rep.innerLoops
-       << ", \"innerLoopDupInsts\": " << rep.innerLoopDupInsts
-       << ", \"unbiasedBranches\": " << rep.unbiasedBranches
-       << ", \"unbiasedInLoops\": " << rep.unbiasedInLoops
-       << ", \"frontierBlocks\": " << rep.frontierBlocks
-       << ", \"tailDupEstInsts\": " << rep.tailDupEstInsts
-       << ", \"cyclicBlocks\": " << rep.cyclicBlocks
-       << ", \"crossFuncCycles\": " << rep.crossFuncCycles
-       << ", \"maxSeparationFuncs\": " << rep.maxSeparationFuncs
-       << ", \"dataflowTransfers\": " << rep.dataflowTransfers
-       << "},\n  \"selectors\": [";
-    bool first = true;
-    for (const analysis::SelectorPrediction &p : rep.predictions) {
-        if (!opts.selector.empty() && p.selector != opts.selector)
-            continue;
-        os << (first ? "\n" : ",\n");
-        first = false;
-        os << "    {\"selector\": " << jsonStr(p.selector)
-           << ", \"entrances\": " << p.entranceCount
-           << ", \"maxRegions\": " << p.maxRegions
-           << ", \"maxSpanningRegions\": " << p.maxSpanningRegions
-           << ", \"dupBoundInsts\": " << p.dupBoundInsts
-           << ", \"expansionBoundInsts\": " << p.expansionBoundInsts
-           << ", \"stubDensityMin\": " << p.stubDensityMin
-           << ", \"stubDensityMax\": " << p.stubDensityMax
-           << ", \"stubDensityEst\": " << p.stubDensityEst
-           << ", \"spanningRatioEst\": " << p.spanningRatioEst;
-        if (val != nullptr) {
-            for (const testing::SelectorValidation &sv :
-                 val->selectors) {
-                if (sv.prediction.selector != p.selector)
-                    continue;
-                os << ", \"measured\": {\"regions\": "
-                   << sv.measured.regionCount << ", \"spanning\": "
-                   << sv.measured.spanningRegions
-                   << ", \"duplicatedInsts\": "
-                   << sv.measured.duplicatedInsts
-                   << ", \"expansionInsts\": "
-                   << sv.measured.expansionInsts
-                   << ", \"exitStubs\": " << sv.measured.exitStubs
-                   << "}, \"violations\": [";
-                for (std::size_t i = 0; i < sv.violations.size(); ++i)
-                    os << (i == 0 ? "" : ", ")
-                       << jsonStr(sv.violations[i]);
-                os << "]";
-            }
-        }
-        os << "}";
+    os << "\n  ],\n  \"sites\": [";
+    for (std::size_t i = 0; i < cg.sites.size(); ++i) {
+        const analysis::CallSite &site = cg.sites[i];
+        os << (i == 0 ? "\n" : ",\n") << "    {\"block\": "
+           << site.block << ", \"caller\": "
+           << jsonStr(prog.functions()[site.caller].name)
+           << ", \"loopDepth\": " << site.loopDepth
+           << ", \"callees\": " << site.callees.size()
+           << ", \"dupGrowthBoundInsts\": " << inf.closureInstsOf(site)
+           << "}";
     }
     os << "\n  ]";
-    if (inf != nullptr && opp != nullptr)
-        emitInterJson(prog, *inf, *opp, ival, os);
-    os << "\n}\n";
-}
-
-void
-printFactsTable(const analysis::StaticReport &rep,
-                const std::string &what)
-{
-    Table table("Static program facts: " + what, {"fact", "value"});
-    table.addRow({"blocks", u64(rep.blockCount)});
-    table.addRow({"reachable blocks", u64(rep.reachableBlocks)});
-    table.addRow({"static insts", u64(rep.staticInsts)});
-    table.addRow({"reachable insts", u64(rep.reachableInsts)});
-    table.addRow({"natural loops", u64(rep.loopCount)});
-    table.addRow({"max loop depth", u64(rep.maxLoopDepth)});
-    table.addRow({"inner loops", u64(rep.innerLoops)});
-    table.addRow(
-        {"inner-loop dup insts (est)", u64(rep.innerLoopDupInsts)});
-    table.addRow({"unbiased branches", u64(rep.unbiasedBranches)});
-    table.addRow({"unbiased in loops", u64(rep.unbiasedInLoops)});
-    table.addRow({"frontier blocks", u64(rep.frontierBlocks)});
-    table.addRow(
-        {"tail-dup insts (est)", u64(rep.tailDupEstInsts)});
-    table.addRow({"cyclic blocks", u64(rep.cyclicBlocks)});
-    table.addRow({"cross-function cycles", u64(rep.crossFuncCycles)});
-    table.addRow(
-        {"max separation funcs", u64(rep.maxSeparationFuncs)});
-    table.addSummaryRow(
-        {"dataflow transfers", u64(rep.dataflowTransfers)});
-    table.print(std::cout);
-}
-
-void
-printPredictionTable(const analysis::StaticReport &rep,
-                     const testing::PredictionValidation *val,
-                     const AnalyzeOptions &opts)
-{
-    std::vector<std::string> headers = {
-        "selector",  "entrances", "maxRegions", "maxSpanning",
-        "dupBound",  "expBound",  "stubDens",   "stubDensEst",
-        "spanEst"};
     if (val != nullptr)
-        headers.push_back("measured");
-    Table table("Per-selector predictions", headers);
-    for (const analysis::SelectorPrediction &p : rep.predictions) {
-        if (!opts.selector.empty() && p.selector != opts.selector)
-            continue;
-        std::vector<std::string> row = {
-            p.selector,
-            u64(p.entranceCount),
-            u64(p.maxRegions),
-            u64(p.maxSpanningRegions),
-            u64(p.dupBoundInsts),
-            u64(p.expansionBoundInsts),
-            formatDouble(p.stubDensityMin, 2) + ".." +
-                formatDouble(p.stubDensityMax, 2),
-            formatDouble(p.stubDensityEst, 2),
-            formatDouble(p.spanningRatioEst, 2)};
-        if (val != nullptr) {
-            std::string cell = "-";
-            for (const testing::SelectorValidation &sv :
-                 val->selectors)
-                if (sv.prediction.selector == p.selector)
-                    cell = sv.violations.empty()
-                               ? u64(sv.measured.regionCount) +
-                                     " regions OK"
-                               : "VIOLATED: " + sv.violations.front();
-            row.push_back(cell);
-        }
-        table.addRow(row);
-    }
-    table.print(std::cout);
+        os << ",\n  \"validation\": {\"callTransfers\": "
+           << val->callTransfers
+           << ", \"returnTransfers\": " << val->returnTransfers
+           << ", \"maxDynamicDepth\": " << val->maxDynamicDepth
+           << ", \"dynCalledFuncs\": " << val->dynCalledFuncs
+           << ", \"sitesExecuted\": " << val->sitesExecuted
+           << ", \"observedCalleeInsts\": " << val->observedCalleeInsts
+           << ", \"staticCalleeInsts\": " << val->staticCalleeInsts
+           << ", \"dupGrowthBoundInsts\": " << val->dupGrowthBoundInsts
+           << ", \"error\": " << jsonStr(val->error) << "}";
+    os << "\n}\n";
 }
 
 std::string
@@ -333,11 +145,9 @@ yn(bool v)
 }
 
 void
-printInterTables(const Program &prog,
-                 const analysis::InterFacts &inf,
-                 const analysis::OpportunityReport &opp,
-                 const testing::InterValidation *ival,
-                 const std::string &what)
+printTables(const Program &prog, const analysis::InterFacts &inf,
+            const testing::InterValidation *val,
+            const std::string &what)
 {
     const analysis::CallGraph &cg = inf.callGraph;
     Table funcs("Interprocedural summaries: " + what,
@@ -355,45 +165,34 @@ printInterTables(const Program &prog,
          "-", u64(inf.dataflowTransfers)});
     funcs.print(std::cout);
 
-    Table table("Inlining opportunities: " + what,
-                {"rank", "block", "caller", "depth", "hot",
-                 "smallLeaf", "single", "rejoin", "dupBound",
-                 "score"});
-    for (std::size_t i = 0; i < opp.ranked.size(); ++i) {
-        const analysis::InlineOpportunity &op = opp.ranked[i];
-        table.addRow({u64(i + 1), u64(op.block),
-                      prog.functions()[op.caller].name,
-                      u64(op.loopDepth), yn(op.hotLoop),
-                      yn(op.smallLeafCallee), yn(op.singleCallSite),
-                      yn(op.returnRejoins),
-                      u64(op.dupGrowthBoundInsts),
-                      formatDouble(op.score, 2)});
+    Table sites("Call-site duplication bounds: " + what,
+                {"block", "caller", "loopDepth", "callees",
+                 "dupBound"});
+    std::uint64_t total = 0;
+    for (const analysis::CallSite &site : cg.sites) {
+        const std::uint64_t bound = inf.closureInstsOf(site);
+        total += bound;
+        sites.addRow({u64(site.block),
+                      prog.functions()[site.caller].name,
+                      u64(site.loopDepth), u64(site.callees.size()),
+                      u64(bound)});
     }
-    table.addSummaryRow(
-        {"-", "-", "-", "-", u64(opp.hotLoopSites),
-         u64(opp.smallLeafSites), u64(opp.singleCallSiteSites),
-         u64(opp.rejoinSites), u64(opp.totalDupGrowthBoundInsts),
-         "-"});
-    table.print(std::cout);
+    sites.addSummaryRow({"total", "-", "-", "-", u64(total)});
+    sites.print(std::cout);
 
-    if (ival == nullptr)
+    if (val == nullptr)
         return;
-    Table dyn("Dynamic call ground truth: " + what,
-              {"fact", "value"});
-    dyn.addRow({"call transfers", u64(ival->callTransfers)});
-    dyn.addRow({"return transfers", u64(ival->returnTransfers)});
-    dyn.addRow({"max dynamic depth", u64(ival->maxDynamicDepth)});
-    dyn.addRow({"functions entered", u64(ival->dynCalledFuncs)});
-    dyn.addRow({"sites executed", u64(ival->sitesExecuted)});
+    Table dyn("Dynamic call ground truth: " + what, {"fact", "value"});
+    dyn.addRow({"call transfers", u64(val->callTransfers)});
+    dyn.addRow({"return transfers", u64(val->returnTransfers)});
+    dyn.addRow({"max dynamic depth", u64(val->maxDynamicDepth)});
+    dyn.addRow({"functions entered", u64(val->dynCalledFuncs)});
+    dyn.addRow({"sites executed", u64(val->sitesExecuted)});
     dyn.addRow(
-        {"observed callee insts", u64(ival->observedCalleeInsts)});
-    dyn.addRow(
-        {"static callee insts", u64(ival->staticCalleeInsts)});
-    dyn.addRow(
-        {"dup growth bound insts", u64(ival->dupGrowthBoundInsts)});
+        {"observed callee insts", u64(val->observedCalleeInsts)});
+    dyn.addRow({"static callee insts", u64(val->staticCalleeInsts)});
     dyn.addSummaryRow(
-        {"top-quartile call share",
-         formatDouble(ival->topQuartileCallShare, 2)});
+        {"dup growth bound insts", u64(val->dupGrowthBoundInsts)});
     dyn.print(std::cout);
 }
 
@@ -402,70 +201,21 @@ analyzeProgram(const Program &prog, const std::string &what,
                const AnalyzeOptions &opts)
 {
     analysis::AnalysisManager mgr;
-    const analysis::StaticReport rep =
-        analysis::computeStaticReport(mgr, prog);
+    const analysis::InterFacts &inf = mgr.interFacts(prog);
+    testing::InterValidation val;
+    if (opts.validate)
+        val = testing::validateInterprocedural(prog, opts.events,
+                                               opts.seed);
+    const testing::InterValidation *valPtr =
+        opts.validate ? &val : nullptr;
 
-    testing::PredictionValidation val;
-    const testing::PredictionValidation *valPtr = nullptr;
-    if (opts.validate) {
-        val = testing::validatePredictions(prog, opts.events,
-                                           opts.seed);
-        valPtr = &val;
-    }
-
-    const analysis::InterFacts *inf = nullptr;
-    analysis::OpportunityReport opp;
-    testing::InterValidation ival;
-    const testing::InterValidation *ivalPtr = nullptr;
-    if (opts.interprocedural) {
-        inf = &mgr.interFacts(prog);
-        opp = analysis::analyzeInlineOpportunities(*inf);
-        if (opts.validate) {
-            ival = testing::validateInterprocedural(
-                prog, opts.events, opts.seed);
-            ivalPtr = &ival;
-        }
-    }
-
-    if (opts.json) {
-        emitJson(rep, prog, inf, inf != nullptr ? &opp : nullptr,
-                 ivalPtr, valPtr, opts, std::cout);
-    } else {
-        printFactsTable(rep, what);
-        printPredictionTable(rep, valPtr, opts);
-        if (inf != nullptr)
-            printInterTables(prog, *inf, opp, ivalPtr, what);
-        analysis::DiagnosticEngine all;
-        analysis::emitStaticFacts(rep, prog, mgr.facts(prog), all);
-        // Re-emit only the diagnostics of enabled passes
-        // (--only/--skip); severity survives the copy.
-        analysis::DiagnosticEngine diag;
-        for (const analysis::Diagnostic &d : all.diagnostics()) {
-            if (!passEnabled(opts, d.pass))
-                continue;
-            switch (d.severity) {
-            case analysis::Severity::Error:
-                diag.error(d.pass, d.object, d.message);
-                break;
-            case analysis::Severity::Warning:
-                diag.warning(d.pass, d.object, d.message);
-                break;
-            case analysis::Severity::Note:
-                diag.note(d.pass, d.object, d.message);
-                break;
-            }
-        }
-        diag.toTable("Static facts and lints: " + what)
-            .print(std::cout);
-    }
-    if (valPtr != nullptr && !valPtr->error.empty()) {
+    if (opts.json)
+        emitJson(prog, what, inf, valPtr, std::cout);
+    else
+        printTables(prog, inf, valPtr, what);
+    if (!val.error.empty()) {
         std::printf("%s: VALIDATION FAILED: %s\n", what.c_str(),
-                    valPtr->error.c_str());
-        return ExitVerifyFailure;
-    }
-    if (ivalPtr != nullptr && !ivalPtr->error.empty()) {
-        std::printf("%s: VALIDATION FAILED: %s\n", what.c_str(),
-                    ivalPtr->error.c_str());
+                    val.error.c_str());
         return ExitVerifyFailure;
     }
     if (!opts.json)
@@ -514,209 +264,22 @@ runWorkloads(const std::string &name, const AnalyzeOptions &opts)
     return rc;
 }
 
-/**
- * Self-test: the genuine predictions must hold against measured runs
- * of every selector, and one planted mis-prediction per bound kind
- * must be caught by checkPrediction. The rig is a loop program with
- * an unbiased branch, so every selector forms regions, conditional
- * exits produce stubs, and tail duplication copies the join block.
- */
-Program
-selfTestProgram()
-{
-    ProgramBuilder pb;
-    pb.beginFunction("main");
-    const BlockId a = pb.block(4);
-    (void)pb.block(3); // fall-through arm of the unbiased branch
-    const BlockId c = pb.block(2);
-    const BlockId d = pb.block(1);
-    CondBehavior skip;
-    skip.kind = CondBehavior::Kind::Bernoulli;
-    skip.takenProbByPhase = {0.5};
-    pb.condTo(a, c, skip);
-    pb.loopTo(c, a, 10000, 10000);
-    pb.halt(d);
-    pb.setEntry(a);
-    return pb.build();
-}
-
-/** One planted mis-prediction: tamper one bound, expect one check. */
-struct PlantedMiss
-{
-    std::string kind; ///< checkPrediction message prefix expected
-    /** Pick a selector this kind applies to; false = inapplicable. */
-    bool (*applies)(const SimResult &res);
-    /** Sabotage the prediction so the measured run violates it. */
-    void (*tamper)(analysis::SelectorPrediction &p,
-                   const SimResult &res);
-};
-
-int
-runSelfTest()
-{
-    const Program prog = selfTestProgram();
-    const testing::PredictionValidation val =
-        testing::validatePredictions(prog, 40000, 1);
-
-    // Leg 1: genuine predictions hold for every selector.
-    if (!val.error.empty()) {
-        std::printf("self-test genuine: FAILED: %s\n",
-                    val.error.c_str());
-        return ExitVerifyFailure;
-    }
-    std::printf("self-test genuine: all bounds held for %u "
-                "selectors\n",
-                static_cast<unsigned>(val.selectors.size()));
-
-    // Leg 2: plant one mis-prediction per bound kind.
-    const std::vector<PlantedMiss> misses = {
-        {"max-regions",
-         [](const SimResult &r) { return r.regionCount > 0; },
-         [](analysis::SelectorPrediction &p, const SimResult &r) {
-             p.maxRegions = r.regionCount - 1;
-         }},
-        {"spanning-bound",
-         [](const SimResult &r) { return r.spanningRegions > 0; },
-         [](analysis::SelectorPrediction &p, const SimResult &r) {
-             p.maxSpanningRegions = r.spanningRegions - 1;
-         }},
-        {"dup-bound",
-         [](const SimResult &r) { return r.duplicatedInsts > 0; },
-         [](analysis::SelectorPrediction &p, const SimResult &r) {
-             p.dupBoundInsts = r.duplicatedInsts - 1;
-         }},
-        {"expansion-bound",
-         [](const SimResult &r) { return r.expansionInsts > 0; },
-         [](analysis::SelectorPrediction &p, const SimResult &r) {
-             p.expansionBoundInsts = r.expansionInsts - 1;
-         }},
-        {"stub-density-max",
-         [](const SimResult &r) {
-             return r.exitStubs > 0 && r.expansionInsts > 0;
-         },
-         [](analysis::SelectorPrediction &p, const SimResult &r) {
-             p.stubDensityMax =
-                 (static_cast<double>(r.exitStubs) - 0.5) /
-                 static_cast<double>(r.expansionInsts);
-         }},
-        {"stub-density-min",
-         [](const SimResult &r) { return r.expansionInsts > 0; },
-         [](analysis::SelectorPrediction &p, const SimResult &r) {
-             p.stubDensityMin =
-                 (static_cast<double>(r.exitStubs) + 0.5) /
-                 static_cast<double>(r.expansionInsts);
-         }},
-    };
-
-    std::uint32_t caught = 0;
-    for (const PlantedMiss &miss : misses) {
-        const testing::SelectorValidation *victim = nullptr;
-        for (const testing::SelectorValidation &sv : val.selectors)
-            if (miss.applies(sv.measured)) {
-                victim = &sv;
-                break;
-            }
-        if (victim == nullptr) {
-            std::printf("self-test %s: NOT caught (no selector "
-                        "produced a nonzero measurement)\n",
-                        miss.kind.c_str());
-            continue;
-        }
-        analysis::SelectorPrediction bad = victim->prediction;
-        miss.tamper(bad, victim->measured);
-        const std::vector<std::string> violations =
-            analysis::checkPrediction(bad, victim->measured);
-        bool hit = false;
-        for (const std::string &v : violations)
-            if (v.rfind(miss.kind, 0) == 0)
-                hit = true;
-        if (hit) {
-            ++caught;
-            std::printf("self-test %s: caught (%s)\n",
-                        miss.kind.c_str(),
-                        victim->prediction.selector.c_str());
-        } else {
-            std::printf("self-test %s: NOT caught (%s reported %zu "
-                        "other violations)\n",
-                        miss.kind.c_str(),
-                        victim->prediction.selector.c_str(),
-                        violations.size());
-        }
-    }
-    std::printf("analyze self-test: caught %u/%zu planted "
-                "mis-predictions\n",
-                caught, misses.size());
-    return caught == misses.size() ? ExitOk : ExitVerifyFailure;
-}
-
-/** --list-passes: every analyze pass name, one per line. */
-int
-listPasses()
-{
-    std::printf("analyze passes:\n");
-    for (const std::string &name : analysis::analyzePassNames())
-        std::printf("  %s\n", name.c_str());
-    return ExitOk;
-}
-
-/** Split a comma-separated pass list, validating every name. */
-std::vector<std::string>
-parsePassList(const std::string &flag, const std::string &value)
-{
-    const std::vector<std::string> &known =
-        analysis::analyzePassNames();
-    std::vector<std::string> names;
-    std::string cur;
-    const auto push = [&]() {
-        if (cur.empty())
-            return;
-        if (std::find(known.begin(), known.end(), cur) == known.end())
-            fatal("--" + flag + ": unknown analyze pass '" + cur +
-                  "' (see --list-passes)");
-        names.push_back(cur);
-        cur.clear();
-    };
-    for (const char c : value) {
-        if (c == ',')
-            push();
-        else
-            cur += c;
-    }
-    push();
-    return names;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     CliOptions cli;
-    cli.define("self-test", "false",
-               "check genuine predictions hold and planted "
-               "mis-predictions are caught");
     cli.define("program", "", "analyze a saved program file");
     cli.define("spec", "", "analyze the program of one fuzz spec");
     cli.define("workload", "",
                "analyze a synthetic workload by name, or all");
-    cli.define("selector", "",
-               "restrict the prediction table to one selector");
     cli.define("json", "false", "emit the report as JSON");
     cli.define("validate", "false",
-               "measure every selector (unbounded cache) and check "
-               "the bounds");
-    cli.define("interprocedural", "false",
-               "add the call-graph layer: function summaries, the "
-               "ranked inlining-opportunity table, and (with "
-               "--validate) the dynamic-call ground-truth check");
+               "replay the program and check every sound claim "
+               "against its dynamic call behaviour");
     cli.define("events", "20000", "events per validation run");
     cli.define("seed", "1", "executor seed for validation runs");
-    cli.define("list-passes", "false",
-               "print every analyze pass name and exit");
-    cli.define("only", "",
-               "report only these analyze passes (comma-separated)");
-    cli.define("skip", "",
-               "skip these analyze passes (comma-separated)");
 
     try {
         cli.parse(argc, argv);
@@ -725,31 +288,12 @@ main(int argc, char **argv)
             return ExitOk;
         }
 
-        if (cli.getBool("list-passes"))
-            return listPasses();
-
         AnalyzeOptions opts;
-        opts.selector = cli.get("selector");
         opts.json = cli.getBool("json");
         opts.validate = cli.getBool("validate");
-        opts.interprocedural = cli.getBool("interprocedural");
         opts.events = cli.getUint("events");
         opts.seed = cli.getUint("seed");
-        if (!cli.get("only").empty())
-            opts.only = parsePassList("only", cli.get("only"));
-        if (!cli.get("skip").empty())
-            opts.skip = parsePassList("skip", cli.get("skip"));
-        if (!opts.selector.empty()) {
-            bool known = false;
-            for (const Algorithm algo : allSelectors)
-                if (algorithmName(algo) == opts.selector)
-                    known = true;
-            if (!known)
-                fatal("unknown selector " + opts.selector);
-        }
 
-        if (cli.getBool("self-test"))
-            return runSelfTest();
         if (!cli.get("program").empty())
             return runProgramFile(cli.get("program"), opts);
         if (!cli.get("spec").empty())

@@ -9,21 +9,18 @@
  *    cross-selector differential check (transparency, conservation,
  *    region legality, record→replay round trip). Failures are
  *    shrunk and printed with a complete reproducer.
- *  - Spec mode (--spec): run one differential check for an explicit
- *    spec string, e.g. a reproducer printed by a previous run.
+ *  - Spec mode (--spec): run the same check for one explicit spec
+ *    string, e.g. a reproducer printed by a previous run.
  *
  * --break-selector plants a deliberate selector bug (oracle
  * self-test); such runs are EXPECTED to report failures, and the
  * exit code still signals whether failures were found (0 = none,
  * 3 = found), so the caller asserts the direction it expects.
  *
- * --analyze additionally validates the static region-quality
- * predictions (rselect-analyze's bounds) against measured
- * unbounded-cache runs of every selector, after each seed's clean
- * differential. --interprocedural does the same for the
- * interprocedural layer: callee-set soundness, return-edge layout,
- * and duplication-growth bounds against the counted dynamic call
- * behaviour.
+ * --interprocedural additionally validates the call-graph layer
+ * after each seed's clean differential: callee-set soundness,
+ * return-edge layout, and duplication-growth bounds against the
+ * counted dynamic call behaviour.
  *
  * Fault fuzzing (--fault-fuzz) pairs every seed with its own
  * deterministic fault plan and re-runs the whole oracle matrix under
@@ -45,19 +42,13 @@
 
 #include <cstdio>
 #include <iterator>
-#include <sstream>
 #include <string>
 
-#include "program/trace_io.hpp"
 #include "service/selection_service.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/exit_codes.hpp"
 #include "testing/fuzz_harness.hpp"
-#include "testing/inter_check.hpp"
-#include "testing/prediction_check.hpp"
-#include "testing/random_program.hpp"
-#include "testing/shrinker.hpp"
 
 using namespace rsel;
 using namespace rsel::testing;
@@ -96,53 +87,15 @@ printFailure(const FuzzFailure &f)
 }
 
 int
-runSpecMode(const std::string &specText, BrokenMode broken,
-            bool verify, bool shrink, bool analyze,
-            bool interprocedural,
-            const resilience::FaultPlan &faults)
+runSpecMode(const GenSpec &spec, const FuzzOptions &opts)
 {
-    const GenSpec spec = GenSpec::parse(specText);
-    DiffReport report = runDifferential(spec, broken, verify, faults);
-    if (report.error.empty() && analyze)
-        report.error = checkSpecPredictions(spec);
-    if (report.error.empty() && interprocedural)
-        report.error = checkSpecInterprocedural(spec);
-    if (report.error.empty()) {
-        std::printf("spec OK (%u blocks): %s\n", report.programBlocks,
+    const SpecCheck check = checkSpec(spec, opts, opts.faults);
+    if (!check.failure) {
+        std::printf("spec OK (%u blocks): %s\n", check.programBlocks,
                     spec.toString().c_str());
         return ExitOk;
     }
-    FuzzFailure failure;
-    failure.spec = spec;
-    failure.error = report.error;
-    failure.faults = faults;
-    failure.shrunkSpec = spec;
-    failure.shrunkError = report.error;
-    failure.shrunkBlocks = report.programBlocks;
-    // Static-prediction and interprocedural failures live outside
-    // the differential predicate the shrinker replays; keep the
-    // original spec.
-    if (report.error.rfind("static-prediction:", 0) == 0 ||
-        report.error.rfind("interprocedural:", 0) == 0)
-        shrink = false;
-    if (shrink) {
-        const ShrinkOutcome shrunk =
-            shrinkSpec(spec, broken, report.error, verify, faults);
-        failure.shrunk = true;
-        failure.shrunkSpec = shrunk.spec;
-        failure.shrunkError = shrunk.error;
-        failure.shrunkBlocks = shrunk.programBlocks;
-    }
-    std::ostringstream os;
-    try {
-        saveProgram(generateProgram(failure.shrunkSpec), os);
-    } catch (const std::exception &e) {
-        os << "<program generation failed: " << e.what() << ">";
-    }
-    failure.reproProgram = os.str();
-    failure.cliLine = fuzzCliLine(failure.shrunkSpec, broken, verify,
-                                  faults, analyze, interprocedural);
-    printFailure(failure);
+    printFailure(*check.failure);
     return ExitVerifyFailure;
 }
 
@@ -274,9 +227,6 @@ main(int argc, char **argv)
                "statically verify every emitted region "
                "(verify-on-submit)");
     cli.define("no-shrink", "false", "skip shrinking failing specs");
-    cli.define("analyze", "false",
-               "validate static region-quality predictions against "
-               "measured unbounded-cache runs");
     cli.define("interprocedural", "false",
                "validate the interprocedural analysis (callee sets, "
                "return edges, duplication bounds) against counted "
@@ -306,46 +256,33 @@ main(int argc, char **argv)
             return ExitOk;
         }
 
-        const BrokenMode broken =
-            parseBrokenMode(cli.get("break-selector"));
-        const bool verify = cli.getBool("verify");
-        const bool shrink = !cli.getBool("no-shrink");
-        const bool analyze = cli.getBool("analyze");
-        const bool interprocedural =
-            cli.getBool("interprocedural");
-        const bool faultFuzz = cli.getBool("fault-fuzz");
-        resilience::FaultPlan faults;
-        if (!cli.get("fault-spec").empty()) {
-            if (faultFuzz)
-                fatal("--fault-fuzz and --fault-spec are mutually "
-                      "exclusive");
-            faults = resilience::FaultPlan::parse(
-                cli.get("fault-spec"));
-        }
-
-        if (cli.getUint("tenants") != 0)
-            return runTenantMode(cli, broken, faults, faultFuzz);
-        if (cli.getBool("chaos-fuzz") ||
-            !cli.get("chaos-spec").empty())
-            fatal("--chaos-fuzz/--chaos-spec need --tenants");
-
-        if (!cli.get("spec").empty())
-            return runSpecMode(cli.get("spec"), broken, verify,
-                               shrink, analyze, interprocedural,
-                               faults);
-
         FuzzOptions opts;
         opts.seeds = cli.getUint("seeds");
         opts.startSeed = cli.getUint("start-seed");
         opts.jobs = static_cast<std::size_t>(cli.getUint("jobs"));
         opts.events = cli.getUint("events");
-        opts.broken = broken;
-        opts.verify = verify;
-        opts.shrink = shrink;
-        opts.analyze = analyze;
-        opts.interprocedural = interprocedural;
-        opts.faultFuzz = faultFuzz;
-        opts.faults = faults;
+        opts.broken = parseBrokenMode(cli.get("break-selector"));
+        opts.verify = cli.getBool("verify");
+        opts.shrink = !cli.getBool("no-shrink");
+        opts.interprocedural = cli.getBool("interprocedural");
+        opts.faultFuzz = cli.getBool("fault-fuzz");
+        if (!cli.get("fault-spec").empty()) {
+            if (opts.faultFuzz)
+                fatal("--fault-fuzz and --fault-spec are mutually "
+                      "exclusive");
+            opts.faults = resilience::FaultPlan::parse(
+                cli.get("fault-spec"));
+        }
+
+        if (cli.getUint("tenants") != 0)
+            return runTenantMode(cli, opts.broken, opts.faults,
+                                 opts.faultFuzz);
+        if (cli.getBool("chaos-fuzz") ||
+            !cli.get("chaos-spec").empty())
+            fatal("--chaos-fuzz/--chaos-spec need --tenants");
+
+        if (!cli.get("spec").empty())
+            return runSpecMode(GenSpec::parse(cli.get("spec")), opts);
 
         const FuzzSummary summary = runFuzz(opts);
         std::printf("fuzz: %llu seeds (start %llu), %llu failure%s\n",
@@ -355,11 +292,6 @@ main(int argc, char **argv)
                     summary.failures == 1 ? "" : "s");
         for (const FuzzFailure &f : summary.detail)
             printFailure(f);
-        if (summary.failures >
-            static_cast<std::uint64_t>(summary.detail.size()))
-            std::printf("(%llu further failing seeds not detailed)\n",
-                        static_cast<unsigned long long>(
-                            summary.failures - summary.detail.size()));
         return summary.failures == 0 ? ExitOk : ExitVerifyFailure;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
