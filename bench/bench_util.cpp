@@ -8,6 +8,7 @@
 
 #include "driver/sweep_runner.hpp"
 #include "support/error.hpp"
+#include "support/exit_codes.hpp"
 
 namespace rsel::bench {
 
@@ -30,42 +31,50 @@ parseArgs(int argc, char **argv, const std::string &description,
                "parallel sweep workers (0 = hardware concurrency, "
                "1 = serial)");
 
+    BenchOptions opts;
     try {
         cli.parse(argc, argv);
+        if (cli.helpRequested()) {
+            std::cout << description << "\n\n" << cli.usage(argv[0]);
+            std::exit(ExitOk);
+        }
+        opts.events = cli.getUint("events");
+        opts.seed = cli.getUint("seed");
+        opts.buildSeed = cli.getUint("build-seed");
+        opts.workloadFilter = cli.get("workload");
+        if (!opts.workloadFilter.empty() &&
+            findWorkload(opts.workloadFilter) == nullptr)
+            fatal("unknown workload: " + opts.workloadFilter);
+        opts.jobs = static_cast<std::size_t>(cli.getUint("jobs"));
+        // The selectors assert every knob is at least 1 (and T_min
+        // at most T_prof); each lands in a 32-bit field.
+        const auto knob = [&](const char *name, std::uint64_t max) {
+            const std::uint64_t v = cli.getUint(name);
+            if (v == 0 || v > max)
+                fatal(std::string("--") + name + " must be in [1, " +
+                      std::to_string(max) + "], got " + cli.get(name));
+            return static_cast<std::uint32_t>(v);
+        };
+        opts.net.hotThreshold = knob("net-threshold", UINT32_MAX);
+        opts.lei.hotThreshold = knob("lei-threshold", UINT32_MAX);
+        opts.lei.bufferCapacity = knob("buffer", UINT32_MAX);
+        const std::uint32_t tprof = knob("tprof", UINT32_MAX);
+        const std::uint32_t tmin = knob("tmin", tprof);
+        opts.net.profWindow = tprof;
+        opts.lei.profWindow = tprof;
+        opts.net.minOccur = tmin;
+        opts.lei.minOccur = tmin;
     } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
-        std::exit(2);
+        std::cerr << "error: " << e.what() << '\n';
+        std::exit(ExitUsageError);
     }
-    if (cli.helpRequested()) {
-        std::cout << description << "\n\n" << cli.usage(argv[0]);
-        std::exit(0);
-    }
-
     if (positional)
         *positional = cli.positional();
-    BenchOptions opts;
-    opts.events = cli.getUint("events");
-    opts.seed = cli.getUint("seed");
-    opts.buildSeed = cli.getUint("build-seed");
-    opts.workloadFilter = cli.get("workload");
-    opts.jobs = static_cast<std::size_t>(cli.getUint("jobs"));
-    opts.net.hotThreshold =
-        static_cast<std::uint32_t>(cli.getUint("net-threshold"));
-    opts.lei.hotThreshold =
-        static_cast<std::uint32_t>(cli.getUint("lei-threshold"));
-    opts.lei.bufferCapacity =
-        static_cast<std::size_t>(cli.getUint("buffer"));
-    const auto tprof = static_cast<std::uint32_t>(cli.getUint("tprof"));
-    const auto tmin = static_cast<std::uint32_t>(cli.getUint("tmin"));
-    opts.net.profWindow = tprof;
-    opts.lei.profWindow = tprof;
-    opts.net.minOccur = tmin;
-    opts.lei.minOccur = tmin;
     return opts;
 }
 
-SuiteRunner::SuiteRunner(BenchOptions opts)
-    : opts_(std::move(opts))
+SuiteRunner::SuiteRunner(BenchOptions opts, Adjust adjust)
+    : opts_(std::move(opts)), adjust_(std::move(adjust))
 {
     for (const WorkloadInfo &w : workloadSuite()) {
         if (opts_.workloadFilter.empty() ||
@@ -85,7 +94,6 @@ BenchOptions::simOptions() const
     sim.seed = seed;
     sim.net = net;
     sim.lei = lei;
-    sim.icache = icache;
     return sim;
 }
 
@@ -99,9 +107,12 @@ SuiteRunner::results(Algorithm algo)
     // One workload-major grid per algorithm, fanned out over the
     // pool; collection is in suite order, so the printed tables are
     // byte-identical to the old serial loop at any job count.
-    const SweepRunner runner(opts_.jobs);
-    std::vector<SimResult> results = runner.run(SweepRunner::makeGrid(
-        workloads_, {algo}, opts_.simOptions(), opts_.buildSeed));
+    std::vector<SweepCell> cells = SweepRunner::makeGrid(
+        workloads_, {algo}, opts_.simOptions(), opts_.buildSeed);
+    if (adjust_)
+        for (std::size_t w = 0; w < cells.size(); ++w)
+            adjust_(w, cells[w].opts);
+    std::vector<SimResult> results = SweepRunner(opts_.jobs).run(cells);
     return cache_.emplace(algo, std::move(results)).first->second;
 }
 

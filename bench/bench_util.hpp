@@ -18,6 +18,7 @@
 #ifndef RSEL_BENCH_BENCH_UTIL_HPP
 #define RSEL_BENCH_BENCH_UTIL_HPP
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,17 +47,17 @@ struct BenchOptions
     /** Threshold configuration shared by all runs. */
     NetConfig net;
     LeiConfig lei;
-    /** Modelled I-cache geometry shared by all runs. */
-    ICacheConfig icache;
 
     /** The equivalent SimOptions (maxEvents 0 = workload default). */
     SimOptions simOptions() const;
 };
 
 /**
- * Parse the common bench CLI. Prints usage and exits on --help;
- * terminates with a message on bad options. Positional arguments
- * land in `positional` when given (and are ignored otherwise).
+ * Parse the common bench CLI. Prints usage and exits 0 on --help;
+ * on a bad flag or value (an unknown --workload, a selector knob
+ * the selectors would reject) prints `error: ...` and exits 2.
+ * Positional arguments land in `positional` when given (and are
+ * ignored otherwise).
  */
 BenchOptions parseArgs(int argc, char **argv,
                        const std::string &description,
@@ -69,7 +70,12 @@ BenchOptions parseArgs(int argc, char **argv,
 class SuiteRunner
 {
   public:
-    explicit SuiteRunner(BenchOptions opts);
+    /** Adjusts one workload's cell options (by suite index). */
+    using Adjust = std::function<void(std::size_t workload, SimOptions &)>;
+
+    /** `adjust`, when set, runs on every cell's options before it
+     *  is simulated. */
+    explicit SuiteRunner(BenchOptions opts, Adjust adjust = {});
 
     /** Results for one algorithm, in suite order. */
     const std::vector<SimResult> &results(Algorithm algo);
@@ -85,6 +91,7 @@ class SuiteRunner
 
   private:
     BenchOptions opts_;
+    Adjust adjust_;
     std::vector<const WorkloadInfo *> workloads_;
     std::map<Algorithm, std::vector<SimResult>> cache_;
 };

@@ -1,31 +1,40 @@
 /**
  * @file
  * The paper's evaluation as one declarative table: Figures 7-19, the
- * text tables of Sections 3.2, 4.2.3, 4.3, 5 and 6, and the two
+ * text tables of Sections 3.2, 4.2.3, 4.3, 5 and 6, the two
  * validation tables (modelled I-cache locality, footnote 9's
- * inter-region links).
+ * inter-region links), and the sweeps over what the paper fixed or
+ * deferred: the Section 4.3 T_prof/T_min footnote, Section 2.3's
+ * bounded cache, the Section 3.2 buffer and thresholds, and hit rate
+ * under injected faults.
  *
  * Each row of `figures` prints one table: its name, title, columns
  * and the published shape it should reproduce. A column is a header,
- * a per-workload cell and, optionally, the suite mean beneath it; a
- * figure that summarises differently carries its own summary
- * function. Figures run under the same options share one SuiteRunner,
- * so each (options, algorithm) suite sweep runs at most once.
+ * a per-workload cell and how it folds over the suite (blank, mean
+ * or sum) in the "average" row; a figure that summarises differently
+ * carries its own summary function.
+ *
+ * A figure may carry an options override, which adjusts every cell's
+ * SimOptions before it runs. The override also sees the workload's
+ * results under the base options, so the bounded cache can size
+ * itself from NET's unbounded footprint. A sweep instead lists
+ * variants, each a label, an override and the algorithm its columns
+ * read, and prints one row per variant with every column folded over
+ * the suite. Figures under the same override share one SuiteRunner,
+ * so each (override, algorithm) suite sweep runs at most once.
  *
  *   paper_figures [bench flags] [figure ...]
  *
- * With no names, every figure prints in paper order.
+ * With no names, every figure prints in table order.
  */
 
 #include <functional>
 #include <iostream>
 #include <map>
 #include <numeric>
-#include <optional>
-#include <tuple>
 
 #include "bench_util.hpp"
-#include "support/error.hpp"
+#include "support/exit_codes.hpp"
 
 using namespace rsel;
 using namespace rsel::bench;
@@ -39,11 +48,13 @@ struct Runs
 {
     SuiteRunner &runner;
     std::size_t workload;
+    /** The algorithm a sweep variant names (read by `own`). */
+    Algorithm algo = Net;
 
     const SimResult &
-    operator()(Algorithm algo) const
+    operator()(Algorithm a) const
     {
-        return runner.results(algo)[workload];
+        return runner.results(a)[workload];
     }
 };
 
@@ -89,6 +100,87 @@ gainPp(R r)
     return (of<A, M>(r) - of<B, M>(r)) * 100.0;
 }
 
+/** Metric `M` of the algorithm the sweep variant names. */
+template <auto M>
+double
+own(R r)
+{
+    return static_cast<double>(std::invoke(M, r(r.algo)));
+}
+
+/** A RecoveryStats counter as a SimResult metric. */
+template <std::uint64_t resilience::RecoveryStats::*F>
+std::uint64_t
+recovered(const SimResult &r)
+{
+    return r.recovery.*F;
+}
+
+/**
+ * An options override: adjusts one workload's cell options before
+ * they run. `base` is the workload under the unadjusted options.
+ */
+using Override = void (*)(SimOptions &, R base);
+
+// Tight geometry: the synthetic hot footprints are ~100x smaller
+// than SPECint2000's, so the modelled cache must be tighter still
+// for separation to show.
+void
+tinyICache(SimOptions &o, R)
+{
+    o.icache = ICacheConfig{1024, 32, 1};
+}
+
+/** Section 2.3: a FIFO cache at half of NET's unbounded footprint. */
+void
+halfNetFootprint(SimOptions &o, R base)
+{
+    o.cache.capacityBytes = base(Net).estimatedCacheBytes / 2;
+    o.cache.policy = CacheLimits::Policy::Fifo;
+}
+
+template <std::uint32_t TProf, std::uint32_t TMin>
+void
+window(SimOptions &o, R)
+{
+    o.net.profWindow = o.lei.profWindow = TProf;
+    o.net.minOccur = o.lei.minOccur = TMin;
+}
+
+template <std::size_t Capacity>
+void
+buffer(SimOptions &o, R)
+{
+    o.lei.bufferCapacity = Capacity;
+}
+
+template <std::uint32_t T>
+void
+netThreshold(SimOptions &o, R)
+{
+    o.net.hotThreshold = T;
+}
+
+template <std::uint32_t T>
+void
+leiThreshold(SimOptions &o, R)
+{
+    o.lei.hotThreshold = T;
+}
+
+/** A fault plan: translation-failure percentage, then invalidations,
+ *  flush storms and selector resets per 100k events. */
+template <std::uint32_t TFail, std::uint32_t Inval, std::uint32_t Flush,
+          std::uint32_t Reset>
+void
+faults(SimOptions &o, R)
+{
+    o.faults.pTranslationFail = TFail;
+    o.faults.invalidateRate = Inval;
+    o.faults.flushRate = Flush;
+    o.faults.resetRate = Reset;
+}
+
 /** How a column prints its numbers. */
 struct Fmt
 {
@@ -106,8 +198,9 @@ format(Fmt fmt, double v)
                        : formatDouble(v, fmt.decimals);
 }
 
-/** What a column prints in the default summary row. */
-enum class Summary { Blank, Mean };
+/** How a column folds over the suite: in the default summary row,
+ *  and in every row of a sweep. */
+enum class Summary { Blank, Mean, Sum };
 using enum Summary;
 
 struct Column
@@ -121,6 +214,15 @@ struct Column
 /** Every cell value of a table, column-major, in suite order. */
 using Values = std::vector<std::vector<double>>;
 
+/** One row of a sweep: the suite under one override. */
+struct Variant
+{
+    std::string label;
+    Override adjust;
+    /** The algorithm `own` columns read. */
+    Algorithm algo = Net;
+};
+
 struct Figure
 {
     std::string name;
@@ -129,8 +231,12 @@ struct Figure
     std::string note;
     /** Replaces the "average" row when set. */
     std::vector<std::string> (*summary)(const Values &) = nullptr;
-    /** Modelled I-cache geometry, when not the default. */
-    std::optional<ICacheConfig> icache = std::nullopt;
+    /** Applied to every cell's options (nullptr = the base options). */
+    Override adjust = nullptr;
+    /** Header of the row labels: workloads, or a sweep's variants. */
+    std::string rowHeader = "benchmark";
+    /** A sweep: one row per variant in place of one per workload. */
+    std::vector<Variant> variants = {};
 };
 
 /** Section 4.2.3: suite totals of both counts, and their ratio. */
@@ -159,6 +265,16 @@ meanVsFirst(const Values &cols)
     return row;
 }
 
+/** Bounded cache: mean regenerations to a tenth, hit rates blank. */
+std::vector<std::string>
+meanRegenerations(const Values &cols)
+{
+    std::vector<std::string> row{"average"};
+    for (std::size_t c = 0; c < cols.size(); ++c)
+        row.push_back(c < 4 ? format(Tenths, mean(cols[c])) : "");
+    return row;
+}
+
 constexpr auto Cover = &SimResult::coverSet90;
 constexpr auto Expansion = &SimResult::expansionInsts;
 constexpr auto Transitions = &SimResult::regionTransitions;
@@ -170,6 +286,13 @@ constexpr auto ExitDomRegions = &SimResult::exitDominatedRegions;
 constexpr auto ExitDomDup = &SimResult::exitDominatedDupInsts;
 constexpr auto Spanned = &SimResult::spannedCycleRatio;
 constexpr auto Executed = &SimResult::executedCycleRatio;
+constexpr auto Regens = &SimResult::cacheRegenerations;
+using resilience::RecoveryStats;
+constexpr auto Faults = &recovered<&RecoveryStats::faultsInjected>;
+constexpr auto Invalidated = &recovered<&RecoveryStats::regionsInvalidated>;
+constexpr auto Retrans = &recovered<&RecoveryStats::retranslations>;
+constexpr auto Blacklisted =
+    &recovered<&RecoveryStats::blacklistedEntrances>;
 
 const std::vector<Figure> figures = {
     {"fig07_spanning_cycles",
@@ -383,9 +506,6 @@ const std::vector<Figure> figures = {
      "Mojo reduces separation delay but still optimizes related traces apart; "
      "only LEI and combination cut transitions decisively."},
 
-    // Tight geometry: the synthetic hot footprints are ~100x smaller
-    // than SPECint2000's, so the modelled cache must be tighter still
-    // for separation to show.
     {"table_icache_locality",
      "I-cache miss rate of cached execution (1 KiB, direct-mapped, 32 B "
      "lines)",
@@ -396,8 +516,7 @@ const std::vector<Figure> figures = {
      "(validation of the paper's proxy, not a paper figure) the transition "
      "reductions of Figures 8 and 16 should translate into lower "
      "instruction-fetch miss rates, with combined LEI the lowest.",
-     nullptr,
-     ICacheConfig{1024, 32, 1}},
+     nullptr, tinyICache},
 
     {"table_region_links",
      "Distinct region-to-region links",
@@ -408,37 +527,148 @@ const std::vector<Figure> figures = {
       {"combLEI/NET", Pct, rel<LeiCombined, Net, Links>, Mean}},
      "the combined algorithms maintain far fewer links between regions, "
      "validating the paper's footnote 9 expectation."},
+
+    {"table_tprof_sensitivity",
+     "Combination window sensitivity (combined LEI vs LEI, suite "
+     "averages)",
+     {{"transitions ratio", Pct, rel<LeiCombined, Lei, Transitions>, Mean},
+      {"cover-set ratio", Pct, rel<LeiCombined, Lei, Cover>, Mean},
+      {"profiling memory", Pct,
+       of<LeiCombined, &SimResult::observedMemoryRatio>, Mean}},
+     "the small window yields smaller but similar improvements, with less "
+     "profiling memory — the balance can be struck per deployment.",
+     nullptr, nullptr, "window",
+     {{"T_prof=15 T_min=5", window<15, 5>},
+      {"T_prof=5  T_min=2", window<5, 2>}}},
+
+    {"table_bounded_cache",
+     "Bounded cache at 50% of NET's footprint (FIFO): regenerations and "
+     "hit rate",
+     {{"regen NET", Count, of<Net, Regens>},
+      {"regen LEI", Count, of<Lei, Regens>},
+      {"regen combNET", Count, of<NetCombined, Regens>},
+      {"regen combLEI", Count, of<LeiCombined, Regens>},
+      {"hit NET", Pct2, of<Net, &SimResult::hitRate>},
+      {"hit combLEI", Pct2, of<LeiCombined, &SimResult::hitRate>}},
+     "(extension, not a paper figure) the paper predicts fewer regenerations "
+     "for algorithms that cache fewer, less duplicated regions — combined LEI "
+     "should regenerate the least.",
+     meanRegenerations, halfNetFootprint},
+
+    {"ablation_buffer_size",
+     "LEI vs buffer capacity (suite averages)",
+     {{"regions", Tenths, of<Lei, &SimResult::regionCount>, Mean},
+      {"cover90 vs NET", Pct, rel<Lei, Net, Cover>, Mean},
+      {"transitions vs NET", Pct, rel<Lei, Net, Transitions>, Mean},
+      {"executed cycles", Pct, of<Lei, Executed>, Mean},
+      {"hit rate", Pct2, of<Lei, &SimResult::hitRate>, Mean}},
+     "(ablation, not a paper figure) the paper's 500-entry choice sits on "
+     "the flat part of the curve: small buffers cannot hold interprocedural "
+     "cycles, very large ones add nothing.",
+     nullptr, nullptr, "capacity",
+     {{"8", buffer<8>},
+      {"32", buffer<32>},
+      {"128", buffer<128>},
+      {"500", buffer<500>},
+      {"2000", buffer<2000>}}},
+
+    {"ablation_thresholds",
+     "Threshold sweep (suite averages)",
+     {{"regions", Tenths, own<&SimResult::regionCount>, Mean},
+      {"expansion", Count, own<Expansion>, Mean},
+      {"cover90", Tenths, own<Cover>, Mean},
+      {"transitions", Count, own<Transitions>, Mean},
+      {"hit rate", Pct2, own<&SimResult::hitRate>, Mean}},
+     "(ablation, not a paper figure) the published 50/35 pair balances eager "
+     "selection of cold paths against delayed coverage; the cover set is "
+     "fairly flat around it, consistent with the paper not tuning it.",
+     nullptr, nullptr, "config",
+     {{"NET T=10", netThreshold<10>, Net},
+      {"NET T=25", netThreshold<25>, Net},
+      {"NET T=50", netThreshold<50>, Net},
+      {"NET T=100", netThreshold<100>, Net},
+      {"NET T=200", netThreshold<200>, Net},
+      {"LEI T=10", leiThreshold<10>, Lei},
+      {"LEI T=20", leiThreshold<20>, Lei},
+      {"LEI T=35", leiThreshold<35>, Lei},
+      {"LEI T=70", leiThreshold<70>, Lei},
+      {"LEI T=140", leiThreshold<140>, Lei}}},
+
+    // The base options arm no faults, so "none" shares their runs.
+    {"table_fault_degradation",
+     "Degradation under deterministic fault injection (suite averages)",
+     {{"hit NET", Pct2, of<Net, &SimResult::hitRate>, Mean},
+      {"hit combLEI", Pct2, of<LeiCombined, &SimResult::hitRate>, Mean},
+      {"faults", Count, sum<Net, LeiCombined, Faults>, Sum},
+      {"invalidated", Count, sum<Net, LeiCombined, Invalidated>, Sum},
+      {"retrans", Count, sum<Net, LeiCombined, Retrans>, Sum},
+      {"blacklisted", Count, sum<Net, LeiCombined, Blacklisted>, Sum}},
+     "(robustness extension) hit rate should fall monotonically with fault "
+     "intensity while every run completes; blacklisting should stay rare "
+     "below the heavy level, where persistent translation failures push hot "
+     "entrances back to pure interpretation.",
+     nullptr, nullptr, "fault level",
+     {{"none", nullptr},
+      {"light", faults<5, 20, 2, 1>},
+      {"moderate", faults<20, 150, 20, 10>},
+      {"heavy", faults<50, 600, 80, 40>}}},
 };
 
-void
-printTable(const Figure &fig, SuiteRunner &runner)
+/** Every cell of `fig` over the suite, column-major. */
+Values
+tabulate(const Figure &fig, SuiteRunner &runner, Algorithm algo = Net)
 {
-    std::vector<std::string> headers{"benchmark"};
+    Values values(fig.columns.size());
+    for (std::size_t c = 0; c < fig.columns.size(); ++c)
+        for (std::size_t w = 0; w < runner.workloads().size(); ++w)
+            values[c].push_back(fig.columns[c].cell(Runs{runner, w, algo}));
+    return values;
+}
+
+/** A row labelled `label`, each column folded over the suite. */
+std::vector<std::string>
+foldRow(std::string label, const Figure &fig, const Values &values)
+{
+    std::vector<std::string> row{std::move(label)};
+    for (std::size_t c = 0; c < fig.columns.size(); ++c) {
+        const Column &col = fig.columns[c];
+        const std::vector<double> &v = values[c];
+        if (col.summary == Blank)
+            row.emplace_back();
+        else
+            row.push_back(format(
+                col.fmt, col.summary == Mean
+                             ? mean(v)
+                             : std::accumulate(v.begin(), v.end(), 0.0)));
+    }
+    return row;
+}
+
+/** The runner of an override, built on first use. */
+using RunnerFor = std::function<SuiteRunner &(Override)>;
+
+void
+printTable(const Figure &fig, const RunnerFor &runnerFor)
+{
+    std::vector<std::string> headers{fig.rowHeader};
     for (const Column &col : fig.columns)
         headers.push_back(col.header);
     Table table(fig.title, std::move(headers));
 
-    Values values(fig.columns.size());
-    for (std::size_t w = 0; w < runner.workloads().size(); ++w) {
-        std::vector<std::string> row{runner.workloads()[w]->name};
-        for (std::size_t c = 0; c < fig.columns.size(); ++c) {
-            values[c].push_back(fig.columns[c].cell(Runs{runner, w}));
-            row.push_back(format(fig.columns[c].fmt, values[c].back()));
+    for (const Variant &v : fig.variants)
+        table.addRow(foldRow(
+            v.label, fig, tabulate(fig, runnerFor(v.adjust), v.algo)));
+    if (fig.variants.empty()) {
+        SuiteRunner &runner = runnerFor(fig.adjust);
+        const Values values = tabulate(fig, runner);
+        for (std::size_t w = 0; w < runner.workloads().size(); ++w) {
+            std::vector<std::string> row{runner.workloads()[w]->name};
+            for (std::size_t c = 0; c < fig.columns.size(); ++c)
+                row.push_back(format(fig.columns[c].fmt, values[c][w]));
+            table.addRow(std::move(row));
         }
-        table.addRow(std::move(row));
-    }
-
-    if (fig.summary) {
-        table.addSummaryRow(fig.summary(values));
-    } else {
-        std::vector<std::string> row{"average"};
-        for (std::size_t c = 0; c < fig.columns.size(); ++c) {
-            const Column &col = fig.columns[c];
-            row.push_back(col.summary == Mean
-                              ? format(col.fmt, mean(values[c]))
-                              : "");
-        }
-        table.addSummaryRow(std::move(row));
+        table.addSummaryRow(fig.summary ? fig.summary(values)
+                                        : foldRow("average", fig, values));
     }
     printFigure(table, fig.note);
 }
@@ -446,8 +676,8 @@ printTable(const Figure &fig, SuiteRunner &runner)
 std::string
 description()
 {
-    std::string text = "The paper's figures and text tables. Name "
-                       "figures as arguments (default: all):";
+    std::string text = "The paper's figures, text tables and sweeps. "
+                       "Name figures as arguments (default: all):";
     for (std::size_t i = 0; i < figures.size(); ++i)
         if (i == 0 || figures[i].name != figures[i - 1].name)
             text += "\n  " + figures[i].name;
@@ -459,42 +689,36 @@ description()
 int
 main(int argc, char **argv)
 {
-    try {
-        std::vector<std::string> names;
-        const BenchOptions opts =
-            parseArgs(argc, argv, description(), &names);
+    std::vector<std::string> names;
+    const BenchOptions opts = parseArgs(argc, argv, description(), &names);
 
-        std::vector<const Figure *> chosen;
-        if (names.empty())
-            for (const Figure &fig : figures)
+    std::vector<const Figure *> chosen;
+    if (names.empty())
+        for (const Figure &fig : figures)
+            chosen.push_back(&fig);
+    for (const std::string &name : names) {
+        const std::size_t before = chosen.size();
+        for (const Figure &fig : figures)
+            if (fig.name == name)
                 chosen.push_back(&fig);
-        for (const std::string &name : names) {
-            const std::size_t before = chosen.size();
-            for (const Figure &fig : figures)
-                if (fig.name == name)
-                    chosen.push_back(&fig);
-            if (chosen.size() == before)
-                fatal("unknown figure '" + name + "' (see --help)");
+        if (chosen.size() == before) {
+            std::cerr << "error: unknown figure '" << name
+                      << "' (see --help)\n";
+            return ExitUsageError;
         }
-
-        // One runner per I-cache geometry, the only option a figure
-        // overrides.
-        std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-                 SuiteRunner>
-            runners;
-        for (const Figure *fig : chosen) {
-            BenchOptions figOpts = opts;
-            if (fig->icache)
-                figOpts.icache = *fig->icache;
-            const ICacheConfig &ic = figOpts.icache;
-            const auto key = std::tuple(ic.sizeBytes, ic.lineBytes, ic.ways);
-            printTable(*fig, runners.try_emplace(key, figOpts).first->second);
-        }
-    } catch (const FatalError &e) {
-        // Bad flag values, an unknown figure and an unknown --workload
-        // are the fatal inputs: usage errors.
-        std::cerr << "error: " << e.what() << '\n';
-        return 2;
     }
-    return 0;
+
+    SuiteRunner base(opts);
+    std::map<Override, SuiteRunner> adjusted;
+    const RunnerFor runnerFor = [&](Override adjust) -> SuiteRunner & {
+        if (adjust == nullptr)
+            return base;
+        const auto cell = [&base, adjust](std::size_t w, SimOptions &sim) {
+            adjust(sim, Runs{base, w});
+        };
+        return adjusted.try_emplace(adjust, opts, cell).first->second;
+    };
+    for (const Figure *fig : chosen)
+        printTable(*fig, runnerFor);
+    return ExitOk;
 }

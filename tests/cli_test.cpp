@@ -113,15 +113,22 @@ TEST(ExitCodeTest, CodesAreDistinctAndStable)
 
 #ifdef RSEL_TOOL_DIR
 
-/** Run one shipped tool, muted, and return its exit code. */
+/** Run one shipped binary from `dir`, muted; return its exit code. */
 int
-toolExit(const std::string &tool, const std::string &args)
+exitOf(const std::string &dir, const std::string &binary,
+       const std::string &args)
 {
-    const std::string cmd = std::string(RSEL_TOOL_DIR) + "/" + tool +
-                            " " + args + " >/dev/null 2>&1";
+    const std::string cmd =
+        dir + "/" + binary + " " + args + " >/dev/null 2>&1";
     const int rc = std::system(cmd.c_str());
     EXPECT_TRUE(WIFEXITED(rc)) << cmd;
     return WEXITSTATUS(rc);
+}
+
+int
+toolExit(const std::string &tool, const std::string &args)
+{
+    return exitOf(RSEL_TOOL_DIR, tool, args);
 }
 
 TEST(ExitCodeTest, SimDistinguishesUsageFromClean)
@@ -171,6 +178,8 @@ TEST(ExitCodeTest, VerifySignalsVerdicts)
     EXPECT_EQ(toolExit("rselect-verify", ""), ExitUsageError);
     EXPECT_EQ(toolExit("rselect-verify", "--self-test bogus"),
               ExitUsageError);
+    // The corpus mode went: rselect-fuzz --verify runs that corpus.
+    EXPECT_EQ(toolExit("rselect-verify", "--corpus 1"), ExitUsageError);
 }
 
 TEST(ExitCodeTest, VerifyPassFiltering)
@@ -306,6 +315,32 @@ TEST(ExitCodeTest, ServeChaosHonoursTheContract)
                        "--tenants 2 --chaos-fuzz --seeds 2 "
                        "--events 2000"),
               ExitOk);
+}
+
+TEST(ExitCodeTest, BenchParseArgsHonoursTheContract)
+{
+    const auto benchExit = [](const char *bench, const char *args) {
+        return exitOf(RSEL_BENCH_DIR, bench, args);
+    };
+    EXPECT_EQ(benchExit("paper_figures", "--help"), ExitOk);
+    EXPECT_EQ(benchExit("paper_figures", "no_such_figure"),
+              ExitUsageError);
+    // Every value is read and checked inside parseArgs: none may
+    // escape main as an uncaught FatalError or reach a selector
+    // assertion.
+    for (const char *bench : {"paper_figures",
+                              "table_optimization_opportunities",
+                              "table_verifier_overhead"}) {
+        EXPECT_EQ(benchExit(bench, "--events abc"), ExitUsageError)
+            << bench;
+        EXPECT_EQ(benchExit(bench, "--workload bogus"), ExitUsageError)
+            << bench;
+    }
+    for (const char *knob :
+         {"--buffer 0", "--net-threshold 0", "--lei-threshold 4294967296",
+          "--tprof 0", "--tmin 16"})
+        EXPECT_EQ(benchExit("paper_figures", knob), ExitUsageError)
+            << knob;
 }
 
 TEST(ExitCodeTest, TsaGateHonoursTheContract)

@@ -14,8 +14,10 @@
  *
  * --validate additionally replays the program and checks every sound
  * claim of the layer against its counted dynamic call behaviour
- * (testing::validateInterprocedural). --json emits the report as
- * JSON instead of tables (the schema field versions the layout).
+ * (testing::validateInterprocedural). --json emits the report as one
+ * JSON document instead of tables, {"schema": N, "programs": [...]}
+ * with one object per program (the schema field versions the
+ * layout); a violated claim is then reported on stderr only.
  *
  * Exit codes: 0 = clean, 1 = runtime fault, 2 = usage error, 3 =
  * validation found a violated claim.
@@ -74,7 +76,7 @@ jsonStr(const std::string &s)
 }
 
 /** JSON layout version; bump when fields move or change meaning. */
-constexpr int jsonSchemaVersion = 3;
+constexpr int jsonSchemaVersion = 4;
 
 void
 emitJson(const Program &prog, const std::string &what,
@@ -89,8 +91,7 @@ emitJson(const Program &prog, const std::string &what,
         if (s.recursive)
             ++recursive;
     }
-    os << "{\n  \"schema\": " << jsonSchemaVersion
-       << ",\n  \"program\": " << jsonStr(what)
+    os << "{\n  \"program\": " << jsonStr(what)
        << ",\n  \"funcs\": " << inf.summaries.size()
        << ", \"callSites\": " << cg.sites.size()
        << ", \"callReachable\": " << reachable
@@ -135,7 +136,7 @@ emitJson(const Program &prog, const std::string &what,
            << ", \"staticCalleeInsts\": " << val->staticCalleeInsts
            << ", \"dupGrowthBoundInsts\": " << val->dupGrowthBoundInsts
            << ", \"error\": " << jsonStr(val->error) << "}";
-    os << "\n}\n";
+    os << "\n}";
 }
 
 std::string
@@ -214,8 +215,8 @@ analyzeProgram(const Program &prog, const std::string &what,
     else
         printTables(prog, inf, valPtr, what);
     if (!val.error.empty()) {
-        std::printf("%s: VALIDATION FAILED: %s\n", what.c_str(),
-                    val.error.c_str());
+        std::fprintf(stderr, "%s: VALIDATION FAILED: %s\n", what.c_str(),
+                     val.error.c_str());
         return ExitVerifyFailure;
     }
     if (!opts.json)
@@ -224,44 +225,40 @@ analyzeProgram(const Program &prog, const std::string &what,
     return ExitOk;
 }
 
-int
-runProgramFile(const std::string &path, const AnalyzeOptions &opts)
+/** A program to analyze, with the label its report carries. */
+struct Target
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open program file " + path);
-    const Program prog = loadProgram(in);
-    return analyzeProgram(prog, path, opts);
-}
+    Program prog;
+    std::string what;
+};
 
-int
-runSpec(const std::string &specText, const AnalyzeOptions &opts)
+/** The programs the chosen mode names; empty when none was chosen. */
+std::vector<Target>
+selectPrograms(const CliOptions &cli)
 {
-    testing::GenSpec spec = testing::GenSpec::parse(specText);
-    spec.clamp();
-    return analyzeProgram(testing::generateProgram(spec),
-                          "spec " + spec.toString(), opts);
-}
-
-int
-runWorkloads(const std::string &name, const AnalyzeOptions &opts)
-{
-    std::vector<const WorkloadInfo *> todo;
-    if (name == "all") {
+    std::vector<Target> targets;
+    const std::string workload = cli.get("workload");
+    if (!cli.get("program").empty()) {
+        const std::string path = cli.get("program");
+        std::ifstream in(path);
+        if (!in)
+            fatal("cannot open program file " + path);
+        targets.push_back({loadProgram(in), path});
+    } else if (!cli.get("spec").empty()) {
+        testing::GenSpec spec = testing::GenSpec::parse(cli.get("spec"));
+        spec.clamp();
+        targets.push_back(
+            {testing::generateProgram(spec), "spec " + spec.toString()});
+    } else if (workload == "all") {
         for (const WorkloadInfo &w : workloadSuite())
-            todo.push_back(&w);
-    } else {
-        const WorkloadInfo *w = findWorkload(name);
+            targets.push_back({w.build(1), "workload " + w.name});
+    } else if (!workload.empty()) {
+        const WorkloadInfo *w = findWorkload(workload);
         if (w == nullptr)
-            fatal("unknown workload " + name);
-        todo.push_back(w);
+            fatal("unknown workload " + workload);
+        targets.push_back({w->build(1), "workload " + w->name});
     }
-    int rc = ExitOk;
-    for (const WorkloadInfo *w : todo)
-        rc = std::max(rc, analyzeProgram(w->build(1),
-                                         "workload " + w->name,
-                                         opts));
-    return rc;
+    return targets;
 }
 
 } // namespace
@@ -294,14 +291,26 @@ main(int argc, char **argv)
         opts.events = cli.getUint("events");
         opts.seed = cli.getUint("seed");
 
-        if (!cli.get("program").empty())
-            return runProgramFile(cli.get("program"), opts);
-        if (!cli.get("spec").empty())
-            return runSpec(cli.get("spec"), opts);
-        if (!cli.get("workload").empty())
-            return runWorkloads(cli.get("workload"), opts);
-        std::fputs(cli.usage(argv[0]).c_str(), stdout);
-        return ExitUsageError;
+        const std::vector<Target> targets = selectPrograms(cli);
+        if (targets.empty()) {
+            std::fputs(cli.usage(argv[0]).c_str(), stdout);
+            return ExitUsageError;
+        }
+        // One JSON document whatever the selection: the program
+        // objects go in one array.
+        if (opts.json)
+            std::cout << "{\"schema\": " << jsonSchemaVersion
+                      << ", \"programs\": [";
+        int rc = ExitOk;
+        for (std::size_t i = 0; i < targets.size(); ++i) {
+            if (opts.json)
+                std::cout << (i == 0 ? "\n" : ",\n");
+            rc = std::max(rc, analyzeProgram(targets[i].prog,
+                                             targets[i].what, opts));
+        }
+        if (opts.json)
+            std::cout << "\n]}\n";
+        return rc;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return ExitUsageError;

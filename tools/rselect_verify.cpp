@@ -15,10 +15,9 @@
  *  - --spec 'SPEC'     generate the fuzz spec's program and lint it.
  *  - --workload NAME   lint one synthetic workload, or all of them
  *    with NAME = all.
- *  - --corpus N        run the fuzz corpus programs of N consecutive
- *    seeds under every shipped selector with verify-on-submit: every
- *    emitted region passes the static RegionVerifier and the final
- *    cache passes the duplication accountant.
+ *
+ * The fuzz corpus under every selector with verify-on-submit is
+ * rselect-fuzz --verify (with --fault-fuzz, under fault plans).
  *
  * --list-passes prints every program and region pass name and exits.
  * --only=a,b / --skip=a,b filter which program passes the lint modes
@@ -26,8 +25,7 @@
  *
  * Diagnostics print as a support/table grid. Exit codes: 0 = clean
  * (or self-test caught), 1 = runtime fault, 2 = usage error,
- * 3 = error diagnostics (or self-test missed, or the corpus failed
- * verification).
+ * 3 = error diagnostics (or self-test missed).
  */
 
 #include <algorithm>
@@ -39,7 +37,6 @@
 
 #include "analysis/program_verifier.hpp"
 #include "analysis/region_verifier.hpp"
-#include "dynopt/dynopt_system.hpp"
 #include "program/program_builder.hpp"
 #include "program/trace_io.hpp"
 #include "support/cli.hpp"
@@ -156,72 +153,6 @@ runWorkloads(const std::string &name)
         rc = std::max(rc, lintProgram(w->build(1),
                                       "workload " + w->name));
     return rc;
-}
-
-/**
- * Corpus mode: every region each selector emits over the fuzz
- * programs must pass the static verifier, and every finished cache
- * the duplication accountant. A VerifyError is a red result. With
- * `faultFuzz`, each seed additionally runs under its own fault plan,
- * proving the verifier stays green across invalidations, flush
- * storms and retranslations.
- */
-int
-runCorpus(std::uint64_t seeds, std::uint64_t startSeed,
-          std::uint64_t events, bool faultFuzz)
-{
-    Table table(std::string("Static verification over the fuzz "
-                            "corpus") +
-                    (faultFuzz ? " (fault injection armed)" : ""),
-                {"selector", "seeds", "regions", "warnings",
-                 "failures"});
-    bool anyFailure = false;
-    for (const Algorithm algo : allSelectors) {
-        std::uint64_t regions = 0, warnings = 0, failures = 0;
-        for (std::uint64_t i = 0; i < seeds; ++i) {
-            testing::GenSpec spec =
-                testing::GenSpec::fromSeed(startSeed + i);
-            if (events != 0)
-                spec.events = events;
-            spec.clamp();
-            const Program prog = testing::generateProgram(spec);
-            SimOptions opts;
-            opts.maxEvents = spec.events;
-            opts.seed = spec.execSeed;
-            opts.cache.capacityBytes = spec.cacheKb * 1024;
-            opts.verifyRegions = true;
-            if (faultFuzz)
-                opts.faults = resilience::FaultPlan::fromSeed(
-                    startSeed + i);
-            try {
-                DynOptSystem sys(prog, opts.cache, opts.icache);
-                attachAlgorithm(sys, algo, opts);
-                sys.enableVerifyOnSubmit();
-                sys.armFaults(opts.faults);
-                Executor exec(prog, opts.seed);
-                exec.run(opts.maxEvents, sys);
-                const SimResult res = sys.finish();
-                regions += res.regionCount;
-                warnings += sys.verifyDiagnostics().warningCount();
-            } catch (const analysis::VerifyError &e) {
-                ++failures;
-                std::printf("seed %llu, %s: %s\n",
-                            static_cast<unsigned long long>(startSeed +
-                                                            i),
-                            algorithmName(algo).c_str(), e.what());
-            }
-        }
-        anyFailure = anyFailure || failures != 0;
-        table.addRow({algorithmName(algo), std::to_string(seeds),
-                      std::to_string(regions),
-                      std::to_string(warnings),
-                      std::to_string(failures)});
-    }
-    table.print(std::cout);
-    std::printf("corpus: %s\n",
-                anyFailure ? "FAILED (verifier rejected regions)"
-                           : "all regions verified");
-    return anyFailure ? ExitVerifyFailure : ExitOk;
 }
 
 /**
@@ -439,15 +370,6 @@ main(int argc, char **argv)
     cli.define("spec", "", "lint the program of one fuzz spec");
     cli.define("workload", "",
                "lint a synthetic workload by name, or all");
-    cli.define("corpus", "0",
-               "verify every region of N fuzz-corpus seeds under "
-               "every selector");
-    cli.define("start-seed", "1", "first corpus seed");
-    cli.define("events", "6000",
-               "events per corpus run (0 = per-spec default)");
-    cli.define("fault-fuzz", "false",
-               "corpus mode: run every seed under its own "
-               "deterministic fault plan");
     cli.define("list-passes", "false",
                "print every program and region pass name and exit");
     cli.define("only", "",
@@ -480,11 +402,6 @@ main(int argc, char **argv)
             return runSpec(cli.get("spec"));
         if (!cli.get("workload").empty())
             return runWorkloads(cli.get("workload"));
-        if (cli.getUint("corpus") != 0)
-            return runCorpus(cli.getUint("corpus"),
-                             cli.getUint("start-seed"),
-                             cli.getUint("events"),
-                             cli.getBool("fault-fuzz"));
         std::fputs(cli.usage(argv[0]).c_str(), stdout);
         return ExitUsageError;
     } catch (const FatalError &e) {
