@@ -22,11 +22,7 @@ parseArgs(int argc, char **argv, const std::string &description,
     cli.define("seed", "7", "executor seed");
     cli.define("build-seed", "42", "program-synthesis seed");
     cli.define("workload", "", "restrict to one workload by name");
-    cli.define("net-threshold", "50", "NET hot threshold");
-    cli.define("lei-threshold", "35", "LEI cycle threshold");
-    cli.define("buffer", "500", "LEI history-buffer capacity");
-    cli.define("tprof", "15", "observed traces per entrance (T_prof)");
-    cli.define("tmin", "5", "block occurrence threshold (T_min)");
+    defineSelectorKnobs(cli);
     cli.define("jobs", "0",
                "parallel sweep workers (0 = hardware concurrency, "
                "1 = serial)");
@@ -46,24 +42,7 @@ parseArgs(int argc, char **argv, const std::string &description,
             findWorkload(opts.workloadFilter) == nullptr)
             fatal("unknown workload: " + opts.workloadFilter);
         opts.jobs = static_cast<std::size_t>(cli.getUint("jobs"));
-        // The selectors assert every knob is at least 1 (and T_min
-        // at most T_prof); each lands in a 32-bit field.
-        const auto knob = [&](const char *name, std::uint64_t max) {
-            const std::uint64_t v = cli.getUint(name);
-            if (v == 0 || v > max)
-                fatal(std::string("--") + name + " must be in [1, " +
-                      std::to_string(max) + "], got " + cli.get(name));
-            return static_cast<std::uint32_t>(v);
-        };
-        opts.net.hotThreshold = knob("net-threshold", UINT32_MAX);
-        opts.lei.hotThreshold = knob("lei-threshold", UINT32_MAX);
-        opts.lei.bufferCapacity = knob("buffer", UINT32_MAX);
-        const std::uint32_t tprof = knob("tprof", UINT32_MAX);
-        const std::uint32_t tmin = knob("tmin", tprof);
-        opts.net.profWindow = tprof;
-        opts.lei.profWindow = tprof;
-        opts.net.minOccur = tmin;
-        opts.lei.minOccur = tmin;
+        readSelectorKnobs(cli, opts.net, opts.lei);
     } catch (const FatalError &e) {
         std::cerr << "error: " << e.what() << '\n';
         std::exit(ExitUsageError);

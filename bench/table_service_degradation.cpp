@@ -18,7 +18,7 @@
  * --reps timed repetitions is reported (see bench_util.hpp).
  *
  * Before any timing, the binary re-verifies the chaos oracle
- * (verifyServiceChaos on the moderate rung) and prints
+ * (verifyServiceDeterminism on the moderate rung) and prints
  * "determinism ok" — a degradation curve from a service that
  * corrupts its tenants would be meaningless.
  *
@@ -223,7 +223,7 @@ main(int argc, char **argv)
         // crashes, quarantines, squeezes and bounded admission all
         // armed — must stay byte-identical to its reference legs.
         {
-            const std::string error = verifyServiceChaos(makeConfig(
+            const std::string error = verifyServiceDeterminism(makeConfig(
                 kLevels[2], 16, quick ? 4000 : 12000, cacheKb, jobs));
             if (!error.empty()) {
                 std::fprintf(stderr, "FAIL: %s\n", error.c_str());

@@ -4,7 +4,7 @@
  * edges.
  *
  * Built from the call/return terminators of a `Program` (via its
- * cached `ProgramFacts`): every `Call` terminator contributes the
+ * `ProgramFacts`): every `Call` terminator contributes the
  * edge caller -> owning-function-of-target, every `IndirectCall`
  * one edge per declared target. `CfgFacts::compute` over the
  * function-level graph gives reachability from the entry function
@@ -31,7 +31,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/analysis_manager.hpp"
+#include "analysis/program_facts.hpp"
 #include "analysis/cfg_facts.hpp"
 
 namespace rsel {
@@ -87,7 +87,7 @@ struct CallGraph
     }
 };
 
-/** Build the call graph from cached program facts. */
+/** Build the call graph from a program's facts. */
 CallGraph buildCallGraph(const ProgramFacts &pf);
 
 } // namespace analysis

@@ -1,7 +1,7 @@
 /**
  * @file
- * Graph facts over a rooted directed graph: the dataflow core of the
- * analysis layer.
+ * Graph facts over a rooted directed graph: the core of the analysis
+ * layer.
  *
  * Everything the verifier passes need about a CFG is derived once
  * from a plain adjacency list (`DiGraph`) and cached in a `CfgFacts`
@@ -12,7 +12,7 @@
  * `b` dominates `a`, bodies collected by the classic backward walk).
  *
  * The graph is node-index based and knows nothing about blocks or
- * programs; `analysis_manager` adapts guest `Program`s and region
+ * programs; `program_facts` adapts guest `Program`s and region
  * member sets onto it.
  */
 

@@ -86,7 +86,6 @@ class DiagnosticEngine
      */
     std::vector<Diagnostic> stableUnique() const;
 
-    std::size_t errorCount() const { return errors_; }
     std::size_t warningCount() const { return warnings_; }
     bool hasErrors() const { return errors_ != 0; }
     bool empty() const { return diagnostics_.empty(); }

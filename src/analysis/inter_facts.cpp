@@ -7,14 +7,24 @@ namespace analysis {
 
 namespace {
 
+using FuncSet = std::vector<bool>;
+
+/** Add every function of `from` to `into`. */
+void
+unite(FuncSet &into, const FuncSet &from)
+{
+    for (FuncId g = 0; g < into.size(); ++g)
+        if (from[g])
+            into[g] = true;
+}
+
 /** Instruction mass of the functions in `funcs`. */
 std::uint64_t
-instsOf(const std::vector<FuncSummary> &summaries,
-        const BitsetLattice::Value &funcs)
+instsOf(const std::vector<FuncSummary> &summaries, const FuncSet &funcs)
 {
     std::uint64_t insts = 0;
     for (FuncId g = 0; g < summaries.size(); ++g)
-        if (BitsetLattice::testBit(funcs, g))
+        if (funcs[g])
             insts += summaries[g].insts;
     return insts;
 }
@@ -32,11 +42,8 @@ buildInterFacts(const ProgramFacts &pf)
         static_cast<std::uint32_t>(prog.functions().size());
     inf.summaries.resize(nFuncs);
 
-    // Local facts, in bottom-up order. The order is not needed for
-    // correctness here (everything is per-function), but walking it
-    // keeps the sweep aligned with how a summary consumer would run
-    // and exercises the order on every build.
-    for (const FuncId f : cg.bottomUp) {
+    // Local facts, per function.
+    for (FuncId f = 0; f < nFuncs; ++f) {
         const Function &fn = prog.function(f);
         FuncSummary &s = inf.summaries[f];
         s.func = f;
@@ -54,25 +61,31 @@ buildInterFacts(const ProgramFacts &pf)
         s.recursive = cg.recursive[f] != 0;
     }
 
-    // Transitive closure over calls: closure(f) = {f} ∪ ⋃ closure(g)
-    // for call edges f -> g. Backward on the call graph (a node's
-    // input is the meet over its successors' outputs) with the
-    // powerset lattice; monotone, so the fixpoint is sound on
-    // recursive SCCs.
-    const BitsetLattice lattice(nFuncs);
-    auto res = solveDataflow(
-        cg.graph, cg.cfg, DataflowDirection::Backward, lattice,
-        [](std::uint32_t node, BitsetLattice::Value in) {
-            BitsetLattice::setBit(in, node);
-            return in;
-        });
-    inf.dataflowTransfers = res.transfersRun;
-    inf.converged = res.converged;
-    inf.closure = std::move(res.out);
+    // Transitive closure over calls, one SCC at a time in bottom-up
+    // order (its members are adjacent there): the SCC's members plus
+    // the closures of its callees outside it, which are final
+    // because callee SCCs come first.
+    inf.closure.assign(nFuncs, FuncSet(nFuncs, false));
+    for (std::size_t begin = 0, end = 0; begin < nFuncs; begin = end) {
+        const std::uint32_t scc = cg.cfg.sccId[cg.bottomUp[begin]];
+        FuncSet reach(nFuncs, false);
+        for (end = begin;
+             end < nFuncs && cg.cfg.sccId[cg.bottomUp[end]] == scc;
+             ++end) {
+            const FuncId f = cg.bottomUp[end];
+            reach[f] = true;
+            for (const std::uint32_t g : cg.graph.succs(f))
+                if (cg.cfg.sccId[g] != scc)
+                    unite(reach, inf.closure[g]);
+        }
+        for (std::size_t i = begin; i < end; ++i)
+            inf.closure[cg.bottomUp[i]] = reach;
+    }
 
     for (FuncId f = 0; f < nFuncs; ++f) {
         FuncSummary &s = inf.summaries[f];
-        s.closureFuncs = BitsetLattice::countBits(inf.closure[f]);
+        s.closureFuncs = static_cast<std::uint32_t>(std::count(
+            inf.closure[f].begin(), inf.closure[f].end(), true));
         s.closureInsts = instsOf(inf.summaries, inf.closure[f]);
     }
     return inf;
@@ -81,12 +94,10 @@ buildInterFacts(const ProgramFacts &pf)
 std::uint64_t
 InterFacts::closureInstsOf(const CallSite &site) const
 {
-    const BitsetLattice lattice(
-        static_cast<std::uint32_t>(summaries.size()));
-    BitsetLattice::Value reach = lattice.bottom();
+    FuncSet reach(summaries.size(), false);
     for (const FuncId callee : site.callees)
         if (callee < closure.size())
-            lattice.meetInto(reach, closure[callee]);
+            unite(reach, closure[callee]);
     return instsOf(summaries, reach);
 }
 

@@ -5,15 +5,15 @@
  *
  * Size/shape facts (`FuncSummary`) are local per function; the
  * transitive facts (which functions a function can reach through
- * calls, and the instruction mass of that closure) are a dataflow
- * problem on the call graph: the closure of f is {f} united with the
- * closures of its callees. On an acyclic condensation one bottom-up
- * sweep suffices; recursive SCCs make it a genuine fixpoint, which
- * the PR 5 worklist solver (`solveDataflow`, backward direction,
- * `BitsetLattice` powerset) computes soundly: the meet (set union)
- * is monotone, so the fixpoint over-approximates every concrete call
- * chain, including chains that wind through recursion an unbounded
- * number of times.
+ * calls, and the instruction mass of that closure) follow the call
+ * graph: the closure of f is {f} united with the closures of its
+ * callees. One sweep over the call graph's bottom-up order computes
+ * it exactly, recursion included: every member of an SCC reaches
+ * every other, so an SCC's closure is its members plus the closures
+ * of its callees outside the SCC, and those come earlier in the
+ * order, already final. That covers every concrete call chain,
+ * including chains that wind through recursion an unbounded number
+ * of times.
  *
  * The closure is the sound currency of the layer: any inlining or
  * cross-call region growth at a call site can duplicate at most the
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "analysis/call_graph.hpp"
-#include "analysis/dataflow.hpp"
 
 namespace rsel {
 namespace analysis {
@@ -61,25 +60,21 @@ struct FuncSummary
     std::uint64_t closureInsts = 0;
 };
 
-/** Interprocedural facts of one Program, cached by AnalysisManager. */
+/** Interprocedural facts of one Program. */
 struct InterFacts
 {
     CallGraph callGraph;
     /** Summary per FuncId. */
     std::vector<FuncSummary> summaries;
-    /** Call closure per FuncId as a BitsetLattice value. */
-    std::vector<BitsetLattice::Value> closure;
-    /** Transfer applications the closure fixpoint ran. */
-    std::uint64_t dataflowTransfers = 0;
-    /** True iff the fixpoint settled inside the transfer budget
-     *  (always true for the monotone powerset lattice). */
-    bool converged = true;
+    /** Call closure per FuncId: closure[f][g] iff g is reachable
+     *  from f through calls (f itself included). */
+    std::vector<std::vector<bool>> closure;
 
     /** True iff `to` is in the call closure of `from`. */
     bool inClosure(FuncId from, FuncId to) const
     {
-        return from < closure.size() &&
-               BitsetLattice::testBit(closure[from], to);
+        return from < closure.size() && to < closure[from].size() &&
+               closure[from][to];
     }
 
     /**
@@ -91,7 +86,7 @@ struct InterFacts
     std::uint64_t closureInstsOf(const CallSite &site) const;
 };
 
-/** Build interprocedural facts from cached program facts. */
+/** Build the interprocedural facts of a program from its facts. */
 InterFacts buildInterFacts(const ProgramFacts &pf);
 
 } // namespace analysis

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "analysis/inter_facts.hpp"
+#include "analysis/call_graph.hpp"
 
 namespace rsel {
 namespace analysis {
@@ -289,9 +289,9 @@ ProgramVerifyOptions::passEnabled(const std::string &pass) const
 
 void
 ProgramVerifier::run(const Program &prog, DiagnosticEngine &diag,
-                     const ProgramVerifyOptions &opts) const
+                     const ProgramVerifyOptions &opts)
 {
-    const ProgramFacts &pf = manager_.facts(prog);
+    const ProgramFacts pf = buildProgramFacts(prog);
     if (opts.passEnabled("entry"))
         checkEntry(pf, diag);
     if (prog.blocks().empty() ||
@@ -314,8 +314,7 @@ ProgramVerifier::run(const Program &prog, DiagnosticEngine &diag,
     if (opts.passEnabled("no-exit-scc"))
         lintNoExitSccs(pf, diag);
     if (opts.passEnabled("interprocedural-reachability"))
-        lintInterproceduralReachability(
-            manager_.interFacts(prog).callGraph, diag);
+        lintInterproceduralReachability(buildCallGraph(pf), diag);
 }
 
 const std::vector<std::string> &

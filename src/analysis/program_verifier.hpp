@@ -45,8 +45,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analysis_manager.hpp"
 #include "analysis/diagnostics.hpp"
+#include "analysis/program_facts.hpp"
 
 namespace rsel {
 namespace analysis {
@@ -65,24 +65,16 @@ struct ProgramVerifyOptions
     bool passEnabled(const std::string &pass) const;
 };
 
-/** Runs the Program pass set; facts come from the manager's cache. */
+/** Runs the Program pass set on facts it builds for the run. */
 class ProgramVerifier
 {
   public:
-    explicit ProgramVerifier(AnalysisManager &manager)
-        : manager_(manager)
-    {
-    }
-
     /** Run all (enabled) passes on `prog`, reporting into `diag`. */
-    void run(const Program &prog, DiagnosticEngine &diag,
-             const ProgramVerifyOptions &opts = {}) const;
+    static void run(const Program &prog, DiagnosticEngine &diag,
+                    const ProgramVerifyOptions &opts = {});
 
     /** Names of every pass, error passes first. */
     static const std::vector<std::string> &passNames();
-
-  private:
-    AnalysisManager &manager_;
 };
 
 } // namespace analysis

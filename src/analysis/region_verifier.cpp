@@ -27,14 +27,14 @@ regionObject(const RegionVerifyContext &ctx)
  */
 bool
 checkMembers(const std::vector<const BasicBlock *> &blocks,
-             const RegionVerifyContext &ctx, DiagnosticEngine &diag)
+             const Program &prog, const RegionVerifyContext &ctx,
+             DiagnosticEngine &diag)
 {
     const std::string obj = regionObject(ctx);
     if (blocks.empty()) {
         diag.error("region-members", obj, "region has no blocks");
         return false;
     }
-    const Program &prog = *ctx.prog;
     bool sound = true;
     std::unordered_set<BlockId> seen;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -138,10 +138,11 @@ checkLeiCyclicity(const MemberFacts &mf, const ProgramFacts &pf,
     if (mf.hasCycle)
         return;
 
+    const Program &prog = *pf.prog;
     const BasicBlock *tail = mf.members.back();
     if (!canFallThrough(tail->terminator()))
         return; // exculpation 1
-    if (ctx.prog->fallThroughOf(*tail) == nullptr)
+    if (prog.fallThroughOf(*tail) == nullptr)
         return; // exculpation 2
 
     const std::vector<std::uint32_t> &succs =
@@ -149,7 +150,7 @@ checkLeiCyclicity(const MemberFacts &mf, const ProgramFacts &pf,
     if (ctx.cache != nullptr)
         for (const std::uint32_t s : succs) {
             const Region *r = ctx.cache->lookup(
-                ctx.prog->block(s).startAddr());
+                prog.block(s).startAddr());
             if (r != nullptr && r->id() != ctx.id)
                 return; // exculpation 3
         }
@@ -158,10 +159,10 @@ checkLeiCyclicity(const MemberFacts &mf, const ProgramFacts &pf,
         for (const BasicBlock *b : mf.members)
             total += b->instCount();
         std::uint64_t minSucc =
-            ctx.prog->block(succs.front()).instCount();
+            prog.block(succs.front()).instCount();
         for (const std::uint32_t s : succs)
             minSucc = std::min<std::uint64_t>(
-                minSucc, ctx.prog->block(s).instCount());
+                minSucc, prog.block(s).instCount());
         if (total + minSucc > ctx.maxTraceInsts)
             return; // exculpation 4
     }
@@ -241,14 +242,13 @@ RegionVerifier::runOnSpec(const RegionSpec &spec,
                           const RegionVerifyContext &ctx,
                           DiagnosticEngine &diag) const
 {
-    if (!checkMembers(spec.blocks, ctx, diag))
+    if (!checkMembers(spec.blocks, *facts_.prog, ctx, diag))
         return;
     checkSingleEntrance(spec.blocks, ctx, diag);
-    const ProgramFacts &pf = manager_.facts(*ctx.prog);
-    const MemberFacts mf = buildMemberFacts(pf, spec.blocks);
+    const MemberFacts mf = buildMemberFacts(facts_, spec.blocks);
     checkConnectivity(mf, spec.kind, ctx, diag);
     if (spec.kind == Region::Kind::Trace && ctx.selector == "LEI")
-        checkLeiCyclicity(mf, pf, ctx, diag);
+        checkLeiCyclicity(mf, facts_, ctx, diag);
 }
 
 void
@@ -256,7 +256,7 @@ RegionVerifier::runOnRegion(const Region &region,
                             const RegionVerifyContext &ctx,
                             DiagnosticEngine &diag) const
 {
-    if (!checkMembers(region.blocks(), ctx, diag))
+    if (!checkMembers(region.blocks(), *facts_.prog, ctx, diag))
         return;
     std::uint32_t stubs = 0;
     bool spansCycle = false;

@@ -51,8 +51,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analysis_manager.hpp"
 #include "analysis/diagnostics.hpp"
+#include "analysis/program_facts.hpp"
 #include "metrics/sim_result.hpp"
 #include "runtime/code_cache.hpp"
 #include "selection/selector.hpp"
@@ -60,11 +60,9 @@
 namespace rsel {
 namespace analysis {
 
-/** Context a region is verified in. */
+/** Context a region is verified in (the program is the facts'). */
 struct RegionVerifyContext
 {
-    /** The program the region's blocks must belong to. */
-    const Program *prog = nullptr;
     /** The code cache at submission time (may be null). */
     const CodeCache *cache = nullptr;
     /** Name of the emitting selector ("LEI", "NET", ...). */
@@ -78,12 +76,12 @@ struct RegionVerifyContext
     RegionId id = invalidRegion;
 };
 
-/** Runs the region pass set. */
+/** Runs the region pass set against one program's facts; the
+ *  region's blocks must belong to that program. */
 class RegionVerifier
 {
   public:
-    explicit RegionVerifier(AnalysisManager &manager)
-        : manager_(manager)
+    explicit RegionVerifier(const ProgramFacts &facts) : facts_(facts)
     {
     }
 
@@ -102,7 +100,7 @@ class RegionVerifier
     static const std::vector<std::string> &passNames();
 
   private:
-    AnalysisManager &manager_;
+    const ProgramFacts &facts_;
 };
 
 /**

@@ -72,4 +72,31 @@ SweepRunner::run(const std::vector<SweepCell> &cells) const
     return results;
 }
 
+void
+defineSelectorKnobs(CliOptions &cli)
+{
+    cli.define("net-threshold", "50", "NET hot threshold");
+    cli.define("lei-threshold", "35", "LEI cycle threshold");
+    cli.define("buffer", "500", "LEI history-buffer capacity");
+    cli.define("tprof", "15", "observed traces per entrance (T_prof)");
+    cli.define("tmin", "5", "block occurrence threshold (T_min)");
+}
+
+void
+readSelectorKnobs(const CliOptions &cli, NetConfig &net, LeiConfig &lei)
+{
+    const auto knob = [&cli](const char *name, std::uint64_t max) {
+        const std::uint64_t v = cli.getUint(name);
+        if (v == 0 || v > max)
+            fatal(std::string("--") + name + " must be in [1, " +
+                  std::to_string(max) + "], got " + cli.get(name));
+        return static_cast<std::uint32_t>(v);
+    };
+    net.hotThreshold = knob("net-threshold", UINT32_MAX);
+    lei.hotThreshold = knob("lei-threshold", UINT32_MAX);
+    lei.bufferCapacity = knob("buffer", UINT32_MAX);
+    net.profWindow = lei.profWindow = knob("tprof", UINT32_MAX);
+    net.minOccur = lei.minOccur = knob("tmin", net.profWindow);
+}
+
 } // namespace rsel

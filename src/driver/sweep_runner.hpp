@@ -31,6 +31,7 @@
 
 #include "dynopt/dynopt_system.hpp"
 #include "metrics/sim_result.hpp"
+#include "support/cli.hpp"
 #include "workloads/workloads.hpp"
 
 namespace rsel {
@@ -95,6 +96,22 @@ class SweepRunner
   private:
     std::size_t jobs_;
 };
+
+/**
+ * Define the selector knobs every simulation front end takes, with
+ * the paper's values as defaults: --net-threshold, --lei-threshold,
+ * --buffer, --tprof (T_prof) and --tmin (T_min).
+ */
+void defineSelectorKnobs(CliOptions &cli);
+
+/**
+ * Read the knobs defineSelectorKnobs() declared into NET's and LEI's
+ * configs. A value the selectors would reject throws FatalError
+ * (`--<knob> must be in [1, max], got V`): every knob is at least 1
+ * and fits 32 bits, and T_min is at most T_prof.
+ */
+void readSelectorKnobs(const CliOptions &cli, NetConfig &net,
+                       LeiConfig &lei);
 
 } // namespace rsel
 

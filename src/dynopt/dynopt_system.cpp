@@ -31,7 +31,8 @@ DynOptSystem::useLei(LeiConfig cfg)
 DynOptSystem &
 DynOptSystem::enableVerifyOnSubmit()
 {
-    verify_ = true;
+    facts_ = std::make_unique<const analysis::ProgramFacts>(
+        analysis::buildProgramFacts(prog_));
     return *this;
 }
 
@@ -60,13 +61,12 @@ void
 DynOptSystem::verifySpec(const RegionSpec &spec)
 {
     analysis::RegionVerifyContext ctx;
-    ctx.prog = &prog_;
     ctx.cache = &cache_;
     ctx.selector = selector_->name();
     ctx.maxTraceInsts = leiMaxTraceInsts_;
     ctx.id = cache_.nextRegionId();
     const std::size_t before = verifyDiag_.diagnostics().size();
-    analysis::RegionVerifier(analysisMgr_)
+    analysis::RegionVerifier(*facts_)
         .runOnSpec(spec, ctx, verifyDiag_);
     throwOnNewErrors(before, ctx.id);
 }
@@ -75,13 +75,12 @@ void
 DynOptSystem::verifyInstalled(const Region &region)
 {
     analysis::RegionVerifyContext ctx;
-    ctx.prog = &prog_;
     ctx.cache = &cache_;
     ctx.selector = selector_->name();
     ctx.maxTraceInsts = leiMaxTraceInsts_;
     ctx.id = region.id();
     const std::size_t before = verifyDiag_.diagnostics().size();
-    analysis::RegionVerifier(analysisMgr_)
+    analysis::RegionVerifier(*facts_)
         .runOnRegion(region, ctx, verifyDiag_);
     throwOnNewErrors(before, ctx.id);
 }
@@ -105,7 +104,7 @@ DynOptSystem::installRegion(RegionSpec spec)
 {
     // Verify first so a malformed spec surfaces as a named pass
     // diagnostic instead of tripping the runtime assertions below.
-    if (verify_)
+    if (facts_)
         verifySpec(spec);
     RSEL_ASSERT(!spec.blocks.empty(), "selector emitted an empty region");
     RSEL_ASSERT(cache_.lookup(spec.blocks.front()->startAddr()) == nullptr,
@@ -133,7 +132,7 @@ DynOptSystem::installRegion(RegionSpec spec)
     layouts_.push_back(std::move(layout));
 
     const RegionId id = cache_.insert(std::move(region));
-    if (verify_)
+    if (facts_)
         verifyInstalled(cache_.region(id));
 }
 
@@ -528,7 +527,7 @@ DynOptSystem::finish()
     result.icacheMisses = icache_.misses();
     recovery_.retranslations = cache_.retranslations();
     result.recovery = recovery_;
-    if (verify_) {
+    if (facts_) {
         // Static duplication accountant: the SimResult's expansion
         // and duplication totals must be re-derivable from the
         // cache contents alone.

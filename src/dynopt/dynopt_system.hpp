@@ -26,8 +26,8 @@
 #include <memory>
 #include <unordered_map>
 
-#include "analysis/analysis_manager.hpp"
 #include "analysis/diagnostics.hpp"
+#include "analysis/program_facts.hpp"
 #include "metrics/metrics_collector.hpp"
 #include "program/executor.hpp"
 #include "resilience/fault_injector.hpp"
@@ -124,7 +124,7 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     DynOptSystem &enableVerifyOnSubmit();
 
     /** True if verify-on-submit is active. */
-    bool verifyOnSubmit() const { return verify_; }
+    bool verifyOnSubmit() const { return facts_ != nullptr; }
 
     /**
      * Arm deterministic fault injection for this run. A disarmed
@@ -369,9 +369,10 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     /** Interpreted-event clock driving the backoff windows. */
     std::uint64_t interpEvents_ = 0;
 
-    bool verify_ = false;
     std::uint32_t leiMaxTraceInsts_ = 0;
-    analysis::AnalysisManager analysisMgr_;
+    /** The program's facts, built once by enableVerifyOnSubmit();
+     *  set iff verify-on-submit is active. */
+    std::unique_ptr<const analysis::ProgramFacts> facts_;
     analysis::DiagnosticEngine verifyDiag_;
 
     bool inRegion_ = false;

@@ -68,15 +68,6 @@ SimResult::icacheMissRate() const
 }
 
 double
-SimResult::duplicationRatio() const
-{
-    if (expansionInsts == 0)
-        return 0.0;
-    return static_cast<double>(duplicatedInsts) /
-           static_cast<double>(expansionInsts);
-}
-
-double
 SimResult::observedMemoryRatio() const
 {
     if (estimatedCacheBytes == 0)

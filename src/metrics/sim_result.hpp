@@ -164,8 +164,6 @@ struct SimResult
     /** Fraction of selected instructions that are exit-dominated
      *  duplication (Figure 11). */
     double exitDominatedDupRatio() const;
-    /** Fraction of selected instructions that are extra copies. */
-    double duplicationRatio() const;
     /** Observed-trace memory as a fraction of the estimated cache
      *  size (Figure 18). */
     double observedMemoryRatio() const;

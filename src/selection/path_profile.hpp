@@ -51,12 +51,6 @@ class PathProfile
     /** True if the conditional's taken direction is more frequent. */
     bool prefersTaken(BlockId id) const;
 
-    /** Number of distinct profiled branches (memory footprint). */
-    std::size_t profiledBranches() const
-    {
-        return edges_.size() + indirect_.size();
-    }
-
     /** Forget the previous block (the interpreted chain broke). */
     void breakChain() { lastBlock_ = nullptr; }
 

@@ -342,42 +342,79 @@ soloTenantChaosRun(const ServiceConfig &config,
     return result;
 }
 
+namespace {
+
+/** The oracle's verdict on tenant `i` of a finished service run:
+ *  empty, or what failed first. */
 std::string
-verifyServiceDeterminism(const ServiceConfig &config)
+checkTenant(const ServiceConfig &config, const ServiceReport &report,
+            std::size_t i)
 {
-    try {
-        const ServiceReport report = runService(config);
-        // The solo legs run on a pool of the service's own size;
-        // each writes only its own verdict, and the first divergent
-        // tenant in tenant order is the one reported.
-        const std::size_t n = config.tenants.size();
-        std::vector<char> diverged(n, 0);
-        const std::unique_ptr<ThreadPool> pool =
-            poolFor(workersFor(config));
-        forEachIndex(pool.get(), n, [&](std::size_t i) {
-            const TenantSpec &spec = config.tenants[i];
-            const SimResult solo = soloTenantRun(
-                spec, tenantLimitsFor(config, spec),
-                config.eventsOverride);
-            diverged[i] = report.tenants[i].fingerprint !=
-                          testing::resultFingerprint(solo);
-        });
-        for (std::size_t i = 0; i < n; ++i) {
-            const TenantSpec &spec = config.tenants[i];
-            if (diverged[i])
-                return "tenant " + spec.name + " (" +
-                       algorithmName(spec.algo) +
-                       "): service fingerprint diverged from the "
-                       "solo single-tenant run";
-        }
-    } catch (const std::exception &e) {
-        return std::string("service run failed: ") + e.what();
+    const TenantSpec &spec = config.tenants[i];
+    const TenantReport &tr = report.tenants[i];
+    const ConductorCounters &cc = tr.chaos;
+
+    if (cc.scheduledSlices !=
+        cc.shedSlices + cc.completedSlices + cc.blacklistedSlices)
+        return "tenant " + spec.name +
+               ": slice accounting identity violated "
+               "(scheduled != shed + completed + blacklisted)";
+    const TenantCacheStats &cs = tr.cache;
+    if (cs.admissions != cs.evictionReleases +
+                             cs.invalidationReleases +
+                             cs.flushReleases + cs.liveEntries)
+        return "tenant " + spec.name +
+               ": cache accounting identity violated "
+               "(admissions != releases + live entries)";
+
+    if (tr.aborted) {
+        if (!config.chaos.scheduleFor(i).abort)
+            return "tenant " + spec.name +
+                   ": aborted without an abort in its chaos schedule";
+        if (cs.liveBytes != 0 || cs.liveEntries != 0)
+            return "tenant " + spec.name +
+                   ": abort left physical residue in the arena";
+        return "";
     }
+
+    // The reference leg depends on what actually touched the tenant
+    // semantically:
+    //  - a crash discards everything before the restart, so the
+    //    oracle is a fresh solo run from the replay position (chaos-
+    //    and overload-free, like the restarted tenant);
+    //  - an applied squeeze or overload degradation changes logical
+    //    decisions, so the oracle is the conductor-driven solo chaos
+    //    leg;
+    //  - anything else (quarantine included — it is purely physical)
+    //    must match the plain solo run: the isolation half of the
+    //    contract, and all of it when no chaos is armed.
+    std::string fpRef;
+    const char *leg = "";
+    if (cc.restarts != 0) {
+        leg = "fresh solo run from the restart position";
+        fpRef = testing::resultFingerprint(
+            soloTenantRun(spec, tenantLimitsFor(config, spec),
+                          config.eventsOverride, cc.restartFromEvent));
+    } else if (cc.squeezesApplied != 0 ||
+               tr.health == TenantHealth::Blacklisted ||
+               cc.budgetExhausted) {
+        leg = "conductor-driven solo chaos run";
+        fpRef = testing::resultFingerprint(soloTenantChaosRun(config, i));
+    } else {
+        leg = "solo single-tenant run";
+        fpRef = testing::resultFingerprint(soloTenantRun(
+            spec, tenantLimitsFor(config, spec), config.eventsOverride));
+    }
+    if (tr.fingerprint != fpRef)
+        return "tenant " + spec.name + " (" + algorithmName(spec.algo) +
+               "): service fingerprint diverged from the " + leg;
     return "";
 }
 
+} // namespace
+
 std::string
-verifyServiceChaos(const ServiceConfig &config)
+verifyServiceDeterminism(const ServiceConfig &config)
 {
     try {
         const ServiceReport report = runService(config);
@@ -392,80 +429,21 @@ verifyServiceChaos(const ServiceConfig &config)
                    " releases + " + std::to_string(a.liveEntries) +
                    " live entries";
 
-        for (std::size_t i = 0; i < config.tenants.size(); ++i) {
-            const TenantSpec &spec = config.tenants[i];
-            const TenantReport &tr = report.tenants[i];
-            const ConductorCounters &cc = tr.chaos;
-
-            if (cc.scheduledSlices != cc.shedSlices +
-                                          cc.completedSlices +
-                                          cc.blacklistedSlices)
-                return "tenant " + spec.name +
-                       ": slice accounting identity violated "
-                       "(scheduled != shed + completed + "
-                       "blacklisted)";
-            const TenantCacheStats &cs = tr.cache;
-            if (cs.admissions != cs.evictionReleases +
-                                     cs.invalidationReleases +
-                                     cs.flushReleases +
-                                     cs.liveEntries)
-                return "tenant " + spec.name +
-                       ": cache accounting identity violated "
-                       "(admissions != releases + live entries)";
-
-            const ChaosSchedule schedule =
-                config.chaos.scheduleFor(i);
-            if (tr.aborted) {
-                if (!schedule.abort)
-                    return "tenant " + spec.name +
-                           ": aborted without an abort in its "
-                           "chaos schedule";
-                if (cs.liveBytes != 0 || cs.liveEntries != 0)
-                    return "tenant " + spec.name +
-                           ": abort left physical residue in the "
-                           "arena";
-                continue;
-            }
-
-            // The reference leg depends on what actually touched
-            // the tenant semantically:
-            //  - a crash discards everything before the restart, so
-            //    the oracle is a fresh solo run from the replay
-            //    position (chaos- and overload-free, like the
-            //    restarted tenant);
-            //  - an applied squeeze or overload degradation changes
-            //    logical decisions, so the oracle is the
-            //    conductor-driven solo chaos leg;
-            //  - anything else (quarantine included — it is purely
-            //    physical) must match the plain chaos-free solo
-            //    run: the isolation half of the contract.
-            std::string fpRef;
-            const char *leg = "";
-            if (cc.restarts != 0) {
-                leg = "fresh solo run from the restart position";
-                fpRef = testing::resultFingerprint(soloTenantRun(
-                    spec, tenantLimitsFor(config, spec),
-                    config.eventsOverride, cc.restartFromEvent));
-            } else if (cc.squeezesApplied != 0 ||
-                       tr.health == TenantHealth::Blacklisted ||
-                       cc.budgetExhausted) {
-                leg = "conductor-driven solo chaos run";
-                fpRef = testing::resultFingerprint(
-                    soloTenantChaosRun(config, i));
-            } else {
-                leg = "chaos-free solo run";
-                fpRef = testing::resultFingerprint(soloTenantRun(
-                    spec, tenantLimitsFor(config, spec),
-                    config.eventsOverride));
-            }
-            if (tr.fingerprint != fpRef)
-                return "tenant " + spec.name + " (" +
-                       algorithmName(spec.algo) +
-                       "): service fingerprint diverged from the " +
-                       leg;
-        }
+        // The reference legs run on a pool of the service's own
+        // size; each writes only its own verdict, and the first
+        // failing tenant in tenant order is the one reported.
+        const std::size_t n = config.tenants.size();
+        std::vector<std::string> verdicts(n);
+        const std::unique_ptr<ThreadPool> pool =
+            poolFor(workersFor(config));
+        forEachIndex(pool.get(), n, [&](std::size_t i) {
+            verdicts[i] = checkTenant(config, report, i);
+        });
+        for (const std::string &verdict : verdicts)
+            if (!verdict.empty())
+                return verdict;
     } catch (const std::exception &e) {
-        return std::string("service chaos run failed: ") + e.what();
+        return std::string("service run failed: ") + e.what();
     }
     return "";
 }

@@ -178,7 +178,7 @@ std::uint64_t squeezedCapacityFor(const ServiceConfig &config,
  * `config` through its own TenantConductor — same schedule, same
  * overload machine, same slice size — against a private arena.
  * Reproduces squeezes and health-driven degradation exactly; used
- * by verifyServiceChaos for tenants the chaos plan or overload
+ * by verifyServiceDeterminism for tenants the chaos plan or overload
  * controller semantically touched. @pre the tenant survives its
  * schedule (a scheduled abort it never reaches is fine).
  */
@@ -186,18 +186,10 @@ SimResult soloTenantChaosRun(const ServiceConfig &config,
                              std::size_t tenantIndex);
 
 /**
- * The multi-tenant determinism oracle: run `config` through the
- * service, then each tenant solo (on a pool of `config.jobs`
- * workers), and compare fingerprints.
- * @return empty on success, else a description of the first
- * mismatch in tenant order (never throws; failures from any layer
- * are captured).
- */
-std::string verifyServiceDeterminism(const ServiceConfig &config);
-
-/**
- * The chaos oracle (rselect-fuzz --chaos-fuzz, --verify-solo under
- * chaos). Runs the service once, then per tenant:
+ * The service oracle (rselect-serve --verify-solo, rselect-fuzz
+ * --tenants, with or without chaos). Runs `config` through the
+ * service once, then checks per tenant, on a pool of `config.jobs`
+ * workers:
  *  - aborted tenants: the schedule must call for the abort, and the
  *    tenant must leave zero physical residue;
  *  - crashed tenants: the post-restart fingerprint must equal a
@@ -205,15 +197,17 @@ std::string verifyServiceDeterminism(const ServiceConfig &config);
  *  - tenants semantically touched by a squeeze or by overload
  *    degradation: fingerprint must equal the conductor-driven solo
  *    chaos leg (soloTenantChaosRun);
- *  - untouched tenants: fingerprint must equal the plain chaos-free
- *    solo run — the isolation half of the oracle.
+ *  - every other tenant, so every tenant of a chaos-free config:
+ *    fingerprint must equal the plain solo run (soloTenantRun) —
+ *    the determinism and isolation half of the oracle.
  * Plus the accounting identities: per tenant and globally,
  * admissions == releases + liveEntries, and scheduled == shed +
  * completed + blacklisted.
  * @return empty on success, else a description of the first
- * failure.
+ * failure in tenant order (never throws; failures from any layer
+ * are captured).
  */
-std::string verifyServiceChaos(const ServiceConfig &config);
+std::string verifyServiceDeterminism(const ServiceConfig &config);
 
 /**
  * Write the report as JSON (rselect-serve --json): run-level

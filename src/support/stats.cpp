@@ -1,9 +1,5 @@
 #include "support/stats.hpp"
 
-#include <algorithm>
-
-#include "support/error.hpp"
-
 namespace rsel {
 
 double
@@ -15,13 +11,6 @@ mean(const std::vector<double> &values)
     for (double v : values)
         sum += v;
     return sum / static_cast<double>(values.size());
-}
-
-double
-maxOf(const std::vector<double> &values)
-{
-    RSEL_ASSERT(!values.empty(), "maxOf requires a non-empty vector");
-    return *std::max_element(values.begin(), values.end());
 }
 
 double

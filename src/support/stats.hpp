@@ -14,9 +14,6 @@ namespace rsel {
 /** Arithmetic mean. @return 0 for an empty vector. */
 double mean(const std::vector<double> &values);
 
-/** Maximum. @pre non-empty. */
-double maxOf(const std::vector<double> &values);
-
 /**
  * Safe ratio: numerator / denominator, or `ifZero` when the
  * denominator is zero. Used for relative-to-baseline figures where a

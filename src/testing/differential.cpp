@@ -67,14 +67,16 @@ class BrokenSelector : public RegionSelector
                    BrokenMode mode)
         : oracle_(prog), prog_(prog), cache_(cache), mode_(mode)
     {
-        if (mode_ == BrokenMode::Noncyclic)
+        if (mode_ == BrokenMode::Noncyclic) {
             // The point of this mode is a bad LEI trace, so the
             // sabotaged inner selector must be LEI itself.
             inner_ = std::make_unique<LeiSelector>(prog, cache,
                                                    leiCfg_);
-        else
+            facts_ = analysis::buildProgramFacts(prog);
+        } else {
             inner_ = std::make_unique<NetSelector>(prog, cache,
                                                    NetConfig{});
+        }
         if (mode_ == BrokenMode::Alias)
             clone_ = prog;
     }
@@ -184,7 +186,7 @@ class BrokenSelector : public RegionSelector
         // The static pass itself is the cheapest way to find one.
         if (spec.kind != Region::Kind::Trace || spec.blocks.size() < 2)
             return;
-        analysis::RegionVerifier verifier(mgr_);
+        analysis::RegionVerifier verifier(facts_);
         for (std::size_t len = spec.blocks.size() - 1; len >= 1;
              --len) {
             RegionSpec cand;
@@ -192,7 +194,6 @@ class BrokenSelector : public RegionSelector
             cand.blocks.assign(spec.blocks.begin(),
                                spec.blocks.begin() + len);
             analysis::RegionVerifyContext ctx;
-            ctx.prog = &prog_;
             ctx.cache = &cache_;
             ctx.selector = "LEI";
             ctx.maxTraceInsts = leiCfg_.maxTraceInsts;
@@ -216,7 +217,8 @@ class BrokenSelector : public RegionSelector
     const Program &prog_;
     const CodeCache &cache_;
     Program clone_;
-    analysis::AnalysisManager mgr_;
+    /** The program's facts (Noncyclic mode). */
+    analysis::ProgramFacts facts_;
     LeiConfig leiCfg_;
     BrokenMode mode_;
     RegionSpec lastSpec_;
@@ -370,9 +372,8 @@ runDifferential(const GenSpec &rawSpec, BrokenMode broken, bool verify,
         // functions) are legitimate in random programs and pass;
         // an error diagnostic invalidates the whole matrix.
         {
-            analysis::AnalysisManager mgr;
             analysis::DiagnosticEngine diag;
-            analysis::ProgramVerifier(mgr).run(prog, diag);
+            analysis::ProgramVerifier::run(prog, diag);
             if (diag.hasErrors()) {
                 report.error = "program verifier: " +
                                diag.firstError();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "analysis/analysis_manager.hpp"
 #include "dynopt/dynopt_system.hpp"
 #include "program/executor.hpp"
 #include "testing/random_program.hpp"
@@ -163,8 +162,8 @@ validateInterprocedural(const Program &prog, std::uint64_t events,
                         std::uint64_t seed)
 {
     InterValidation val;
-    analysis::AnalysisManager mgr;
-    const analysis::InterFacts &inf = mgr.interFacts(prog);
+    const analysis::InterFacts inf =
+        analysis::buildInterFacts(analysis::buildProgramFacts(prog));
     const analysis::CallGraph &cg = inf.callGraph;
 
     // Replay the deterministic stream once, counting.

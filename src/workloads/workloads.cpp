@@ -66,14 +66,4 @@ findWorkload(const std::string &name)
     return nullptr;
 }
 
-std::vector<std::string>
-workloadNames()
-{
-    std::vector<std::string> names;
-    names.reserve(workloadSuite().size());
-    for (const WorkloadInfo &w : workloadSuite())
-        names.push_back(w.name);
-    return names;
-}
-
 } // namespace rsel

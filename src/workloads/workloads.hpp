@@ -39,9 +39,6 @@ const std::vector<WorkloadInfo> &workloadSuite();
 /** Lookup by name; nullptr when unknown. */
 const WorkloadInfo *findWorkload(const std::string &name);
 
-/** All workload names, in suite order. */
-std::vector<std::string> workloadNames();
-
 // Individual builders (exposed for tests and examples).
 Program buildGzip(std::uint64_t seed);
 Program buildVpr(std::uint64_t seed);

@@ -1,16 +1,16 @@
 /**
  * @file
- * Unit tests for the analysis layer's dataflow core: DiGraph,
+ * Unit tests for the analysis layer's graph core: DiGraph,
  * reachability, RPO, dominators, SCCs, natural loops, and the
- * Program/region adapters of the AnalysisManager.
+ * Program/region adapters of program_facts.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "analysis/analysis_manager.hpp"
 #include "analysis/cfg_facts.hpp"
+#include "analysis/program_facts.hpp"
 #include "program/program_builder.hpp"
 #include "testing/gen_spec.hpp"
 #include "testing/random_program.hpp"
@@ -178,76 +178,17 @@ TEST(ProgramFactsTest, CallAndReturnEdges)
 TEST(MemberFactsTest, InducedSubgraphCycle)
 {
     const Program p = buildLoopProgram();
-    AnalysisManager mgr;
-    const ProgramFacts &pf = mgr.facts(p);
+    const ProgramFacts pf = buildProgramFacts(p);
 
     // {a, b, c} closes the loop; {a, b} does not.
     const MemberFacts cyc = buildMemberFacts(
         pf, {&p.block(0), &p.block(1), &p.block(2)});
     EXPECT_TRUE(cyc.hasCycle);
-    EXPECT_EQ(cyc.localIndex(2), 2u);
-    EXPECT_EQ(cyc.localIndex(3), invalidNode);
 
     const MemberFacts lin =
         buildMemberFacts(pf, {&p.block(0), &p.block(1)});
     EXPECT_FALSE(lin.hasCycle);
     EXPECT_TRUE(lin.cfg.reachable[1]);
-}
-
-TEST(AnalysisManagerTest, FactsAreCachedPerProgram)
-{
-    const Program p = buildLoopProgram();
-    AnalysisManager mgr;
-    const ProgramFacts &first = mgr.facts(p);
-    const ProgramFacts &second = mgr.facts(p);
-    EXPECT_EQ(&first, &second);
-    mgr.invalidate(p);
-    const ProgramFacts &third = mgr.facts(p);
-    EXPECT_EQ(third.prog, &p);
-}
-
-TEST(AnalysisManagerTest, CountsHitsAndMisses)
-{
-    const Program p = buildLoopProgram();
-    AnalysisManager mgr;
-    EXPECT_EQ(mgr.cacheStats().programMisses, 0u);
-    mgr.facts(p);
-    mgr.facts(p);
-    mgr.facts(p);
-    EXPECT_EQ(mgr.cacheStats().programMisses, 1u);
-    EXPECT_EQ(mgr.cacheStats().programHits, 2u);
-    mgr.invalidate(p);
-    mgr.facts(p);
-    EXPECT_EQ(mgr.cacheStats().programMisses, 2u);
-    EXPECT_EQ(mgr.cacheStats().staleInvalidations, 0u);
-}
-
-TEST(AnalysisManagerTest, StaleFactsAreNeverServed)
-{
-    // Reassigning a Program variable keeps the object address: the
-    // cache must notice the shape change and recompute, not serve
-    // facts of the replaced program.
-    Program p = buildLoopProgram();
-    AnalysisManager mgr;
-    const std::uint64_t oldFp = mgr.facts(p).fingerprint;
-    ASSERT_EQ(mgr.facts(p).graph.size(), 4u);
-
-    ProgramBuilder pb;
-    pb.beginFunction("main");
-    const BlockId e = pb.block(2);
-    const BlockId f = pb.block(1);
-    pb.halt(f);
-    pb.setEntry(e);
-    p = pb.build(); // same address, different program
-
-    const ProgramFacts &fresh = mgr.facts(p);
-    EXPECT_EQ(mgr.cacheStats().staleInvalidations, 1u);
-    EXPECT_NE(fresh.fingerprint, oldFp);
-    EXPECT_EQ(fresh.fingerprint, programFingerprint(p));
-    EXPECT_EQ(fresh.graph.size(), 2u); // facts match the new shape
-    // Served from cache again now that the entry is fresh.
-    mgr.facts(p);
-    EXPECT_EQ(mgr.cacheStats().staleInvalidations, 1u);
 }
 
 TEST(CfgFactsDegenerateTest, SingleBlockProgram)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Degenerate-shape battery for the interprocedural layer: the call
- * graph (SCC condensation, bottom-up order), the summary fixpoint
- * (closure convergence and transitivity) and the per-site
+ * graph (SCC condensation, bottom-up order), the call closure
+ * (recursive SCCs and transitivity) and the per-site
  * duplication-growth bound, each on the smallest program that
  * exhibits the shape — single function, self-recursion, a
  * mutual-recursion ring, a call inside a loop body, an indirect call
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analysis_manager.hpp"
 #include "analysis/inter_facts.hpp"
 #include "program/program_builder.hpp"
 
@@ -44,8 +43,7 @@ TEST(CallGraphTest, SingleFunctionNoCalls)
     pb.setEntry(a);
     const Program prog = pb.build();
 
-    AnalysisManager mgr;
-    const InterFacts &inf = mgr.interFacts(prog);
+    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
     const CallGraph &cg = inf.callGraph;
 
     ASSERT_EQ(inf.summaries.size(), 1u);
@@ -59,7 +57,6 @@ TEST(CallGraphTest, SingleFunctionNoCalls)
     EXPECT_EQ(inf.summaries[0].closureFuncs, 1u);
     EXPECT_EQ(inf.summaries[0].closureInsts, 3u);
     EXPECT_EQ(cg.bottomUp, std::vector<FuncId>{0});
-    EXPECT_TRUE(inf.converged);
 }
 
 TEST(CallGraphTest, SelfRecursionIsACycleOfOne)
@@ -78,8 +75,7 @@ TEST(CallGraphTest, SelfRecursionIsACycleOfOne)
     pb.setEntry(m0);
     const Program prog = pb.build();
 
-    AnalysisManager mgr;
-    const InterFacts &inf = mgr.interFacts(prog);
+    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
     const CallGraph &cg = inf.callGraph;
 
     ASSERT_EQ(inf.summaries.size(), 2u);
@@ -88,9 +84,8 @@ TEST(CallGraphTest, SelfRecursionIsACycleOfOne)
     // The self-loop is an SCC that cycles, with one member.
     EXPECT_NE(cg.cfg.sccId[rec], cg.cfg.sccId[1]);
     EXPECT_TRUE(cg.cfg.sccIsCycle[cg.cfg.sccId[rec]]);
-    // The closure fixpoint converges despite the cycle and stays
-    // finite: rec's closure is just rec.
-    EXPECT_TRUE(inf.converged);
+    // The closure stays finite despite the cycle: rec's closure is
+    // just rec.
     EXPECT_EQ(inf.summaries[rec].closureFuncs, 1u);
     EXPECT_TRUE(inf.inClosure(rec, rec));
     EXPECT_EQ(inf.summaries[1].closureFuncs, 2u);
@@ -124,8 +119,7 @@ TEST(CallGraphTest, MutualRecursionRingCondensesToOneScc)
     pb.setEntry(m0);
     const Program prog = pb.build();
 
-    AnalysisManager mgr;
-    const InterFacts &inf = mgr.interFacts(prog);
+    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
     const CallGraph &cg = inf.callGraph;
 
     // One cyclic SCC holding the whole ring; main stays outside.
@@ -137,10 +131,8 @@ TEST(CallGraphTest, MutualRecursionRingCondensesToOneScc)
         EXPECT_TRUE(inf.summaries[f].recursive);
     EXPECT_FALSE(inf.summaries[fm].recursive);
 
-    // The genuine fixpoint: every ring member's closure is the
-    // whole ring, and the ring precedes main bottom-up, its
-    // members adjacent.
-    EXPECT_TRUE(inf.converged);
+    // Every ring member's closure is the whole ring, and the ring
+    // precedes main bottom-up, its members adjacent.
     for (const FuncId f : {fa, fb, fc}) {
         EXPECT_EQ(inf.summaries[f].closureFuncs, 3u);
         EXPECT_TRUE(inf.inClosure(f, fa));
@@ -174,8 +166,7 @@ TEST(CallGraphTest, CallInsideLoopBodyIsBoundedByItsLeafCallee)
     pb.setEntry(head);
     const Program prog = pb.build();
 
-    AnalysisManager mgr;
-    const InterFacts &inf = mgr.interFacts(prog);
+    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
     const CallGraph &cg = inf.callGraph;
 
     ASSERT_EQ(cg.sites.size(), 1u);
@@ -212,8 +203,7 @@ TEST(CallGraphTest, IndirectSiteBoundCountsASharedCalleeOnce)
     pb.setEntry(m0);
     const Program prog = pb.build();
 
-    AnalysisManager mgr;
-    const InterFacts &inf = mgr.interFacts(prog);
+    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
     const CallGraph &cg = inf.callGraph;
 
     // Sites in block-id order: f's, g's, then main's indirect call.
@@ -247,8 +237,7 @@ TEST(CallGraphTest, UnreachableCalleeIsNotCallReachable)
     pb.setEntry(m0);
     const Program prog = pb.build();
 
-    AnalysisManager mgr;
-    const InterFacts &inf = mgr.interFacts(prog);
+    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
     const CallGraph &cg = inf.callGraph;
 
     EXPECT_TRUE(cg.callReachable(called));
@@ -282,12 +271,10 @@ TEST(CallGraphTest, DeepCallChainOrdersCalleesFirst)
     pb.setEntry(first[0]);
     const Program prog = pb.build();
 
-    AnalysisManager mgr;
-    const InterFacts &inf = mgr.interFacts(prog);
+    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
     const CallGraph &cg = inf.callGraph;
 
     ASSERT_EQ(inf.summaries.size(), depth);
-    EXPECT_TRUE(inf.converged);
     // Acyclic: no SCC cycles, nothing recursive.
     for (std::uint32_t i = 0; i < depth; ++i)
         EXPECT_FALSE(inf.summaries[i].recursive);
@@ -305,24 +292,6 @@ TEST(CallGraphTest, DeepCallChainOrdersCalleesFirst)
         }
     }
     EXPECT_EQ(inf.summaries[funcs[0]].closureInsts, 2u * depth);
-}
-
-TEST(CallGraphTest, InterFactsAreCachedByTheManager)
-{
-    ProgramBuilder pb;
-    pb.beginFunction("main");
-    const BlockId a = pb.block(2);
-    const BlockId b = pb.block(1);
-    pb.halt(b);
-    pb.setEntry(a);
-    const Program prog = pb.build();
-
-    AnalysisManager mgr;
-    const InterFacts &first = mgr.interFacts(prog);
-    const InterFacts &again = mgr.interFacts(prog);
-    EXPECT_EQ(&first, &again);
-    EXPECT_EQ(mgr.cacheStats().interMisses, 1u);
-    EXPECT_EQ(mgr.cacheStats().interHits, 1u);
 }
 
 } // namespace

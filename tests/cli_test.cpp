@@ -146,6 +146,17 @@ TEST(ExitCodeTest, SimDistinguishesUsageFromClean)
                        "--workload gzip --events 4000 --algos NET "
                        "--fault-spec f1,tfail=20,inval=100"),
               ExitOk);
+    // Selector knobs are range-checked before any selector asserts
+    // on them, and an unknown cache policy is not a silent flush.
+    for (const char *bad :
+         {"--buffer 0", "--net-threshold 0", "--lei-threshold 4294967296",
+          "--tprof 0", "--tmin 16", "--cache-policy bogus"})
+        EXPECT_EQ(toolExit("rselect-sim",
+                           std::string("--workload gzip --events 2000 "
+                                       "--algos paper ") +
+                               bad),
+                  ExitUsageError)
+            << bad;
 }
 
 TEST(ExitCodeTest, FuzzSignalsFailuresFound)

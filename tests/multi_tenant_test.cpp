@@ -647,8 +647,8 @@ TEST(ServiceChaosTest, JobsParityUnderEveryPlanKind)
         EXPECT_EQ(a.totalEvents, b.totalEvents) << plan;
         EXPECT_EQ(a.arena.admissions, b.arena.admissions) << plan;
         // And the full chaos oracle holds at both worker counts.
-        EXPECT_EQ(verifyServiceChaos(serial), "") << plan;
-        EXPECT_EQ(verifyServiceChaos(pooled), "") << plan;
+        EXPECT_EQ(verifyServiceDeterminism(serial), "") << plan;
+        EXPECT_EQ(verifyServiceDeterminism(pooled), "") << plan;
     }
 }
 
@@ -763,7 +763,7 @@ TEST(ServiceChaosTest, BoundedAdmissionShedsDeterministically)
         // With 10 pending tenants and 3 grants per round, the
         // denied majority must actually be shed.
         EXPECT_GT(shed, 0u);
-        EXPECT_EQ(verifyServiceChaos(config), "");
+        EXPECT_EQ(verifyServiceDeterminism(config), "");
     }
 }
 
@@ -808,7 +808,7 @@ TEST(ServiceChaosTest, SliceBudgetDegradesToInterpretation)
         EXPECT_EQ(tr.result.events, 8000u) << tr.name;
     }
     EXPECT_EQ(report.chaos.blacklistedTenants, 4u);
-    EXPECT_EQ(verifyServiceChaos(config), "");
+    EXPECT_EQ(verifyServiceDeterminism(config), "");
 }
 
 // The health state machine, walked directly at the shipped
@@ -929,7 +929,7 @@ TEST(ServiceChaosTest, SqueezeDrivesEvictionsAndReplays)
     // An 8x quota squeeze must actually evict more than the
     // unsqueezed baseline, or the fault injected nothing.
     EXPECT_GT(squeezedReleases, baselineReleases);
-    EXPECT_EQ(verifyServiceChaos(config), "");
+    EXPECT_EQ(verifyServiceDeterminism(config), "");
 }
 
 // squeezedCapacityFor: bounded arenas partition as if the tenant

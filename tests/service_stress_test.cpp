@@ -273,7 +273,7 @@ TEST(ServiceStressTest, ChaosServiceRunUnderStress)
     EXPECT_GT(first.chaos.restarts + first.chaos.quarantines +
                   first.chaos.squeezes,
               0u);
-    EXPECT_EQ(verifyServiceChaos(config), "");
+    EXPECT_EQ(verifyServiceDeterminism(config), "");
 }
 
 } // namespace

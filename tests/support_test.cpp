@@ -175,9 +175,8 @@ TEST(StatsTest, Mean)
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
 }
 
-TEST(StatsTest, MaxAndRatio)
+TEST(StatsTest, Ratio)
 {
-    EXPECT_DOUBLE_EQ(maxOf({3.0, 1.0, 2.0}), 3.0);
     EXPECT_DOUBLE_EQ(ratio(6.0, 3.0), 2.0);
     EXPECT_DOUBLE_EQ(ratio(6.0, 0.0, 42.0), 42.0);
 }

@@ -18,7 +18,6 @@
 namespace rsel {
 namespace {
 
-using analysis::AnalysisManager;
 using analysis::DiagnosticEngine;
 using analysis::ProgramVerifier;
 using analysis::RegionVerifier;
@@ -67,22 +66,19 @@ hasWarningFromPass(const DiagnosticEngine &diag,
 TEST(ProgramVerifierTest, AcceptsWellFormedProgram)
 {
     const Program p = buildLoopProgram();
-    AnalysisManager mgr;
     DiagnosticEngine diag;
-    ProgramVerifier(mgr).run(p, diag);
+    ProgramVerifier::run(p, diag);
     EXPECT_FALSE(diag.hasErrors()) << diag.firstError();
 }
 
 TEST(ProgramVerifierTest, AcceptsEveryWorkload)
 {
-    AnalysisManager mgr;
     for (const WorkloadInfo &w : workloadSuite()) {
         const Program p = w.build(1);
         DiagnosticEngine diag;
-        ProgramVerifier(mgr).run(p, diag);
+        ProgramVerifier::run(p, diag);
         EXPECT_FALSE(diag.hasErrors())
             << w.name << ": " << diag.firstError();
-        mgr.invalidate(p); // p dies at the end of this iteration
     }
 }
 
@@ -100,9 +96,8 @@ TEST(ProgramVerifierTest, LintsUnreachableAndNoExitCycle)
     pb.setEntry(a);
     const Program p = pb.build();
 
-    AnalysisManager mgr;
     DiagnosticEngine diag;
-    ProgramVerifier(mgr).run(p, diag);
+    ProgramVerifier::run(p, diag);
     EXPECT_FALSE(diag.hasErrors());
     EXPECT_TRUE(hasWarningFromPass(diag, "unreachable-code"));
     EXPECT_TRUE(hasWarningFromPass(diag, "no-exit-scc"));
@@ -111,7 +106,7 @@ TEST(ProgramVerifierTest, LintsUnreachableAndNoExitCycle)
     DiagnosticEngine quiet;
     analysis::ProgramVerifyOptions opts;
     opts.lints = false;
-    ProgramVerifier(mgr).run(p, quiet, opts);
+    ProgramVerifier::run(p, quiet, opts);
     EXPECT_TRUE(quiet.empty());
 }
 
@@ -128,9 +123,8 @@ TEST(ProgramVerifierTest, LintsDeadFunction)
     const Program p = pb.build();
     ASSERT_EQ(p.function(deadFn).name, "dead");
 
-    AnalysisManager mgr;
     DiagnosticEngine diag;
-    ProgramVerifier(mgr).run(p, diag);
+    ProgramVerifier::run(p, diag);
     EXPECT_TRUE(hasWarningFromPass(diag, "dead-function"));
 }
 
@@ -143,7 +137,6 @@ class RegionVerifierTest : public ::testing::Test
     context(const std::string &selector = "NET")
     {
         RegionVerifyContext ctx;
-        ctx.prog = &prog;
         ctx.selector = selector;
         ctx.maxTraceInsts = 1024;
         ctx.id = 0;
@@ -160,8 +153,8 @@ class RegionVerifierTest : public ::testing::Test
     }
 
     Program prog;
-    AnalysisManager mgr;
-    RegionVerifier verifier{mgr};
+    analysis::ProgramFacts facts = analysis::buildProgramFacts(prog);
+    RegionVerifier verifier{facts};
 };
 
 TEST_F(RegionVerifierTest, AcceptsConnectedTrace)

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analysis_manager.hpp"
 #include "analysis/inter_facts.hpp"
 #include "program/trace_io.hpp"
 #include "support/cli.hpp"
@@ -76,7 +75,7 @@ jsonStr(const std::string &s)
 }
 
 /** JSON layout version; bump when fields move or change meaning. */
-constexpr int jsonSchemaVersion = 4;
+constexpr int jsonSchemaVersion = 5;
 
 void
 emitJson(const Program &prog, const std::string &what,
@@ -96,8 +95,6 @@ emitJson(const Program &prog, const std::string &what,
        << ", \"callSites\": " << cg.sites.size()
        << ", \"callReachable\": " << reachable
        << ", \"recursive\": " << recursive
-       << ", \"dataflowTransfers\": " << inf.dataflowTransfers
-       << ", \"converged\": " << (inf.converged ? "true" : "false")
        << ",\n  \"functions\": [";
     for (std::size_t i = 0; i < inf.summaries.size(); ++i) {
         const analysis::FuncSummary &s = inf.summaries[i];
@@ -163,7 +160,7 @@ printTables(const Program &prog, const analysis::InterFacts &inf,
                       u64(s.closureFuncs), u64(s.closureInsts)});
     funcs.addSummaryRow(
         {"total", "-", "-", "-", u64(cg.sites.size()), "-", "-", "-",
-         "-", u64(inf.dataflowTransfers)});
+         "-", "-"});
     funcs.print(std::cout);
 
     Table sites("Call-site duplication bounds: " + what,
@@ -201,8 +198,8 @@ int
 analyzeProgram(const Program &prog, const std::string &what,
                const AnalyzeOptions &opts)
 {
-    analysis::AnalysisManager mgr;
-    const analysis::InterFacts &inf = mgr.interFacts(prog);
+    const analysis::InterFacts inf =
+        analysis::buildInterFacts(analysis::buildProgramFacts(prog));
     testing::InterValidation val;
     if (opts.validate)
         val = testing::validateInterprocedural(prog, opts.events,

@@ -159,9 +159,7 @@ runTenantMode(const CliOptions &cli, BrokenMode broken,
         }
 
         const std::string error =
-            chaos.armed()
-                ? service::verifyServiceChaos(config)
-                : service::verifyServiceDeterminism(config);
+            service::verifyServiceDeterminism(config);
         if (!error.empty()) {
             ++failures;
             std::printf("FAILURE seed=%llu (service mode, %llu "

@@ -154,7 +154,7 @@ int
 runChaosSelfTest(ServiceConfig config)
 {
     config.chaos = ChaosPlan::parse("c1,crash=1000,window=4");
-    const std::string error = verifyServiceChaos(config);
+    const std::string error = verifyServiceDeterminism(config);
     if (!error.empty()) {
         std::fprintf(stderr,
                      "self-test FAILED: chaos oracle did not pass "
@@ -311,24 +311,17 @@ main(int argc, char **argv)
                   "'chaos'");
 
         if (cli.getBool("verify-solo")) {
-            // Chaos or overload in play switches to the chaos
-            // oracle: per-tenant reference legs picked by what
-            // actually touched each tenant, plus the accounting
-            // identities.
-            const bool chaosAware =
-                config.overload.healthEnabled(config.chaos.armed());
-            const std::string error =
-                chaosAware ? verifyServiceChaos(config)
-                           : verifyServiceDeterminism(config);
+            // Each tenant against the reference leg picked by what
+            // actually touched it, plus the accounting identities.
+            const std::string error = verifyServiceDeterminism(config);
             if (!error.empty()) {
                 std::fprintf(stderr, "verify-solo FAILED: %s\n",
                              error.c_str());
                 return ExitVerifyFailure;
             }
             std::printf("verify-solo: %zu tenants byte-identical "
-                        "to their %s runs\n",
-                        config.tenants.size(),
-                        chaosAware ? "reference" : "solo");
+                        "to their reference runs\n",
+                        config.tenants.size());
         }
 
         const ServiceReport report = runService(config);

@@ -114,11 +114,7 @@ main(int argc, char **argv)
     cli.define("events", "0", "events per run (0 = workload default)");
     cli.define("seed", "7", "executor seed");
     cli.define("build-seed", "42", "program-synthesis seed");
-    cli.define("net-threshold", "50", "NET hot threshold");
-    cli.define("lei-threshold", "35", "LEI cycle threshold");
-    cli.define("buffer", "500", "LEI history-buffer capacity");
-    cli.define("tprof", "15", "observed traces per entrance");
-    cli.define("tmin", "5", "block occurrence threshold");
+    defineSelectorKnobs(cli);
     cli.define("cache-kb", "0",
                "code-cache capacity in KiB (0 = unbounded)");
     cli.define("cache-policy", "flush",
@@ -161,18 +157,12 @@ main(int argc, char **argv)
 
         SimOptions opts;
         opts.seed = cli.getUint("seed");
-        opts.net.hotThreshold =
-            static_cast<std::uint32_t>(cli.getUint("net-threshold"));
-        opts.lei.hotThreshold =
-            static_cast<std::uint32_t>(cli.getUint("lei-threshold"));
-        opts.lei.bufferCapacity =
-            static_cast<std::size_t>(cli.getUint("buffer"));
-        opts.net.profWindow = opts.lei.profWindow =
-            static_cast<std::uint32_t>(cli.getUint("tprof"));
-        opts.net.minOccur = opts.lei.minOccur =
-            static_cast<std::uint32_t>(cli.getUint("tmin"));
+        readSelectorKnobs(cli, opts.net, opts.lei);
         opts.cache.capacityBytes = cli.getUint("cache-kb") * 1024;
-        opts.cache.policy = cli.get("cache-policy") == "fifo"
+        const std::string policy = cli.get("cache-policy");
+        if (policy != "flush" && policy != "fifo")
+            fatal("--cache-policy must be 'flush' or 'fifo'");
+        opts.cache.policy = policy == "fifo"
                                 ? CacheLimits::Policy::Fifo
                                 : CacheLimits::Policy::FullFlush;
         opts.maxEvents = cli.getUint("events");

@@ -69,9 +69,8 @@ analysis::ProgramVerifyOptions gVerifyOpts;
 int
 lintProgram(const Program &prog, const std::string &what)
 {
-    analysis::AnalysisManager mgr;
     analysis::DiagnosticEngine diag;
-    analysis::ProgramVerifier(mgr).run(prog, diag, gVerifyOpts);
+    analysis::ProgramVerifier::run(prog, diag, gVerifyOpts);
     return report(diag, what);
 }
 
@@ -292,17 +291,17 @@ runSelfTest(const std::string &which)
         plants.push_back(std::move(plant));
     }
 
-    analysis::AnalysisManager mgr;
-    analysis::RegionVerifier verifier(mgr);
+    const analysis::ProgramFacts facts =
+        analysis::buildProgramFacts(rig.prog);
+    analysis::RegionVerifier verifier(facts);
     int rc = ExitOk;
     bool ranAny = false;
     for (const ProgramPlant &plant : plants) {
         if (which != "all" && which != plant.name)
             continue;
         ranAny = true;
-        analysis::AnalysisManager pmgr;
         analysis::DiagnosticEngine diag;
-        analysis::ProgramVerifier(pmgr).run(plant.prog, diag);
+        analysis::ProgramVerifier::run(plant.prog, diag);
         bool caught = false;
         for (const analysis::Diagnostic &d : diag.diagnostics())
             if (d.severity == plant.severity &&
@@ -327,7 +326,6 @@ runSelfTest(const std::string &which)
             continue;
         ranAny = true;
         analysis::RegionVerifyContext ctx;
-        ctx.prog = &rig.prog;
         ctx.selector = bug.selector;
         ctx.maxTraceInsts = 1024;
         ctx.id = 0;
