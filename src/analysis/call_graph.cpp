@@ -60,8 +60,8 @@ buildCallGraph(const ProgramFacts &pf)
         site.loopDepth = cg.blockLoopDepth[b.id()];
         // The return landing pad: fallThroughOf excludes calls
         // (canFallThrough is about *un-taken* control flow), so
-        // resolve the address directly, like the executor's
-        // fallPtr_ does.
+        // resolve the address directly, like the executor's step
+        // records do.
         if (const BasicBlock *ft =
                 prog.blockAtAddr(b.fallThroughAddr()))
             if (ft->func() == b.func())

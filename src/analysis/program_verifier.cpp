@@ -78,7 +78,7 @@ checkBehaviors(const ProgramFacts &pf, DiagnosticEngine &diag)
                            "annotation");
                 continue;
             }
-            const CondBehavior &cb = prog.condBehavior(b.id());
+            const CondView cb = prog.condBehavior(b.id());
             if (cb.kind == CondBehavior::Kind::Bernoulli &&
                 cb.takenProbByPhase.empty())
                 diag.error("behaviors", blockObject(b),
@@ -98,21 +98,19 @@ checkBehaviors(const ProgramFacts &pf, DiagnosticEngine &diag)
                            "annotation");
                 continue;
             }
-            const IndirectBehavior &ib =
-                prog.indirectBehavior(b.id());
+            const IndirectView ib = prog.indirectBehavior(b.id());
             if (ib.targets.empty()) {
                 diag.error("behaviors", blockObject(b),
                            "indirect block declares no targets");
                 continue;
             }
-            if (ib.weightsByPhase.empty())
+            if (ib.weights.empty())
                 diag.error("behaviors", blockObject(b),
                            "indirect block has no per-phase weights");
-            for (const std::vector<double> &w : ib.weightsByPhase)
-                if (w.size() != ib.targets.size())
-                    diag.error("behaviors", blockObject(b),
-                               "weight vector size does not match "
-                               "the target count");
+            if (ib.weights.size() % ib.targets.size() != 0)
+                diag.error("behaviors", blockObject(b),
+                           "weight vector size does not match "
+                           "the target count");
         }
     }
 }
@@ -241,7 +239,7 @@ checkCallGraphConsistency(const ProgramFacts &pf,
         // layout successor (ProgramBuilder enforces contiguity; a
         // hand-built program can violate it). fallThroughOf excludes
         // calls — it models un-taken control flow — so resolve the
-        // address directly, like the executor's fallPtr_ does.
+        // address directly, like the executor's step records do.
         const BasicBlock *ft = prog.blockAtAddr(b.fallThroughAddr());
         if (ft == nullptr)
             diag.error("call-graph-consistency", blockObject(b),

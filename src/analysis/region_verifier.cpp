@@ -79,7 +79,7 @@ checkSingleEntrance(const std::vector<const BasicBlock *> &blocks,
     if (ctx.cache == nullptr)
         return;
     const Addr entry = blocks.front()->startAddr();
-    const Region *existing = ctx.cache->lookup(entry);
+    const Region *existing = ctx.cache->lookupEntry(blocks.front()->id());
     if (existing != nullptr && existing->id() != ctx.id)
         diag.error("region-single-entrance", regionObject(ctx),
                    "entry address " + std::to_string(entry) +
@@ -149,8 +149,7 @@ checkLeiCyclicity(const MemberFacts &mf, const ProgramFacts &pf,
         pf.graph.succs(tail->id());
     if (ctx.cache != nullptr)
         for (const std::uint32_t s : succs) {
-            const Region *r = ctx.cache->lookup(
-                prog.block(s).startAddr());
+            const Region *r = ctx.cache->lookupEntry(s);
             if (r != nullptr && r->id() != ctx.id)
                 return; // exculpation 3
         }

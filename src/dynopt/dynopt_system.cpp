@@ -9,7 +9,8 @@ namespace rsel {
 
 DynOptSystem::DynOptSystem(const Program &prog, CacheLimits limits,
                            ICacheConfig icache)
-    : prog_(prog), cache_(limits), metrics_(prog.blocks().size()),
+    : prog_(prog), cache_(limits, prog.blocks().size()),
+      metrics_(prog.blocks().size()),
       icache_(icache)
 {}
 
@@ -107,7 +108,7 @@ DynOptSystem::installRegion(RegionSpec spec)
     if (facts_)
         verifySpec(spec);
     RSEL_ASSERT(!spec.blocks.empty(), "selector emitted an empty region");
-    RSEL_ASSERT(cache_.lookup(spec.blocks.front()->startAddr()) == nullptr,
+    RSEL_ASSERT(cache_.lookupEntry(spec.blocks.front()->id()) == nullptr,
                 "selector emitted a region at an already-cached entry");
     Region region =
         spec.kind == Region::Kind::Trace
@@ -120,16 +121,17 @@ DynOptSystem::installRegion(RegionSpec spec)
     // far, trailed by its exit stubs (DynamoRIO's placement). A
     // bounded cache would reuse evicted space; the monotone layout
     // is a conservative locality model.
+    RSEL_ASSERT(!inRegion_, "regions are installed outside the cache");
     RegionLayout layout;
     layout.base = nextLayoutAddr_;
-    layout.blockOffsets.reserve(region.blocks().size());
+    layout.offsetsBegin = static_cast<std::uint32_t>(layoutOffsets_.size());
     std::uint32_t offset = 0;
     for (const BasicBlock *b : region.blocks()) {
-        layout.blockOffsets.push_back(offset);
+        layoutOffsets_.push_back(offset);
         offset += static_cast<std::uint32_t>(b->sizeBytes());
     }
     nextLayoutAddr_ += offset + region.exitStubCount() * kExitStubBytes;
-    layouts_.push_back(std::move(layout));
+    layouts_.push_back(layout);
 
     const RegionId id = cache_.insert(std::move(region));
     if (facts_)
@@ -235,7 +237,7 @@ DynOptSystem::enterRegion(const Region &region, const BasicBlock &block)
     lastStep_.enteredRegion = true;
     const RegionLayout &layout = layouts_[curRegion_];
     curBase_ = layout.base;
-    curOffsets_ = layout.blockOffsets.data();
+    curOffsets_ = layoutOffsets_.data() + layout.offsetsBegin;
     metrics_.onRegionEntered(curRegion_);
     metrics_.onCachedBlock(block, curRegion_);
     fetchCachedCur(0, block);
@@ -344,12 +346,12 @@ DynOptSystem::processEvent(const ExecEvent &ev)
     std::optional<RegionSpec> spec = selector_->onInterpreted(sev);
     bool jumped = false;
     if (spec) {
-        const Addr entry = spec->blocks.front()->startAddr();
+        const BlockId entry = spec->blocks.front()->id();
         const bool cached = submitRegion(std::move(*spec));
-        if (cached && entry == ev.block->startAddr()) {
+        if (cached && entry == ev.block->id()) {
             // "jump newT": the triggering execution continues
             // natively inside the new region.
-            const Region *r = cache_.lookup(entry);
+            const Region *r = cache_.lookupEntry(entry);
             enterRegion(*r, *ev.block);
             jumped = true;
         }
@@ -445,7 +447,7 @@ DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i,
             curRegionPtr_ = s;
             const RegionLayout &layout = layouts_[curRegion_];
             curBase_ = layout.base;
-            curOffsets_ = layout.blockOffsets.data();
+            curOffsets_ = layoutOffsets_.data() + layout.offsetsBegin;
             metrics_.onRegionEntered(curRegion_);
             r = s;
             trace = r->kind() == Region::Kind::Trace;

@@ -274,8 +274,9 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     {
         /** Base address of the region in the code cache. */
         std::uint64_t base = 0;
-        /** Byte offset of each block (parallel to Region::blocks). */
-        std::vector<std::uint32_t> blockOffsets;
+        /** Where the region's block offsets (parallel to
+         *  Region::blocks) start in layoutOffsets_. */
+        std::uint32_t offsetsBegin = 0;
     };
 
     /** Insert a selector-completed region into the cache. */
@@ -349,6 +350,9 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     MetricsCollector metrics_;
     ICacheModel icache_;
     std::vector<RegionLayout> layouts_;
+    /** Byte offset of each block of every region, region after
+     *  region. */
+    std::vector<std::uint32_t> layoutOffsets_;
     std::uint64_t nextLayoutAddr_ = 0;
     std::unique_ptr<RegionSelector> selector_;
 
@@ -384,9 +388,10 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     std::size_t regionPos_ = 0;
     /**
      * The current region's layout, flattened: code-cache base and
-     * the per-block offset stripe. Set by enterRegion(); the offset
-     * buffer outlives outer-vector reallocation (vector moves keep
-     * heap storage), and every region entry re-caches both.
+     * the per-block offset stripe. Set by enterRegion(). A region is
+     * installed only while execution is outside the cache, and every
+     * region entry re-caches both, so growing layoutOffsets_ never
+     * leaves a stale stripe in use.
      */
     std::uint64_t curBase_ = 0;
     const std::uint32_t *curOffsets_ = nullptr;

@@ -50,14 +50,18 @@ branchKindName(BranchKind kind)
 }
 
 BasicBlock::BasicBlock(BlockId id, FuncId func,
-                       std::vector<Instruction> instructions,
-                       BranchKind terminator, Addr takenTarget)
-    : id_(id), func_(func), instructions_(std::move(instructions)),
-      terminator_(terminator), takenTarget_(takenTarget), sizeBytes_(0)
+                       std::span<const Instruction> instructions,
+                       BranchKind terminator, Addr takenTarget,
+                       std::uint32_t firstInst)
+    : id_(id), func_(func), firstInst_(firstInst),
+      instCount_(static_cast<std::uint32_t>(instructions.size())),
+      takenTarget_(takenTarget), terminator_(terminator)
 {
-    RSEL_ASSERT(!instructions_.empty(), "a block needs >= 1 instruction");
-    Addr expected = instructions_.front().addr;
-    for (const Instruction &inst : instructions_) {
+    RSEL_ASSERT(!instructions.empty(), "a block needs >= 1 instruction");
+    startAddr_ = instructions.front().addr;
+    lastInstAddr_ = instructions.back().addr;
+    Addr expected = startAddr_;
+    for (const Instruction &inst : instructions) {
         RSEL_ASSERT(inst.addr == expected,
                     "block instructions must be contiguous");
         expected += inst.sizeBytes;
@@ -74,12 +78,6 @@ BasicBlock::BasicBlock(BlockId id, FuncId func,
         RSEL_ASSERT(takenTarget_ == invalidAddr,
                     "non-direct terminator cannot carry a static target");
     }
-}
-
-Addr
-BasicBlock::fallThroughAddr() const
-{
-    return instructions_.back().addr + instructions_.back().sizeBytes;
 }
 
 } // namespace rsel

@@ -7,7 +7,7 @@
 #define RSEL_ISA_BASIC_BLOCK_HPP
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "isa/types.hpp"
 
@@ -34,6 +34,9 @@ struct Instruction
  * Blocks are identified by their start address; the terminating
  * branch instruction is the last instruction of the block. The
  * fall-through address is the address immediately after the block.
+ * The instructions themselves live in the owning Program's
+ * instruction table (Program::instructions); the block keeps their
+ * index there and the address facts it is asked for.
  */
 class BasicBlock
 {
@@ -45,10 +48,13 @@ class BasicBlock
      * @param terminator   kind of the final control transfer.
      * @param takenTarget  static taken-target address, or invalidAddr
      *                     for indirect/return/none terminators.
+     * @param firstInst    index of the first instruction in the
+     *                     owning Program's instruction table.
      */
     BasicBlock(BlockId id, FuncId func,
-               std::vector<Instruction> instructions,
-               BranchKind terminator, Addr takenTarget);
+               std::span<const Instruction> instructions,
+               BranchKind terminator, Addr takenTarget,
+               std::uint32_t firstInst = 0);
 
     /** Block index within its Program. */
     BlockId id() const { return id_; }
@@ -57,22 +63,19 @@ class BasicBlock
     FuncId func() const { return func_; }
 
     /** Address of the first instruction. */
-    Addr startAddr() const { return instructions_.front().addr; }
+    Addr startAddr() const { return startAddr_; }
 
     /** Address of the last (terminating) instruction. */
-    Addr lastInstAddr() const { return instructions_.back().addr; }
+    Addr lastInstAddr() const { return lastInstAddr_; }
 
     /** Address immediately after the block (fall-through target). */
-    Addr fallThroughAddr() const;
+    Addr fallThroughAddr() const { return startAddr_ + sizeBytes_; }
 
-    /** The block's instructions, in address order. */
-    const std::vector<Instruction> &instructions() const
-    {
-        return instructions_;
-    }
+    /** Index of the first instruction in the Program's table. */
+    std::uint32_t firstInst() const { return firstInst_; }
 
     /** Number of instructions in the block. */
-    std::size_t instCount() const { return instructions_.size(); }
+    std::size_t instCount() const { return instCount_; }
 
     /** Total encoded size of the block in bytes. */
     std::uint64_t sizeBytes() const { return sizeBytes_; }
@@ -97,10 +100,13 @@ class BasicBlock
   private:
     BlockId id_;
     FuncId func_;
-    std::vector<Instruction> instructions_;
-    BranchKind terminator_;
+    std::uint32_t firstInst_;
+    std::uint32_t instCount_;
+    Addr startAddr_ = invalidAddr;
+    Addr lastInstAddr_ = invalidAddr;
     Addr takenTarget_;
-    std::uint64_t sizeBytes_;
+    std::uint64_t sizeBytes_ = 0;
+    BranchKind terminator_;
 };
 
 } // namespace rsel

@@ -10,37 +10,50 @@
 
 namespace rsel {
 
-std::size_t
-MetricsCollector::filterSlots(std::size_t blockCount)
+namespace {
+
+/**
+ * Values grouped by block id in one array: block b's values are
+ * items[start[b]] .. items[start[b + 1] - 1].
+ */
+struct ByBlock
 {
-    return std::clamp(std::bit_ceil(8 * blockCount), minFilterSlots,
-                      maxFilterSlots);
+    std::vector<std::uint32_t> start;
+    std::vector<std::uint32_t> items;
+
+    std::uint32_t count(BlockId b) const { return start[b + 1] - start[b]; }
+};
+
+/**
+ * Group the (block, value) pairs `visit` produces: it is called
+ * twice with an `add(block, value)` sink and must produce the same
+ * pairs both times. Each block's values come out in the reverse of
+ * the order they were added.
+ */
+template <typename Visit>
+ByBlock
+groupByBlock(std::size_t blockCount, Visit visit)
+{
+    ByBlock g;
+    g.start.assign(blockCount + 1, 0);
+    visit([&](BlockId b, std::uint32_t) { ++g.start[b]; });
+    // Each start[b] becomes the end of b's range; filling moves it
+    // back to the beginning.
+    std::uint32_t total = 0;
+    for (std::size_t b = 0; b < blockCount; ++b) {
+        total += g.start[b];
+        g.start[b] = total;
+    }
+    g.start[blockCount] = total;
+    g.items.resize(total);
+    visit([&](BlockId b, std::uint32_t v) { g.items[--g.start[b]] = v; });
+    return g;
 }
 
-MetricsCollector::MetricsCollector(std::size_t blockCount)
-    : edgeSeen_(filterSlots(blockCount), 0),
-      linkSeen_(edgeSeen_.size(), 0),
-      filterShift_(64 - static_cast<unsigned>(
-                            std::countr_zero(edgeSeen_.size())))
-{}
-
-void
-MetricsCollector::recordEdge(BlockId src, BlockId dst)
-{
-    preds_[dst].insert(src);
-}
-
+/** True if R keeps control when `from` transfers to `to`. */
 bool
-MetricsCollector::sawEdge(BlockId src, BlockId dst) const
-{
-    const auto it = preds_.find(dst);
-    return it != preds_.end() && it->second.count(src) != 0;
-}
-
-bool
-MetricsCollector::isInternalTransfer(const Region &r,
-                                     const BasicBlock &from,
-                                     const BasicBlock &to)
+isInternalTransfer(const Region &r, const BasicBlock &from,
+                   const BasicBlock &to)
 {
     if (!r.containsBlock(from.id()))
         return false;
@@ -58,27 +71,29 @@ MetricsCollector::isInternalTransfer(const Region &r,
     return false;
 }
 
+/**
+ * Exit-domination analysis. For each region S: S is exit-dominated
+ * if the only executed predecessor of its entry outside S is a
+ * block of an earlier region R whose transfer to S's entry exits R.
+ * Adds the count and the duplicated instructions between each
+ * dominated region and its dominator.
+ * @param preds   each block's executed predecessors.
+ * @param members each block's regions, in selection order.
+ */
 void
-MetricsCollector::analyzeExitDomination(const Program &prog,
-                                        const CodeCache &cache,
-                                        SimResult &result) const
+analyzeExitDomination(const Program &prog, const CodeCache &cache,
+                      const ByBlock &preds, const ByBlock &members,
+                      SimResult &result)
 {
-    // Index: block -> regions containing it, in selection order.
-    std::unordered_map<BlockId, std::vector<RegionId>> blockRegions;
-    for (const Region &r : cache.regions())
-        for (const BasicBlock *b : r.blocks())
-            blockRegions[b->id()].push_back(r.id());
-
     for (const Region &s : cache.regions()) {
         const BasicBlock &entry = s.entryBlock();
-        auto predsIt = preds_.find(entry.id());
-        if (predsIt == preds_.end())
-            continue;
 
         // Executed predecessors of S's entry that are outside S.
         const BasicBlock *outside = nullptr;
         bool multiple = false;
-        for (BlockId p : predsIt->second) {
+        for (std::uint32_t k = preds.start[entry.id()];
+             k < preds.start[entry.id() + 1]; ++k) {
+            const BlockId p = preds.items[k];
             if (s.containsBlock(p))
                 continue;
             if (outside != nullptr) {
@@ -92,11 +107,10 @@ MetricsCollector::analyzeExitDomination(const Program &prog,
 
         // The unique outside predecessor must be the exit block of
         // an earlier-selected region.
-        auto regIt = blockRegions.find(outside->id());
-        if (regIt == blockRegions.end())
-            continue;
         const Region *dominator = nullptr;
-        for (RegionId rid : regIt->second) {
+        for (std::uint32_t k = members.start[outside->id()];
+             k < members.start[outside->id() + 1]; ++k) {
+            const RegionId rid = members.items[k];
             if (rid >= s.id())
                 break; // selection order: only earlier regions
             const Region &r = cache.region(rid);
@@ -109,12 +123,47 @@ MetricsCollector::analyzeExitDomination(const Program &prog,
             continue;
 
         ++result.exitDominatedRegions;
+        if (result.exitDominationPairs.empty()) // S and later ones
+            result.exitDominationPairs.reserve(cache.regionCount() -
+                                               s.id());
         result.exitDominationPairs.emplace_back(s.id(),
                                                 dominator->id());
         for (const BasicBlock *b : s.blocks())
             if (dominator->containsBlock(b->id()))
                 result.exitDominatedDupInsts += b->instCount();
     }
+}
+
+} // namespace
+
+std::size_t
+MetricsCollector::filterSlots(std::size_t blockCount)
+{
+    return std::clamp(std::bit_ceil(8 * blockCount), minFilterSlots,
+                      maxFilterSlots);
+}
+
+MetricsCollector::MetricsCollector(std::size_t blockCount)
+    : edgeSeen_(filterSlots(blockCount), 0),
+      linkSeen_(edgeSeen_.size(), 0),
+      filterShift_(64 - static_cast<unsigned>(
+                            std::countr_zero(edgeSeen_.size()))),
+      // Room for two executed successors per block before the edge
+      // set first doubles (allocated at the first edge).
+      edges_(4 * blockCount)
+{}
+
+void
+MetricsCollector::recordEdge(std::uint64_t key)
+{
+    edges_.insert(key);
+}
+
+bool
+MetricsCollector::sawEdge(BlockId src, BlockId dst) const
+{
+    return edges_.contains((static_cast<std::uint64_t>(src) << 32) |
+                           dst);
 }
 
 SimResult
@@ -140,7 +189,7 @@ MetricsCollector::finalize(const Program &prog, const CodeCache &cache,
     res.cacheLiveBytes = cache.liveBytes();
 
     res.regionTransitions = transitions_;
-    res.interRegionLinks = linkPairs_.size();
+    res.interRegionLinks = links_.size();
     res.regionExecutions = entries_;
     res.cycleTerminations = cycleTerminations_;
 
@@ -150,6 +199,7 @@ MetricsCollector::finalize(const Program &prog, const CodeCache &cache,
     res.markSweepMultiIterRegions = selector.markSweepMultiIterRegions();
 
     res.regions.reserve(cache.regionCount());
+    RegionQualityScratch scratch;
     for (const Region &r : cache.regions()) {
         RegionStats stats;
         stats.id = r.id();
@@ -169,7 +219,7 @@ MetricsCollector::finalize(const Program &prog, const CodeCache &cache,
             ++res.spanningRegions;
         res.regions.push_back(stats);
 
-        const RegionQuality quality = analyzeRegionQuality(r, prog);
+        const RegionQuality quality = analyzeRegionQuality(r, scratch);
         if (quality.hasInternalCycle)
             ++res.regionsWithInternalCycle;
         if (quality.licmCapable)
@@ -179,20 +229,6 @@ MetricsCollector::finalize(const Program &prog, const CodeCache &cache,
         res.joinBlocksTotal += quality.joinBlocks;
     }
 
-    // Duplication: every copy of a block beyond the first.
-    {
-        std::unordered_map<BlockId, std::uint32_t> copies;
-        for (const Region &r : cache.regions())
-            for (const BasicBlock *b : r.blocks())
-                ++copies[b->id()];
-        for (const auto &[blockId, count] : copies) {
-            if (count > 1) {
-                res.duplicatedInsts +=
-                    (count - 1) * prog.block(blockId).instCount();
-            }
-        }
-    }
-
     res.coverSet90 = res.coverSet(0.90);
     double covered = 0.0;
     for (const RegionStats &r : res.regions)
@@ -200,7 +236,31 @@ MetricsCollector::finalize(const Program &prog, const CodeCache &cache,
     res.coverSetSaturated =
         covered < 0.90 * static_cast<double>(res.totalInsts);
 
-    analyzeExitDomination(prog, cache, res);
+    if (cache.regionCount() == 0)
+        return res; // nothing is duplicated or exit-dominated
+
+    const std::size_t blockCount = prog.blocks().size();
+    const auto &regions = cache.regions();
+    // Visited newest first, so each block's regions come out in
+    // selection order.
+    const ByBlock members = groupByBlock(blockCount, [&](auto add) {
+        for (auto r = regions.rbegin(); r != regions.rend(); ++r)
+            for (const BlockId id : r->blockIds())
+                add(id, r->id());
+    });
+    // Duplication: every copy of a block beyond the first.
+    for (BlockId b = 0; b < blockCount; ++b)
+        if (members.count(b) > 1)
+            res.duplicatedInsts +=
+                (members.count(b) - 1) * prog.block(b).instCount();
+
+    const ByBlock preds = groupByBlock(blockCount, [&](auto add) {
+        edges_.forEach([&](std::uint64_t key) {
+            add(static_cast<BlockId>(key),
+                static_cast<BlockId>(key >> 32));
+        });
+    });
+    analyzeExitDomination(prog, cache, preds, members, res);
     return res;
 }
 

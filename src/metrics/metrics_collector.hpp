@@ -7,12 +7,14 @@
  * contents and selector-side counters and runs the exit-domination
  * analysis (paper Section 4.1) over the dynamic edge profile.
  *
- * Two direct-mapped filters sit in front of the authoritative edge
- * and region-link sets and skip the hash insert for a repeat. They
- * are caches, so their size never changes a result, only how often
- * the slow path runs; they are sized by the program's block count
- * (filterSlots) so a 10-block service tenant does not carry the
- * 64 KiB a 600-block suite program needs.
+ * The edge profile and the region links are flat key sets (one
+ * open-addressed array each, see FlatKeySet), so recording a new
+ * edge allocates nothing until the set doubles. Two direct-mapped
+ * filters sit in front of them and skip the probe for a repeat.
+ * They are caches, so their size never changes a result, only how
+ * often the slow path runs; they are sized by the program's block
+ * count (filterSlots) so a 10-block service tenant does not carry
+ * the 64 KiB a 600-block suite program needs.
  *
  * Threading: a collector belongs to exactly one DynOptSystem and is
  * confined to the thread driving it — it holds no static or global
@@ -25,12 +27,11 @@
 #define RSEL_METRICS_METRICS_COLLECTOR_HPP
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "metrics/sim_result.hpp"
 #include "selection/selector.hpp"
+#include "support/flat_key_set.hpp"
 
 namespace rsel {
 
@@ -59,10 +60,10 @@ class MetricsCollector
 
     /**
      * Record an executed control-flow edge (any kind). The profile
-     * is a *set* per destination, so recording is idempotent; a
+     * is a *set* of edges, so recording is idempotent; a
      * direct-mapped filter of recently recorded edges (filterSlots
-     * entries) skips the hash-set insert for the overwhelmingly
-     * common repeated edge without changing the recorded profile.
+     * entries) skips the set probe for the overwhelmingly common
+     * repeated edge without changing the recorded profile.
      */
     void
     onEdge(BlockId src, BlockId dst)
@@ -73,7 +74,7 @@ class MetricsCollector
         if (slot == key + 1)
             return; // already recorded (insert would be a no-op)
         slot = key + 1; // +1 keeps key 0 distinct from "empty"
-        recordEdge(src, dst);
+        recordEdge(key);
     }
 
     // The per-block and region-lifecycle notifications below run
@@ -119,15 +120,15 @@ class MetricsCollector
         ++transitions_;
         const std::uint64_t key =
             (static_cast<std::uint64_t>(from) << 32) | to;
-        // Same trick as onEdge: linkPairs_ is a set, so a repeated
+        // Same trick as onEdge: links_ is a set, so a repeated
         // pair's insert is a no-op — a direct-mapped filter of
-        // recent pairs skips the hash insert for the common case of
+        // recent pairs skips the probe for the common case of
         // control bouncing between the same two regions.
         std::uint64_t &slot = linkSeen_[filterSlot(key)];
         if (slot == key + 1)
             return;
         slot = key + 1;
-        linkPairs_.insert(key);
+        links_.insert(key);
     }
 
     /** One dynamic block event was consumed. */
@@ -161,6 +162,15 @@ class MetricsCollector
     /** Testing probe: true if onEdge(src, dst) was ever recorded. */
     bool sawEdge(BlockId src, BlockId dst) const;
 
+    /** Testing probe: distinct edges recorded so far. */
+    std::size_t edgeCount() const { return edges_.size(); }
+
+    /** Testing probe: distinct region links recorded so far. */
+    std::size_t linkCount() const { return links_.size(); }
+
+    /** Testing probe: instructions interpreted so far. */
+    std::uint64_t interpretedInsts() const { return interpInsts_; }
+
     /**
      * Produce the final result.
      * @param prog     the simulated program.
@@ -186,24 +196,8 @@ class MetricsCollector
         return regions_[region];
     }
 
-    /**
-     * Exit-domination analysis. For each region S: S is
-     * exit-dominated if the only executed predecessor of its entry
-     * outside S is a block of an earlier region R whose transfer to
-     * S's entry exits R. Returns the count and the duplicated
-     * instructions between each dominated region and its dominator.
-     */
-    void analyzeExitDomination(const Program &prog,
-                               const CodeCache &cache,
-                               SimResult &result) const;
-
-    /** True if R keeps control when `from` transfers to `to`. */
-    static bool isInternalTransfer(const Region &r,
-                                   const BasicBlock &from,
-                                   const BasicBlock &to);
-
-    /** Slow path of onEdge(): the authoritative set insert. */
-    void recordEdge(BlockId src, BlockId dst);
+    /** Slow path of onEdge(), kept out of the inlined hot path. */
+    void recordEdge(std::uint64_t key);
 
     /**
      * Smallest filter. Measured over serve-4096's tenants: at 256
@@ -239,11 +233,12 @@ class MetricsCollector
     std::uint64_t entries_ = 0;
     std::uint64_t cycleTerminations_ = 0;
     std::vector<PerRegion> regions_;
-    /** entry block -> executed predecessor blocks. */
-    std::unordered_map<BlockId, std::unordered_set<BlockId>> preds_;
+    /** Executed edges, keyed (src << 32 | dst). */
+    FlatKeySet edges_;
     /** Distinct (from, to) region pairs that transitioned — the
-     *  links a real cache maintains (paper footnote 9). */
-    std::unordered_set<std::uint64_t> linkPairs_;
+     *  links a real cache maintains (paper footnote 9), keyed
+     *  (from << 32 | to). */
+    FlatKeySet links_;
 };
 
 } // namespace rsel

@@ -1,168 +1,145 @@
 #include "metrics/region_quality.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <vector>
-
-#include "program/program.hpp"
 
 namespace rsel {
 
 namespace {
 
+constexpr std::uint32_t unvisited = ~std::uint32_t{0};
+
 /**
- * Kosaraju strongly-connected components over a small adjacency
- * list. Returns the component id of every node.
+ * Tarjan's strongly-connected components, iteratively, over the
+ * scratch's edge lists: fills every node's component id and
+ * component size.
  */
-std::vector<std::size_t>
-stronglyConnectedComponents(
-    const std::vector<std::vector<std::size_t>> &succs)
+void
+stronglyConnectedComponents(RegionQualityScratch &s)
 {
-    const std::size_t n = succs.size();
-    std::vector<std::vector<std::size_t>> preds(n);
-    for (std::size_t u = 0; u < n; ++u)
-        for (std::size_t v : succs[u])
-            preds[v].push_back(u);
+    auto &nodes = s.nodes;
+    for (auto &n : nodes)
+        n.index = unvisited;
+    s.stack.clear();
+    s.calls.clear();
+    std::uint32_t counter = 0;
+    std::uint32_t components = 0;
 
-    // First pass: finish order via iterative DFS.
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    std::vector<std::uint8_t> seen(n, 0);
-    for (std::size_t root = 0; root < n; ++root) {
-        if (seen[root])
+    const auto visit = [&](std::uint32_t v) {
+        nodes[v].index = nodes[v].low = counter++;
+        nodes[v].onStack = true;
+        s.stack.push_back(v);
+        s.calls.emplace_back(v, nodes[v].edgeBegin);
+    };
+
+    for (std::uint32_t root = 0; root < nodes.size(); ++root) {
+        if (nodes[root].index != unvisited)
             continue;
-        std::vector<std::pair<std::size_t, std::size_t>> stack{
-            {root, 0}};
-        seen[root] = 1;
-        while (!stack.empty()) {
-            auto &[node, next] = stack.back();
-            if (next < succs[node].size()) {
-                const std::size_t child = succs[node][next++];
-                if (!seen[child]) {
-                    seen[child] = 1;
-                    stack.emplace_back(child, 0);
-                }
-            } else {
-                order.push_back(node);
-                stack.pop_back();
+        visit(root);
+        while (!s.calls.empty()) {
+            const std::uint32_t u = s.calls.back().first;
+            const std::uint32_t e = s.calls.back().second;
+            if (e < nodes[u].edgeEnd) {
+                ++s.calls.back().second;
+                const std::uint32_t w = s.edges[e];
+                if (nodes[w].index == unvisited)
+                    visit(w);
+                else if (nodes[w].onStack)
+                    nodes[u].low = std::min(nodes[u].low, nodes[w].index);
+                continue;
             }
+            s.calls.pop_back();
+            if (!s.calls.empty()) {
+                auto &parent = nodes[s.calls.back().first];
+                parent.low = std::min(parent.low, nodes[u].low);
+            }
+            if (nodes[u].low != nodes[u].index)
+                continue;
+            // u roots a component: everything above it on the stack.
+            const auto first = std::find(s.stack.rbegin(),
+                                         s.stack.rend(), u);
+            const std::size_t begin =
+                s.stack.size() - 1 -
+                static_cast<std::size_t>(first - s.stack.rbegin());
+            const auto size =
+                static_cast<std::uint32_t>(s.stack.size() - begin);
+            for (std::size_t k = begin; k < s.stack.size(); ++k) {
+                nodes[s.stack[k]].onStack = false;
+                nodes[s.stack[k]].component = components;
+                nodes[s.stack[k]].componentSize = size;
+            }
+            s.stack.resize(begin);
+            ++components;
         }
     }
-
-    // Second pass: components on the transposed graph.
-    std::vector<std::size_t> component(n, n);
-    std::size_t nextComponent = 0;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        if (component[*it] != n)
-            continue;
-        std::vector<std::size_t> stack{*it};
-        component[*it] = nextComponent;
-        while (!stack.empty()) {
-            const std::size_t node = stack.back();
-            stack.pop_back();
-            for (std::size_t p : preds[node]) {
-                if (component[p] == n) {
-                    component[p] = nextComponent;
-                    stack.push_back(p);
-                }
-            }
-        }
-        ++nextComponent;
-    }
-    return component;
 }
 
 } // namespace
 
 RegionQuality
-analyzeRegionQuality(const Region &region, const Program &prog)
+analyzeRegionQuality(const Region &region, RegionQualityScratch &s)
 {
-    (void)prog;
     const auto &blocks = region.blocks();
-    std::unordered_map<Addr, std::size_t> indexOf;
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-        indexOf.emplace(blocks[i]->startAddr(), i);
-
-    // Build the internal edge list matching Region::step semantics.
-    std::vector<std::vector<std::size_t>> succs(blocks.size());
-    auto addEdge = [&](std::size_t from, Addr target) -> bool {
-        auto it = indexOf.find(target);
-        if (it == indexOf.end())
-            return false;
-        succs[from].push_back(it->second);
-        return true;
+    const auto n = static_cast<std::uint32_t>(blocks.size());
+    // At most two internal edges leave a member (trace: next and
+    // top; multi-path: taken and fall-through).
+    s.nodes.assign(n, {});
+    s.edges.clear();
+    s.edges.reserve(2 * std::size_t{n});
+    s.stack.reserve(n);
+    s.calls.reserve(n);
+    const auto addEdge = [&](std::uint32_t from, std::uint32_t to) {
+        s.edges.push_back(to);
+        ++s.nodes[to].preds;
+        if (to == from)
+            s.nodes[from].selfLoop = true;
     };
 
+    // Build the internal edge list matching Region::step semantics,
+    // source by source, so each member's edges are one range.
     RegionQuality q;
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        const BasicBlock *b = blocks[i];
+    for (std::uint32_t i = 0; i < n; ++i) {
+        s.nodes[i].edgeBegin = static_cast<std::uint32_t>(s.edges.size());
         if (region.kind() == Region::Kind::Trace) {
-            // Recorded path plus the branch-to-top link.
-            if (i + 1 < blocks.size())
-                addEdge(i, blocks[i + 1]->startAddr());
+            // Recorded path plus the branch-to-top link (members are
+            // distinct, so the next member is never the entry).
+            if (i + 1 < n)
+                addEdge(i, i + 1);
+            const BasicBlock *b = blocks[i];
             if (!isIndirect(b->terminator()) &&
-                b->takenTarget() == region.entryAddr() &&
-                (i + 1 >= blocks.size() ||
-                 blocks[i + 1]->startAddr() != region.entryAddr())) {
-                addEdge(i, region.entryAddr());
-            }
-            continue;
+                b->takenTarget() == region.entryAddr())
+                addEdge(i, 0);
+        } else {
+            // MultiPath: every static successor edge between members,
+            // as the region resolved them when it was built.
+            const Region::Successors &succ = region.successors(i);
+            const bool takenIn = succ.takenId != invalidBlock;
+            const bool fallIn = succ.fallId != invalidBlock;
+            if (takenIn)
+                addEdge(i, succ.takenPos);
+            if (fallIn)
+                addEdge(i, succ.fallPos);
+            if (takenIn && fallIn)
+                ++q.dualSuccessorSplits;
         }
-        // MultiPath: every static successor edge between members.
-        bool takenIn = false, fallIn = false;
-        switch (b->terminator()) {
-          case BranchKind::CondDirect:
-            takenIn = addEdge(i, b->takenTarget());
-            fallIn = addEdge(i, b->fallThroughAddr());
-            break;
-          case BranchKind::Jump:
-          case BranchKind::Call:
-            addEdge(i, b->takenTarget());
-            break;
-          case BranchKind::None:
-            addEdge(i, b->fallThroughAddr());
-            break;
-          default:
-            break; // indirect targets are not statically known
-        }
-        if (takenIn && fallIn)
-            ++q.dualSuccessorSplits;
+        s.nodes[i].edgeEnd = static_cast<std::uint32_t>(s.edges.size());
     }
 
-    // Joins and edge count.
-    std::vector<std::uint32_t> predCount(blocks.size(), 0);
-    for (std::size_t u = 0; u < succs.size(); ++u) {
-        q.internalEdges += static_cast<std::uint32_t>(succs[u].size());
-        for (std::size_t v : succs[u])
-            ++predCount[v];
-    }
-    for (std::uint32_t c : predCount)
-        if (c >= 2)
+    q.internalEdges = static_cast<std::uint32_t>(s.edges.size());
+    for (const auto &node : s.nodes)
+        if (node.preds >= 2)
             ++q.joinBlocks;
 
     // Cycles via SCC: a component is cyclic when it has more than
     // one node or a self-edge.
-    const std::vector<std::size_t> component =
-        stronglyConnectedComponents(succs);
-    std::unordered_map<std::size_t, std::size_t> componentSize;
-    for (std::size_t c : component)
-        ++componentSize[c];
-    std::vector<std::uint8_t> selfLoop(blocks.size(), 0);
-    for (std::size_t u = 0; u < succs.size(); ++u)
-        for (std::size_t v : succs[u])
-            if (v == u)
-                selfLoop[u] = 1;
-
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        const bool cyclic =
-            componentSize[component[i]] > 1 || selfLoop[i];
-        if (!cyclic)
+    stronglyConnectedComponents(s);
+    for (const auto &node : s.nodes) {
+        if (node.componentSize <= 1 && !node.selfLoop)
             continue;
         q.hasInternalCycle = true;
         // Entry is index 0: a cycle whose component excludes it
         // leaves in-region code above the loop to hoist invariant
         // instructions to.
-        if (component[i] != component[0])
+        if (node.component != s.nodes[0].component)
             q.licmCapable = true;
     }
     return q;

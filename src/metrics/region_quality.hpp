@@ -24,12 +24,11 @@
 #define RSEL_METRICS_REGION_QUALITY_HPP
 
 #include <cstdint>
+#include <vector>
 
 #include "runtime/region.hpp"
 
 namespace rsel {
-
-class Program;
 
 /** Structural optimization opportunities of one region. */
 struct RegionQuality
@@ -53,13 +52,44 @@ struct RegionQuality
 };
 
 /**
+ * Working storage of analyzeRegionQuality. Analyzing many regions
+ * through one scratch allocates only when a region has more blocks
+ * or edges than every region before it.
+ */
+struct RegionQualityScratch
+{
+    /** Per-member state: out-edge range, Tarjan numbering, and the
+     *  size of the member's strongly-connected component. */
+    struct Node
+    {
+        std::uint32_t edgeBegin = 0;
+        std::uint32_t edgeEnd = 0;
+        std::uint32_t preds = 0;
+        std::uint32_t index = 0;
+        std::uint32_t low = 0;
+        std::uint32_t component = 0;
+        std::uint32_t componentSize = 0;
+        bool onStack = false;
+        bool selfLoop = false;
+    };
+
+    std::vector<Node> nodes;
+    /** Edge targets, grouped by source member (Node::edgeBegin). */
+    std::vector<std::uint32_t> edges;
+    /** Tarjan's member stack. */
+    std::vector<std::uint32_t> stack;
+    /** The iterative DFS: (member, next edge to follow). */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> calls;
+};
+
+/**
  * Analyze one region's internal CFG. Internal edges are the static
  * successor edges (taken target / fall-through) between member
  * blocks, restricted for traces to the recorded layout plus the
  * branch-to-top link — matching the Region::step semantics.
  */
 RegionQuality analyzeRegionQuality(const Region &region,
-                                   const Program &prog);
+                                   RegionQualityScratch &scratch);
 
 } // namespace rsel
 

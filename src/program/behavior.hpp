@@ -13,6 +13,7 @@
 #define RSEL_PROGRAM_BEHAVIOR_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "isa/types.hpp"
@@ -82,6 +83,44 @@ struct IndirectBehavior
     /** Convenience constructor with a single phase. */
     static IndirectBehavior weighted(std::vector<BlockId> targets,
                                      std::vector<double> weights);
+};
+
+/**
+ * A conditional behaviour as a Program stores it: CondBehavior's
+ * fields, with the per-phase probabilities a view of the program's
+ * shared table.
+ */
+struct CondView
+{
+    CondBehavior::Kind kind = CondBehavior::Kind::Bernoulli;
+    /** Bernoulli: taken probability per phase (indexed modulo). */
+    std::span<const double> takenProbByPhase;
+    std::uint32_t tripMin = 1;
+    std::uint32_t tripMax = 1;
+    bool takenIsBackEdge = true;
+};
+
+/**
+ * An indirect behaviour as a Program stores it: views of the
+ * program's shared target and weight tables.
+ */
+struct IndirectView
+{
+    /** Candidate target blocks (non-empty). */
+    std::span<const BlockId> targets;
+    /** Weight rows, phase after phase, targets.size() weights each. */
+    std::span<const double> weights;
+
+    /** Number of weight rows (phases). */
+    std::size_t phaseCount() const { return weights.size() / targets.size(); }
+
+    /** The weight row of `phase`, indexed modulo phaseCount(). */
+    std::span<const double>
+    weightsFor(std::size_t phase) const
+    {
+        return weights.subspan((phase % phaseCount()) * targets.size(),
+                               targets.size());
+    }
 };
 
 } // namespace rsel

@@ -5,34 +5,35 @@
 namespace rsel {
 
 Executor::Executor(const Program &prog, std::uint64_t seed)
-    : prog_(prog), rng_(seed),
-      loopRemaining_(prog.blocks().size(), loopUnarmed),
-      takenPtr_(prog.blocks().size(), nullptr),
-      fallPtr_(prog.blocks().size(), nullptr),
-      condPtr_(prog.blocks().size(), nullptr),
-      indirectPtr_(prog.blocks().size(), nullptr),
-      curProb_(prog.blocks().size(), 0.0),
-      curWeights_(prog.blocks().size(), nullptr),
+    : prog_(prog), rng_(seed), steps_(prog.blocks().size()),
       current_(&prog.block(prog.entry()))
 {
     // Resolve the static successor addresses to block pointers and
-    // the behaviour annotations to id-indexed arrays once, so the
-    // per-event path never touches an address or behaviour hash.
+    // the behaviour annotations to step records once, so the
+    // per-event path never touches an address or behaviour table.
     for (const BasicBlock &b : prog_.blocks()) {
+        Step &step = steps_[b.id()];
         if (b.takenTarget() != invalidAddr)
-            takenPtr_[b.id()] = prog_.blockAtAddr(b.takenTarget());
-        if (b.fallThroughAddr() != invalidAddr)
-            fallPtr_[b.id()] = prog_.blockAtAddr(b.fallThroughAddr());
+            step.taken = prog_.blockAtAddr(b.takenTarget());
+        step.fall = prog_.blockAtAddr(b.fallThroughAddr());
         if (b.terminator() == BranchKind::CondDirect &&
             prog_.hasCondBehavior(b.id())) {
-            condPtr_[b.id()] = &prog_.condBehavior(b.id());
-            condBlocks_.push_back(b.id());
+            const CondView cb = prog_.condBehavior(b.id());
+            step.kind = cb.kind == CondBehavior::Kind::Bernoulli
+                            ? Step::Kind::Bernoulli
+                            : Step::Kind::Loop;
+            step.tripMin = cb.tripMin;
+            step.tripMax = cb.tripMax;
+            step.takenIsBackEdge = cb.takenIsBackEdge;
         }
         if ((b.terminator() == BranchKind::IndirectCall ||
              b.terminator() == BranchKind::IndirectJump) &&
             prog_.hasIndirectBehavior(b.id())) {
-            indirectPtr_[b.id()] = &prog_.indirectBehavior(b.id());
-            indirectBlocks_.push_back(b.id());
+            const IndirectView ib = prog_.indirectBehavior(b.id());
+            step.kind = Step::Kind::Indirect;
+            step.targets = ib.targets.data();
+            step.targetCount =
+                static_cast<std::uint32_t>(ib.targets.size());
         }
     }
     hasPhases_ = !prog_.phaseLengths().empty();
@@ -44,7 +45,8 @@ void
 Executor::reset(std::uint64_t seed)
 {
     rng_ = Rng(seed);
-    loopRemaining_.assign(prog_.blocks().size(), loopUnarmed);
+    for (Step &step : steps_)
+        step.loopRemaining = loopUnarmed;
     callStack_.clear();
     current_ = &prog_.block(prog_.entry());
     pendingTaken_ = false;
@@ -60,17 +62,15 @@ Executor::reset(std::uint64_t seed)
 void
 Executor::rebindPhase()
 {
-    for (const BlockId id : condBlocks_) {
-        const CondBehavior &cb = *condPtr_[id];
-        if (cb.kind == CondBehavior::Kind::Bernoulli) {
-            const auto &probs = cb.takenProbByPhase;
-            curProb_[id] = probs[phaseIdx_ % probs.size()];
+    for (BlockId id = 0; id < steps_.size(); ++id) {
+        Step &step = steps_[id];
+        if (step.kind == Step::Kind::Bernoulli) {
+            const auto probs = prog_.condBehavior(id).takenProbByPhase;
+            step.prob = probs[phaseIdx_ % probs.size()];
+        } else if (step.kind == Step::Kind::Indirect) {
+            step.weights =
+                prog_.indirectBehavior(id).weightsFor(phaseIdx_).data();
         }
-    }
-    for (const BlockId id : indirectBlocks_) {
-        const IndirectBehavior &ib = *indirectPtr_[id];
-        curWeights_[id] =
-            &ib.weightsByPhase[phaseIdx_ % ib.weightsByPhase.size()];
     }
 }
 
@@ -91,59 +91,50 @@ Executor::advancePhase()
 const BasicBlock *
 Executor::nextBlock(const BasicBlock &b, bool &taken)
 {
+    Step &step = steps_[b.id()];
     taken = true; // most cases transfer control; overridden below
     switch (b.terminator()) {
       case BranchKind::None: {
         taken = false;
-        return fallPtr_[b.id()];
+        return step.fall;
       }
       case BranchKind::CondDirect: {
-        RSEL_ASSERT(condPtr_[b.id()] != nullptr,
-                    "conditional block executed without a behaviour");
-        const CondBehavior &cb = *condPtr_[b.id()];
         bool takeBranch;
-        if (cb.kind == CondBehavior::Kind::Bernoulli) {
-            takeBranch = rng_.nextBool(curProb_[b.id()]);
+        if (step.kind == Step::Kind::Bernoulli) {
+            takeBranch = rng_.nextBool(step.prob);
         } else {
+            RSEL_ASSERT(step.kind == Step::Kind::Loop,
+                        "conditional block executed without a behaviour");
             // Loop latch: arm with a fresh trip count when entered
             // from outside; count down back-edge executions.
-            std::uint64_t &remaining = loopRemaining_[b.id()];
+            std::uint64_t &remaining = step.loopRemaining;
             if (remaining == loopUnarmed)
-                remaining = rng_.nextRange(cb.tripMin, cb.tripMax) - 1;
+                remaining = rng_.nextRange(step.tripMin, step.tripMax) - 1;
             const bool backEdge = remaining > 0;
             if (backEdge)
                 --remaining;
             else
                 remaining = loopUnarmed;
-            takeBranch = cb.takenIsBackEdge ? backEdge : !backEdge;
+            takeBranch = step.takenIsBackEdge ? backEdge : !backEdge;
         }
         if (takeBranch)
-            return takenPtr_[b.id()];
+            return step.taken;
         taken = false;
-        return fallPtr_[b.id()];
+        return step.fall;
       }
       case BranchKind::Jump:
-        return takenPtr_[b.id()];
+        return step.taken;
       case BranchKind::Call:
       case BranchKind::IndirectCall: {
         RSEL_ASSERT(callStack_.size() < maxCallDepth,
                     "guest call stack overflow");
-        callStack_.push_back(fallPtr_[b.id()]);
+        callStack_.push_back(step.fall);
         if (b.terminator() == BranchKind::Call)
-            return takenPtr_[b.id()];
-        RSEL_ASSERT(indirectPtr_[b.id()] != nullptr,
-                    "indirect block executed without a behaviour");
-        const IndirectBehavior &ib = *indirectPtr_[b.id()];
-        const std::size_t idx = rng_.nextWeighted(*curWeights_[b.id()]);
-        return &prog_.block(ib.targets[idx]);
+            return step.taken;
+        return indirectTarget(step);
       }
-      case BranchKind::IndirectJump: {
-        RSEL_ASSERT(indirectPtr_[b.id()] != nullptr,
-                    "indirect block executed without a behaviour");
-        const IndirectBehavior &ib = *indirectPtr_[b.id()];
-        const std::size_t idx = rng_.nextWeighted(*curWeights_[b.id()]);
-        return &prog_.block(ib.targets[idx]);
-      }
+      case BranchKind::IndirectJump:
+        return indirectTarget(step);
       case BranchKind::Return: {
         if (callStack_.empty())
             return nullptr; // returned past the entry frame: done
@@ -156,6 +147,16 @@ Executor::nextBlock(const BasicBlock &b, bool &taken)
         return nullptr;
     }
     return nullptr;
+}
+
+const BasicBlock *
+Executor::indirectTarget(const Step &step)
+{
+    RSEL_ASSERT(step.kind == Step::Kind::Indirect,
+                "indirect block executed without a behaviour");
+    const std::size_t idx = rng_.nextWeighted(
+        std::span<const double>(step.weights, step.targetCount));
+    return &prog_.block(step.targets[idx]);
 }
 
 std::uint64_t

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "program/program.hpp"
@@ -48,20 +50,60 @@ class ExecutionSink
 };
 
 /**
+ * std::allocator, except that resize() leaves new elements
+ * default-initialized (for the stripes' plain integers: unwritten)
+ * instead of zeroing them.
+ */
+template <typename T>
+struct UninitAllocator : std::allocator<T>
+{
+    template <typename U>
+    struct rebind
+    {
+        using other = UninitAllocator<U>;
+    };
+
+    UninitAllocator() = default;
+    template <typename U>
+    UninitAllocator(const UninitAllocator<U> &) noexcept
+    {}
+
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/** An event-batch stripe: a vector whose resize() does not zero. */
+template <typename T>
+using Stripe = std::vector<T, UninitAllocator<T>>;
+
+/**
  * A batch of dynamic block events in structure-of-arrays layout:
  * one densely packed stripe per field, so a consumer loop touches
  * only the stripes it needs and the producer never materializes
  * ExecEvent objects. The three stripes are parallel; entry i of each
- * describes the i-th event of the batch.
+ * describes the i-th event of the batch. A producer sizes the
+ * stripes with resize() and writes every entry: the stripes do not
+ * zero what they grow by.
  */
 struct EventBatch
 {
     /** Id of the block beginning execution. */
-    std::vector<BlockId> blockIds;
+    Stripe<BlockId> blockIds;
     /** 1 if the block was entered via a taken transfer, else 0. */
-    std::vector<std::uint8_t> takenFlags;
+    Stripe<std::uint8_t> takenFlags;
     /** Transferring branch address; valid iff takenFlags[i]. */
-    std::vector<Addr> branchAddrs;
+    Stripe<Addr> branchAddrs;
 
     /** Events currently in the batch. */
     std::size_t size() const { return blockIds.size(); }
@@ -213,14 +255,19 @@ class Executor
     /** Resolve the successor of `b`; may push/pop the call stack. */
     const BasicBlock *nextBlock(const BasicBlock &b, bool &taken);
 
+    struct Step;
+
+    /** Draw the target of an indirect block's step. */
+    const BasicBlock *indirectTarget(const Step &step);
+
     /** Advance the phase schedule by one executed block. */
     void advancePhase();
 
     /**
-     * Re-resolve the phase-dependent behaviour tables for the
-     * current phaseIdx_. Runs once per phase switch (and at
+     * Re-resolve the phase-dependent step fields for the current
+     * phaseIdx_. Runs once per phase switch (and at
      * construction/reset), so the per-event path never computes a
-     * phase modulus or touches the behaviour hash maps.
+     * phase modulus.
      */
     void rebindPhase();
 
@@ -234,31 +281,44 @@ class Executor
      */
     static constexpr std::size_t maxCallDepth = 1u << 23;
 
+    /**
+     * Everything the per-event path reads about one static block,
+     * resolved once at construction (the phase-dependent fields once
+     * per phase switch), so it never touches an address index or a
+     * behaviour table: one record per block, indexed by block id.
+     */
+    struct Step
+    {
+        /** What resolves the block's branch. */
+        enum class Kind : std::uint8_t {
+            Static,    ///< no behaviour (taken / fall are fixed)
+            Bernoulli, ///< conditional, phase-resolved prob
+            Loop,      ///< conditional loop latch
+            Indirect,  ///< weighted pick among targets
+        };
+
+        /** Block at the taken target (nullptr if none). */
+        const BasicBlock *taken = nullptr;
+        /** Block at the fall-through address (nullptr if none). */
+        const BasicBlock *fall = nullptr;
+        /** Bernoulli: phase-resolved taken probability. */
+        double prob = 0.0;
+        /** Indirect: phase-resolved weight row, targetCount long. */
+        const double *weights = nullptr;
+        /** Indirect: the candidate targets, targetCount long. */
+        const BlockId *targets = nullptr;
+        /** Loop: back-edge executions left, or loopUnarmed. */
+        std::uint64_t loopRemaining = loopUnarmed;
+        std::uint32_t tripMin = 1;
+        std::uint32_t tripMax = 1;
+        std::uint32_t targetCount = 0;
+        Kind kind = Kind::Static;
+        bool takenIsBackEdge = true;
+    };
+
     const Program &prog_;
     Rng rng_;
-    std::vector<std::uint64_t> loopRemaining_;
-    /**
-     * Successor blocks resolved once per static block at
-     * construction, replacing the per-event address-hash lookups:
-     * takenPtr_[id] is the block at the taken target, fallPtr_[id]
-     * the block at the fall-through address (nullptr where the
-     * address is invalid or not a block start).
-     */
-    std::vector<const BasicBlock *> takenPtr_;
-    std::vector<const BasicBlock *> fallPtr_;
-    /**
-     * Behaviour annotations re-homed from the Program's hash maps
-     * into id-indexed arrays (nullptr where absent), plus the ids
-     * that carry each kind — the worklists rebindPhase() walks.
-     */
-    std::vector<const CondBehavior *> condPtr_;
-    std::vector<const IndirectBehavior *> indirectPtr_;
-    std::vector<BlockId> condBlocks_;
-    std::vector<BlockId> indirectBlocks_;
-    /** Phase-resolved Bernoulli taken probability per block. */
-    std::vector<double> curProb_;
-    /** Phase-resolved indirect weight row per block. */
-    std::vector<const std::vector<double> *> curWeights_;
+    std::vector<Step> steps_;
     /** Length of the current phase; meaningless without phases. */
     std::uint64_t phaseLenCur_ = 0;
     /** False when the program has a single unbounded phase. */

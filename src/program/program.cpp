@@ -7,10 +7,16 @@ namespace rsel {
 const BasicBlock *
 Program::blockAtAddr(Addr addr) const
 {
-    auto it = addrToBlock_.find(addr);
-    if (it == addrToBlock_.end())
+    if (addrIndex_.empty() || addr == invalidAddr)
         return nullptr;
-    return &blocks_[it->second];
+    const std::size_t mask = addrIndex_.size() - 1;
+    for (std::size_t slot = addrSlotOf(addr);; slot = (slot + 1) & mask) {
+        const AddrSlot &s = addrIndex_[slot];
+        if (s.addr == addr)
+            return &blocks_[s.id];
+        if (s.addr == invalidAddr)
+            return nullptr;
+    }
 }
 
 const BasicBlock *
@@ -27,22 +33,31 @@ Program::fallThroughOf(const BasicBlock &b) const
     return blockAtAddr(addr);
 }
 
-const CondBehavior &
+CondView
 Program::condBehavior(BlockId id) const
 {
-    auto it = condBehaviors_.find(id);
-    RSEL_ASSERT(it != condBehaviors_.end(),
-                "block has no conditional behaviour");
-    return it->second;
+    RSEL_ASSERT(hasCondBehavior(id), "block has no conditional behaviour");
+    const Behavior &b = behaviors_[id];
+    CondView v;
+    v.kind = b.condKind;
+    v.takenProbByPhase = {numbers_.data() + b.numbersBegin,
+                          b.numbersCount};
+    v.tripMin = b.tripMin;
+    v.tripMax = b.tripMax;
+    v.takenIsBackEdge = b.takenIsBackEdge;
+    return v;
 }
 
-const IndirectBehavior &
+IndirectView
 Program::indirectBehavior(BlockId id) const
 {
-    auto it = indirectBehaviors_.find(id);
-    RSEL_ASSERT(it != indirectBehaviors_.end(),
+    RSEL_ASSERT(hasIndirectBehavior(id),
                 "block has no indirect behaviour");
-    return it->second;
+    const Behavior &b = behaviors_[id];
+    IndirectView v;
+    v.targets = {targets_.data() + b.targetsBegin, b.targetsCount};
+    v.weights = {numbers_.data() + b.numbersBegin, b.numbersCount};
+    return v;
 }
 
 } // namespace rsel

@@ -6,8 +6,8 @@
 #ifndef RSEL_PROGRAM_PROGRAM_HPP
 #define RSEL_PROGRAM_PROGRAM_HPP
 
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/basic_block.hpp"
@@ -35,6 +35,13 @@ struct Function
  * addresses (functions in creation order, blocks in creation order
  * within a function), so "backward branch" has its architectural
  * meaning. Branch behaviours are attached per block.
+ *
+ * Storage is a handful of program-wide tables, each indexed by block
+ * id or pointing into a shared pool, never one heap object per block:
+ * the instructions of every block in one array, the address index in
+ * one open-addressed array, one behaviour record per block, and the
+ * behaviours' probabilities, weights and indirect targets in two
+ * pools. A tenant-sized program is about seven allocations.
  */
 class Program
 {
@@ -44,6 +51,13 @@ class Program
 
     /** A block by id. */
     const BasicBlock &block(BlockId id) const { return blocks_.at(id); }
+
+    /** The instructions of a block of this program, in address order. */
+    std::span<const Instruction>
+    instructions(const BasicBlock &b) const
+    {
+        return {insts_.data() + b.firstInst(), b.instCount()};
+    }
 
     /** All functions, indexed by FuncId. */
     const std::vector<Function> &functions() const { return functions_; }
@@ -67,21 +81,23 @@ class Program
     const BasicBlock *fallThroughOf(const BasicBlock &b) const;
 
     /** Behaviour of a conditional block. @pre the block has one. */
-    const CondBehavior &condBehavior(BlockId id) const;
+    CondView condBehavior(BlockId id) const;
 
     /** Behaviour of an indirect block. @pre the block has one. */
-    const IndirectBehavior &indirectBehavior(BlockId id) const;
+    IndirectView indirectBehavior(BlockId id) const;
 
     /** True if the block has a conditional-behaviour annotation. */
     bool hasCondBehavior(BlockId id) const
     {
-        return condBehaviors_.count(id) != 0;
+        return id < behaviors_.size() &&
+               behaviors_[id].kind == Behavior::Kind::Cond;
     }
 
     /** True if the block has an indirect-behaviour annotation. */
     bool hasIndirectBehavior(BlockId id) const
     {
-        return indirectBehaviors_.count(id) != 0;
+        return id < behaviors_.size() &&
+               behaviors_[id].kind == Behavior::Kind::Indirect;
     }
 
     /**
@@ -102,11 +118,59 @@ class Program
   private:
     friend class ProgramBuilder;
 
+    /**
+     * One block's behaviour annotation. The variable-length parts
+     * are ranges of the shared pools: a conditional's per-phase
+     * probabilities and an indirect's weight rows in numbers_, an
+     * indirect's targets in targets_.
+     */
+    struct Behavior
+    {
+        enum class Kind : std::uint8_t { None, Cond, Indirect };
+
+        Kind kind = Kind::None;
+        CondBehavior::Kind condKind = CondBehavior::Kind::Bernoulli;
+        bool takenIsBackEdge = true;
+        std::uint32_t tripMin = 1;
+        std::uint32_t tripMax = 1;
+        std::uint32_t numbersBegin = 0;
+        std::uint32_t numbersCount = 0;
+        std::uint32_t targetsBegin = 0;
+        std::uint32_t targetsCount = 0;
+    };
+
+    /** One slot of the address index; addr == invalidAddr when empty. */
+    struct AddrSlot
+    {
+        Addr addr = invalidAddr;
+        BlockId id = invalidBlock;
+    };
+
+    /** Home slot of `addr` in addrIndex_ (Fibonacci hash). */
+    std::size_t
+    addrSlotOf(Addr addr) const
+    {
+        return static_cast<std::size_t>(
+            (addr * 0x9E3779B97F4A7C15ull) >> addrShift_);
+    }
+
     std::vector<BasicBlock> blocks_;
+    /** Every block's instructions, block after block. */
+    std::vector<Instruction> insts_;
     std::vector<Function> functions_;
-    std::unordered_map<Addr, BlockId> addrToBlock_;
-    std::unordered_map<BlockId, CondBehavior> condBehaviors_;
-    std::unordered_map<BlockId, IndirectBehavior> indirectBehaviors_;
+    /**
+     * Block start address -> block id: open addressing with linear
+     * probing over a power-of-two slot count, at most half full.
+     */
+    std::vector<AddrSlot> addrIndex_;
+    /** 64 - log2(addrIndex_.size()): the hash's shift. */
+    unsigned addrShift_ = 64;
+    /** Behaviour annotation per block id. */
+    std::vector<Behavior> behaviors_;
+    /** Probabilities and weights of every behaviour. */
+    std::vector<double> numbers_;
+    /** Targets of every indirect behaviour. */
+    std::vector<BlockId> targets_;
     std::vector<std::uint64_t> phaseLengths_;
     BlockId entry_ = invalidBlock;
     std::uint64_t staticInsts_ = 0;

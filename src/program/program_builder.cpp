@@ -1,5 +1,7 @@
 #include "program/program_builder.hpp"
 
+#include <bit>
+
 #include "support/error.hpp"
 
 namespace rsel {
@@ -60,8 +62,17 @@ ProgramBuilder::blockWithSizes(const std::vector<std::uint8_t> &sizes)
         if (s == 0)
             fatal("instruction sizes must be positive");
     }
-    pendings_.back().sizes = sizes;
+    pendings_.back().sizesBegin = static_cast<std::uint32_t>(sizes_.size());
+    pendings_.back().sizesCount = static_cast<std::uint32_t>(sizes.size());
+    sizes_.insert(sizes_.end(), sizes.begin(), sizes.end());
     return id;
+}
+
+void
+ProgramBuilder::reserve(std::size_t blocks, std::size_t functions)
+{
+    pendings_.reserve(blocks);
+    functions_.reserve(functions);
 }
 
 ProgramBuilder::PendingBlock &
@@ -86,22 +97,32 @@ ProgramBuilder::setTerminator(BlockId src, BranchKind kind, BlockId target,
 }
 
 void
-ProgramBuilder::condTo(BlockId src, BlockId target, CondBehavior behavior)
+ProgramBuilder::condTo(BlockId src, BlockId target,
+                       const CondBehavior &behavior)
 {
     if (behavior.kind == CondBehavior::Kind::Bernoulli &&
         behavior.takenProbByPhase.empty()) {
         fatal("Bernoulli behaviour needs at least one probability");
     }
     setTerminator(src, BranchKind::CondDirect, target, invalidFunc);
-    condBehaviors_[src] = std::move(behavior);
+    Program::Behavior &b = pendings_[src].behavior;
+    b.kind = Program::Behavior::Kind::Cond;
+    b.condKind = behavior.kind;
+    b.takenIsBackEdge = behavior.takenIsBackEdge;
+    b.tripMin = behavior.tripMin;
+    b.tripMax = behavior.tripMax;
+    b.numbersBegin = static_cast<std::uint32_t>(numbers_.size());
+    b.numbersCount =
+        static_cast<std::uint32_t>(behavior.takenProbByPhase.size());
+    numbers_.insert(numbers_.end(), behavior.takenProbByPhase.begin(),
+                    behavior.takenProbByPhase.end());
 }
 
 void
 ProgramBuilder::loopTo(BlockId src, BlockId head, std::uint32_t trip_min,
                        std::uint32_t trip_max)
 {
-    setTerminator(src, BranchKind::CondDirect, head, invalidFunc);
-    condBehaviors_[src] = CondBehavior::loop(trip_min, trip_max);
+    condTo(src, head, CondBehavior::loop(trip_min, trip_max));
 }
 
 void
@@ -142,21 +163,34 @@ validateIndirect(const IndirectBehavior &behavior)
 } // namespace
 
 void
-ProgramBuilder::indirectJump(BlockId src, IndirectBehavior behavior)
+ProgramBuilder::setIndirect(BlockId src, BranchKind kind,
+                            const IndirectBehavior &behavior)
 {
     validateIndirect(behavior);
-    setTerminator(src, BranchKind::IndirectJump, invalidBlock,
-                  invalidFunc);
-    indirectBehaviors_[src] = std::move(behavior);
+    setTerminator(src, kind, invalidBlock, invalidFunc);
+    Program::Behavior &b = pendings_[src].behavior;
+    b.kind = Program::Behavior::Kind::Indirect;
+    b.targetsBegin = static_cast<std::uint32_t>(targets_.size());
+    b.targetsCount = static_cast<std::uint32_t>(behavior.targets.size());
+    targets_.insert(targets_.end(), behavior.targets.begin(),
+                    behavior.targets.end());
+    b.numbersBegin = static_cast<std::uint32_t>(numbers_.size());
+    for (const auto &weights : behavior.weightsByPhase)
+        numbers_.insert(numbers_.end(), weights.begin(), weights.end());
+    b.numbersCount =
+        static_cast<std::uint32_t>(numbers_.size() - b.numbersBegin);
 }
 
 void
-ProgramBuilder::indirectCall(BlockId src, IndirectBehavior behavior)
+ProgramBuilder::indirectJump(BlockId src, const IndirectBehavior &behavior)
 {
-    validateIndirect(behavior);
-    setTerminator(src, BranchKind::IndirectCall, invalidBlock,
-                  invalidFunc);
-    indirectBehaviors_[src] = std::move(behavior);
+    setIndirect(src, BranchKind::IndirectJump, behavior);
+}
+
+void
+ProgramBuilder::indirectCall(BlockId src, const IndirectBehavior &behavior)
+{
+    setIndirect(src, BranchKind::IndirectCall, behavior);
 }
 
 void
@@ -224,45 +258,60 @@ ProgramBuilder::build()
     // Pass 1: assign instruction sizes and block addresses in layout
     // order. Sizes are 2-6 bytes, mean approximately 3.5, matching
     // the paper's "between three and four bytes" average.
-    std::vector<std::vector<Instruction>> insts(pendings_.size());
-    std::vector<Addr> startAddrs(pendings_.size());
+    Program prog;
+    std::size_t instTotal = 0;
+    for (const PendingBlock &pb : pendings_)
+        instTotal += pb.ninsts;
+    prog.insts_.reserve(instTotal);
     Addr cursor = baseAddr_;
     FuncId currentFunc = invalidFunc;
-    for (BlockId id = 0; id < pendings_.size(); ++id) {
-        const PendingBlock &pb = pendings_[id];
+    for (PendingBlock &pb : pendings_) {
         if (pb.func != currentFunc) {
             cursor = alignUp(cursor, funcAlign);
             currentFunc = pb.func;
         }
-        startAddrs[id] = cursor;
-        insts[id].reserve(pb.ninsts);
+        pb.firstInst = static_cast<std::uint32_t>(prog.insts_.size());
         for (unsigned i = 0; i < pb.ninsts; ++i) {
             Instruction inst;
             inst.addr = cursor;
             inst.sizeBytes =
-                pb.sizes.empty()
+                pb.sizesCount == 0
                     ? static_cast<std::uint8_t>(rng_.nextRange(2, 6))
-                    : pb.sizes[i];
+                    : sizes_[pb.sizesBegin + i];
             cursor += inst.sizeBytes;
-            insts[id].push_back(inst);
+            prog.insts_.push_back(inst);
         }
     }
 
-    // Pass 2: resolve targets and materialize blocks.
-    Program prog;
+    // Pass 2: resolve targets and materialize blocks, their
+    // behaviours and the address index.
+    const auto startAddr = [&](BlockId id) {
+        return prog.insts_[pendings_[id].firstInst].addr;
+    };
+    const std::size_t slots = std::bit_ceil(2 * pendings_.size());
+    prog.addrIndex_.resize(slots);
+    prog.addrShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
     prog.blocks_.reserve(pendings_.size());
+    prog.behaviors_.reserve(pendings_.size());
     for (BlockId id = 0; id < pendings_.size(); ++id) {
         const PendingBlock &pb = pendings_[id];
         Addr target = invalidAddr;
         if (pb.terminator == BranchKind::Call &&
             pb.callee != invalidFunc) {
-            target = startAddrs[functions_[pb.callee].entry];
+            target = startAddr(functions_[pb.callee].entry);
         } else if (pb.target != invalidBlock) {
-            target = startAddrs[pb.target];
+            target = startAddr(pb.target);
         }
-        prog.blocks_.emplace_back(id, pb.func, std::move(insts[id]),
-                                  pb.terminator, target);
-        prog.addrToBlock_[startAddrs[id]] = id;
+        prog.blocks_.emplace_back(
+            id, pb.func,
+            std::span<const Instruction>(
+                prog.insts_.data() + pb.firstInst, pb.ninsts),
+            pb.terminator, target, pb.firstInst);
+        prog.behaviors_.push_back(pb.behavior);
+        std::size_t slot = prog.addrSlotOf(startAddr(id));
+        while (prog.addrIndex_[slot].addr != invalidAddr)
+            slot = (slot + 1) & (slots - 1);
+        prog.addrIndex_[slot] = {startAddr(id), id};
         prog.staticInsts_ += pb.ninsts;
         prog.staticBytes_ += prog.blocks_.back().sizeBytes();
     }
@@ -278,9 +327,8 @@ ProgramBuilder::build()
             b.terminator() == BranchKind::IndirectCall;
         if (!needsSuccessor)
             continue;
-        auto it = prog.addrToBlock_.find(b.fallThroughAddr());
-        if (it == prog.addrToBlock_.end() ||
-            prog.blocks_[it->second].func() != b.func()) {
+        const BasicBlock *next = prog.blockAtAddr(b.fallThroughAddr());
+        if (next == nullptr || next->func() != b.func()) {
             fatal("block " + std::to_string(b.id()) + " in function '" +
                   functions_[b.func()].name +
                   "' falls through past the end of its function");
@@ -288,8 +336,8 @@ ProgramBuilder::build()
     }
 
     prog.functions_ = std::move(functions_);
-    prog.condBehaviors_ = std::move(condBehaviors_);
-    prog.indirectBehaviors_ = std::move(indirectBehaviors_);
+    prog.numbers_ = std::move(numbers_);
+    prog.targets_ = std::move(targets_);
     prog.phaseLengths_ = std::move(phaseLengths_);
     prog.entry_ = entry_;
     return prog;

@@ -58,8 +58,16 @@ class ProgramBuilder
      */
     BlockId blockWithSizes(const std::vector<std::uint8_t> &sizes);
 
+    /**
+     * Pre-size for `blocks` blocks in `functions` functions (upper
+     * bounds are fine), so building allocates once per table instead
+     * of once per doubling.
+     */
+    void reserve(std::size_t blocks, std::size_t functions);
+
     /** Make `src` a conditional branch to `target`. */
-    void condTo(BlockId src, BlockId target, CondBehavior behavior);
+    void condTo(BlockId src, BlockId target,
+                const CondBehavior &behavior);
 
     /**
      * Make `src` a loop latch conditionally branching back to
@@ -84,10 +92,10 @@ class ProgramBuilder
     void callToBlock(BlockId src, BlockId target);
 
     /** Make `src` an indirect jump resolved by `behavior`. */
-    void indirectJump(BlockId src, IndirectBehavior behavior);
+    void indirectJump(BlockId src, const IndirectBehavior &behavior);
 
     /** Make `src` an indirect call resolved by `behavior`. */
-    void indirectCall(BlockId src, IndirectBehavior behavior);
+    void indirectCall(BlockId src, const IndirectBehavior &behavior);
 
     /** Make `src` a return. */
     void ret(BlockId src);
@@ -100,6 +108,9 @@ class ProgramBuilder
 
     /** Number of functions created so far. */
     std::size_t functionCount() const { return functions_.size(); }
+
+    /** Number of blocks created so far. */
+    std::size_t blockCount() const { return pendings_.size(); }
 
     /** Set the program entry block. */
     void setEntry(BlockId entry);
@@ -121,20 +132,31 @@ class ProgramBuilder
         BranchKind terminator = BranchKind::None;
         BlockId target = invalidBlock; ///< block-id form of takenTarget
         FuncId callee = invalidFunc;
-        /** Explicit instruction sizes (empty = synthesized). */
-        std::vector<std::uint8_t> sizes;
+        /** Explicit instruction sizes: sizesCount entries of sizes_
+         *  from sizesBegin (none = synthesized). */
+        std::uint32_t sizesBegin = 0;
+        std::uint32_t sizesCount = 0;
+        /** The behaviour, its pools' ranges already final. */
+        Program::Behavior behavior;
+        /** Index of the first instruction (set by build()). */
+        std::uint32_t firstInst = 0;
     };
 
     PendingBlock &pending(BlockId id);
     void setTerminator(BlockId src, BranchKind kind, BlockId target,
                        FuncId callee);
+    void setIndirect(BlockId src, BranchKind kind,
+                     const IndirectBehavior &behavior);
 
     Rng rng_;
     Addr baseAddr_;
     std::vector<PendingBlock> pendings_;
     std::vector<Function> functions_;
-    std::unordered_map<BlockId, CondBehavior> condBehaviors_;
-    std::unordered_map<BlockId, IndirectBehavior> indirectBehaviors_;
+    /** Explicit instruction sizes of every blockWithSizes block. */
+    std::vector<std::uint8_t> sizes_;
+    /** Program::numbers_ and Program::targets_, under way. */
+    std::vector<double> numbers_;
+    std::vector<BlockId> targets_;
     std::vector<std::uint64_t> phaseLengths_;
     BlockId entry_ = invalidBlock;
     bool built_ = false;

@@ -84,7 +84,7 @@ saveProgram(const Program &prog, std::ostream &os)
         for (BlockId id = f.firstBlock; id < f.lastBlock; ++id) {
             const BasicBlock &b = prog.block(id);
             os << "block " << b.instCount();
-            for (const Instruction &inst : b.instructions())
+            for (const Instruction &inst : prog.instructions(b))
                 os << ' ' << static_cast<unsigned>(inst.sizeBytes);
             os << ' ' << branchKindName(b.terminator());
             if (b.takenTarget() != invalidAddr)
@@ -95,7 +95,7 @@ saveProgram(const Program &prog, std::ostream &os)
 
     for (const BasicBlock &b : prog.blocks()) {
         if (b.terminator() == BranchKind::CondDirect) {
-            const CondBehavior &cb = prog.condBehavior(b.id());
+            const CondView cb = prog.condBehavior(b.id());
             if (cb.kind == CondBehavior::Kind::Bernoulli) {
                 os << "cond " << b.id() << " bernoulli "
                    << cb.takenProbByPhase.size();
@@ -109,15 +109,14 @@ saveProgram(const Program &prog, std::ostream &os)
             }
         } else if (b.terminator() == BranchKind::IndirectJump ||
                    b.terminator() == BranchKind::IndirectCall) {
-            const IndirectBehavior &ib = prog.indirectBehavior(b.id());
+            const IndirectView ib = prog.indirectBehavior(b.id());
             os << "indirect " << b.id() << " targets "
                << ib.targets.size();
             for (BlockId t : ib.targets)
                 os << ' ' << t;
-            os << " phases " << ib.weightsByPhase.size();
-            for (const auto &weights : ib.weightsByPhase)
-                for (double w : weights)
-                    os << ' ' << w;
+            os << " phases " << ib.phaseCount();
+            for (double w : ib.weights)
+                os << ' ' << w;
             os << '\n';
         }
     }

@@ -1,25 +1,41 @@
 #include "runtime/code_cache.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "support/error.hpp"
 
 namespace rsel {
 
-CodeCache::CodeCache(CacheLimits limits)
-    : limits_(limits)
+std::uint64_t
+cacheBytesFromKb(std::uint64_t kb, const std::string &name)
+{
+    if (kb > maxCacheKb)
+        fatal(name + " must be at most " + std::to_string(maxCacheKb) +
+              " KiB, got " + std::to_string(kb));
+    return kb * 1024;
+}
+
+CodeCache::CodeCache(CacheLimits limits, std::size_t blockCount)
+    : limits_(limits), blockCount_(blockCount)
 {}
+
+CodeCache::EntryState &
+CodeCache::entryState(BlockId block)
+{
+    if (block >= entries_.size())
+        entries_.resize(std::max<std::size_t>(blockCount_, block + 1));
+    return entries_[block];
+}
 
 void
 CodeCache::removeLive(RegionId id, DropReason reason)
 {
-    RSEL_ASSERT(live_.count(id) != 0, "removing a non-live region");
+    RSEL_ASSERT(isLive(id), "removing a non-live region");
     const Region &r = regions_[id];
     const std::uint64_t bytes = estimateOf(r);
-    live_.erase(id);
-    byEntry_.erase(r.entryAddr());
-    entryIndex_[r.entryBlock().id()] = invalidRegion;
+    live_[id] = 0;
+    --liveCount_;
+    entries_[r.entryBlock().id()].live = invalidRegion;
     liveBytes_ -= bytes;
     if (listener_ != nullptr) {
         // The re-entrancy sentinel brackets the callback; the
@@ -33,13 +49,12 @@ CodeCache::removeLive(RegionId id, DropReason reason)
 void
 CodeCache::evict(RegionId id)
 {
-    const Addr entry = regions_[id].entryAddr();
     removeLive(id, flushing_ ? DropReason::Flushed
                              : DropReason::Evicted);
     ++evictions_;
     // The entry's stale translation is gone with it: a later
     // re-insert is a plain regeneration, not a re-translation.
-    invalidatedEntries_.erase(entry);
+    entries_[regions_[id].entryBlock().id()].invalidated = false;
 }
 
 bool
@@ -47,12 +62,11 @@ CodeCache::invalidate(RegionId id)
 {
     RSEL_ASSERT(!notifying_,
                 "listener re-entered invalidate() mid-mutation");
-    if (live_.count(id) == 0)
+    if (!isLive(id))
         return false; // already evicted or invalidated: no-op
-    const Addr entry = regions_[id].entryAddr();
     removeLive(id, DropReason::Invalidated);
     ++invalidations_;
-    invalidatedEntries_.insert(entry);
+    entries_[regions_[id].entryBlock().id()].invalidated = true;
     return true;
 }
 
@@ -61,14 +75,14 @@ CodeCache::invalidateBlock(BlockId block)
 {
     RSEL_ASSERT(!notifying_,
                 "listener re-entered invalidateBlock() mid-mutation");
-    std::vector<RegionId> victims;
-    for (const RegionId id : live_)
-        if (regions_[id].containsBlock(block))
-            victims.push_back(id);
-    std::sort(victims.begin(), victims.end());
-    for (const RegionId id : victims)
-        invalidate(id);
-    return victims.size();
+    // Ascending region id, the determinism order.
+    std::size_t dropped = 0;
+    for (RegionId id = oldest_; id < regions_.size(); ++id)
+        if (live_[id] != 0 && regions_[id].containsBlock(block)) {
+            invalidate(id);
+            ++dropped;
+        }
+    return dropped;
 }
 
 void
@@ -76,15 +90,13 @@ CodeCache::flushAll()
 {
     RSEL_ASSERT(!notifying_,
                 "listener re-entered flushAll() mid-mutation");
-    if (live_.empty())
+    if (liveCount_ == 0)
         return;
     ++flushes_;
     flushing_ = true;
-    while (!fifo_.empty()) {
-        if (live_.count(fifo_.front()) != 0)
-            evict(fifo_.front());
-        fifo_.pop_front();
-    }
+    for (; oldest_ < regions_.size(); ++oldest_)
+        if (live_[oldest_] != 0)
+            evict(oldest_);
     flushing_ = false;
 }
 
@@ -119,10 +131,9 @@ CodeCache::makeRoom(std::uint64_t incomingBytes)
     // cache is empty — a region larger than the capacity is allowed
     // to live alone).
     while (liveBytes_ + incomingBytes > limits_.capacityBytes &&
-           !fifo_.empty()) {
-        const RegionId victim = fifo_.front();
-        fifo_.pop_front();
-        if (live_.count(victim) != 0)
+           oldest_ < regions_.size()) {
+        const RegionId victim = oldest_++;
+        if (live_[victim] != 0)
             evict(victim);
     }
 }
@@ -134,7 +145,7 @@ CodeCache::insert(Region region)
                 "listener re-entered insert() mid-mutation");
     RSEL_ASSERT(region.id() == regions_.size(),
                 "region id must come from nextRegionId()");
-    RSEL_ASSERT(byEntry_.count(region.entryAddr()) == 0,
+    RSEL_ASSERT(lookupEntry(region.entryBlock().id()) == nullptr,
                 "a live region already exists at this entry address");
 
     makeRoom(estimateOf(region));
@@ -144,17 +155,16 @@ CodeCache::insert(Region region)
     totalBytes_ += region.byteSize();
     totalStubs_ += region.exitStubCount();
     liveBytes_ += estimateOf(region);
-    if (!everCached_.insert(region.entryAddr()).second)
+    EntryState &entry = entryState(region.entryBlock().id());
+    if (entry.everCached)
         ++regenerations_; // this entry was cached and evicted before
-    if (invalidatedEntries_.erase(region.entryAddr()) != 0)
+    entry.everCached = true;
+    if (entry.invalidated)
         ++retranslations_; // re-translating self-modified code
-    byEntry_.emplace(region.entryAddr(), id);
-    const BlockId entryBlock = region.entryBlock().id();
-    if (entryBlock >= entryIndex_.size())
-        entryIndex_.resize(entryBlock + 1, invalidRegion);
-    entryIndex_[entryBlock] = id;
-    live_.insert(id);
-    fifo_.push_back(id);
+    entry.invalidated = false;
+    entry.live = id;
+    live_.push_back(1);
+    ++liveCount_;
     regions_.push_back(std::move(region));
     if (listener_ != nullptr) {
         notifying_ = true;
@@ -163,15 +173,6 @@ CodeCache::insert(Region region)
         notifying_ = false;
     }
     return id;
-}
-
-const Region *
-CodeCache::lookup(Addr addr) const
-{
-    auto it = byEntry_.find(addr);
-    if (it == byEntry_.end())
-        return nullptr;
-    return &regions_[it->second];
 }
 
 } // namespace rsel

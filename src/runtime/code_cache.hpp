@@ -16,8 +16,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "runtime/region.hpp"
 
@@ -47,6 +48,19 @@ struct CacheLimits
     /** Eviction policy for bounded caches. */
     Policy policy = Policy::FullFlush;
 };
+
+/** Largest KiB count whose byte size fits a 64-bit capacity. */
+constexpr std::uint64_t maxCacheKb =
+    std::numeric_limits<std::uint64_t>::max() / 1024;
+
+/**
+ * `kb` KiB as a byte capacity: the one conversion every KiB-sized
+ * cache setting (CLI flags, service configs, spec fields) goes
+ * through, so a huge value is an error instead of a wrapped bound.
+ * @param name the setting `kb` came from, for the error.
+ * @throws FatalError naming it when kb exceeds maxCacheKb.
+ */
+std::uint64_t cacheBytesFromKb(std::uint64_t kb, const std::string &name);
 
 /** A code cache of single-entry regions, optionally bounded. */
 class CodeCache
@@ -107,14 +121,21 @@ class CodeCache
      */
     void setListener(Listener *listener) { listener_ = listener; }
 
-    /** @param limits capacity/eviction config; default unbounded. */
-    explicit CodeCache(CacheLimits limits = {});
+    /**
+     * @param limits     capacity/eviction config; default unbounded.
+     * @param blockCount blocks in the program whose regions the
+     *        cache holds: sizes the per-block table at the first
+     *        insert (0 = grow it as entries appear).
+     */
+    explicit CodeCache(CacheLimits limits = {},
+                       std::size_t blockCount = 0);
     /**
      * Insert a region built by a selector. The region id must have
      * been obtained from nextRegionId(). No live region may already
      * exist at the same entry address. In a bounded cache the insert
      * first makes room per the eviction policy; the new region is
      * always live afterwards, even if it alone exceeds the capacity.
+     * All regions of a cache belong to one program.
      * @return the region's id.
      */
     RegionId insert(Region region);
@@ -126,25 +147,19 @@ class CodeCache
     }
 
     /**
-     * The live region whose entry is exactly `addr`, or nullptr.
-     * This is the "HASH-LOOKUP(code cache, tgt)" of the paper's
-     * pseudocode. Evicted regions do not hit.
-     */
-    const Region *lookup(Addr addr) const;
-
-    /**
      * The live region whose entry block is exactly `block`, or
-     * nullptr. Equivalent to lookup(blockStartAddr) — a region's
-     * entry address is its entry block's start address — but served
-     * from a dense block-id-indexed table, so the hot dispatch loop
-     * pays one bounds check and one load instead of an address hash.
+     * nullptr. This is the "HASH-LOOKUP(code cache, tgt)" of the
+     * paper's pseudocode — a region's entry address is its entry
+     * block's start address — served from a dense block-id-indexed
+     * table, so the hot dispatch loop pays one bounds check and one
+     * load. Evicted regions do not hit.
      */
     const Region *
     lookupEntry(BlockId block) const
     {
-        if (block >= entryIndex_.size())
+        if (block >= entries_.size())
             return nullptr;
-        const RegionId id = entryIndex_[block];
+        const RegionId id = entries_[block].live;
         return id == invalidRegion ? nullptr : &regions_[id];
     }
 
@@ -156,7 +171,10 @@ class CodeCache
     const Region &region(RegionId id) const { return regions_.at(id); }
 
     /** True if the region has not been evicted. */
-    bool isLive(RegionId id) const { return live_.count(id) != 0; }
+    bool isLive(RegionId id) const
+    {
+        return id < live_.size() && live_[id] != 0;
+    }
 
     /**
      * All regions, in selection order. Stored in a deque so that
@@ -193,11 +211,12 @@ class CodeCache
     std::uint64_t liveBytes() const { return liveBytes_; }
 
     /** Number of live regions. */
-    std::size_t liveRegionCount() const { return live_.size(); }
+    std::size_t liveRegionCount() const { return liveCount_; }
 
     /**
      * Invalidate one live region (self-modifying-code model): the
-     * region stops hitting lookup() and its entry may be re-cached.
+     * region stops hitting lookupEntry() and its entry may be
+     * re-cached.
      * The Region object stays alive for in-flight execution, exactly
      * as with eviction. A non-live id (already evicted or already
      * invalidated) is a no-op so eviction races with invalidation
@@ -286,19 +305,35 @@ class CodeCache
      *  listener (contract violation above) into an immediate panic
      *  instead of silent structure corruption. */
     bool notifying_ = false;
+    /** What the cache knows about one block as a region entry. */
+    struct EntryState
+    {
+        /** The live region entering here, or invalidRegion. */
+        RegionId live = invalidRegion;
+        /** A region entered here at some point. */
+        bool everCached = false;
+        /** The most recent drop of a region entering here was an
+         *  invalidation. */
+        bool invalidated = false;
+    };
+
+    /** Ensure entries_ covers `block`. */
+    EntryState &entryState(BlockId block);
+
     std::deque<Region> regions_;
-    std::unordered_map<Addr, RegionId> byEntry_;
-    /** Live region id per entry-block id (dense lookupEntry probe);
-     *  invalidRegion = no live region enters at that block. Grown on
-     *  demand and kept exactly in sync with byEntry_. */
-    std::vector<RegionId> entryIndex_;
-    std::unordered_set<RegionId> live_;
-    /** Live region ids in insertion order (FIFO eviction). */
-    std::deque<RegionId> fifo_;
-    /** Entry addresses that were cached at some point. */
-    std::unordered_set<Addr> everCached_;
-    /** Entries whose most recent drop was an invalidation. */
-    std::unordered_set<Addr> invalidatedEntries_;
+    /** Per entry-block id (the dense lookupEntry probe). Sized to
+     *  blockCount_ at the first insert, grown past it on demand. */
+    std::vector<EntryState> entries_;
+    std::size_t blockCount_ = 0;
+    /** Per region id: 1 while live. */
+    std::vector<std::uint8_t> live_;
+    std::size_t liveCount_ = 0;
+    /**
+     * No region below this id is live. Ids are handed out in
+     * insertion order, so the live regions from here up, in id
+     * order, are the FIFO eviction order.
+     */
+    RegionId oldest_ = 0;
     std::uint64_t totalInsts_ = 0;
     std::uint64_t totalBytes_ = 0;
     std::uint64_t totalStubs_ = 0;

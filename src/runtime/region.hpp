@@ -189,10 +189,6 @@ class Region
      */
     bool spansCycle() const { return spansCycle_; }
 
-  private:
-    Region(Kind kind, RegionId id,
-           std::vector<const BasicBlock *> blocks);
-
     /**
      * The in-region successors of one multi-path member: id and
      * position of the member its static taken target and its
@@ -206,6 +202,19 @@ class Region
         BlockId fallId = invalidBlock;
         std::uint32_t fallPos = 0;
     };
+
+    /**
+     * The static in-region successors of member `pos`.
+     * @pre kind() == MultiPath and pos < blocks().size().
+     */
+    const Successors &successors(std::size_t pos) const
+    {
+        return succs_[pos];
+    }
+
+  private:
+    Region(Kind kind, RegionId id,
+           std::vector<const BasicBlock *> blocks);
 
     static constexpr std::size_t notMember = ~std::size_t{0};
 

@@ -70,7 +70,7 @@ LeiSelector::formTrace(Addr start, std::uint64_t oldSeq)
             // Stop if the next instruction begins an existing
             // region (avoids duplicating nested cycles, even on a
             // fall-through path — Section 3.1).
-            if (cache_.lookup(b->startAddr()) != nullptr)
+            if (cache_.lookupEntry(b->id()) != nullptr)
                 return path;
             if (member.count(b->id()) != 0)
                 return path; // re-entered the path: stop cleanly

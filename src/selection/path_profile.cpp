@@ -92,7 +92,7 @@ formMostLikelyPath(const Program &prog, const CodeCache &cache,
 
     const BasicBlock *b = &entry;
     while (b != nullptr) {
-        if (b != &entry && cache.lookup(b->startAddr()) != nullptr)
+        if (b != &entry && cache.lookupEntry(b->id()) != nullptr)
             break; // reached an existing region
         if (member.count(b->id()) != 0)
             break; // completed a cycle (or re-joined the path)

@@ -117,7 +117,7 @@ class RegionSelector
      * Default: keep all state — correct for selectors whose profile
      * describes the program rather than the cache. Only fired when
      * fault injection is armed; never on policy-driven eviction,
-     * whose effects selectors already observe through lookup().
+     * whose effects selectors already observe through lookupEntry().
      */
     virtual void onCacheDisruption(CacheDisruption kind)
     {

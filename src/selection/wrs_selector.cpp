@@ -30,7 +30,7 @@ WrsSelector::onInterpreted(const SelectorEvent &ev)
 
     // A cached region head can still be interpreted when entered by
     // fall-through; it must not seed a second region there.
-    if (cache_.lookup(ev.block->startAddr()) != nullptr)
+    if (cache_.lookupEntry(ev.block->id()) != nullptr)
         return std::nullopt;
 
     std::uint32_t &count = samples_[ev.block->startAddr()];

@@ -53,7 +53,7 @@ ArenaConfig
 arenaConfigFor(const ServiceConfig &config)
 {
     ArenaConfig cfg;
-    cfg.capacityBytes = config.cacheKb * 1024;
+    cfg.capacityBytes = cacheBytesFromKb(config.cacheKb, "cacheKb");
     cfg.shardCount = config.shards;
     cfg.policy = config.policy;
     return cfg;
@@ -98,7 +98,8 @@ tenantLimitsFor(const ServiceConfig &config, const TenantSpec &spec)
     // bound, exactly as the differential oracle maps GenSpec to
     // SimOptions (policy and stub model at their defaults).
     CacheLimits limits;
-    limits.capacityBytes = spec.program.cacheKb * 1024;
+    limits.capacityBytes =
+        cacheBytesFromKb(spec.program.cacheKb, "spec field \"cachekb\"");
     return limits;
 }
 

@@ -39,7 +39,7 @@ Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
 }
 
 std::size_t
-Rng::nextWeighted(const std::vector<double> &weights)
+Rng::nextWeighted(std::span<const double> weights)
 {
     double total = 0.0;
     for (double w : weights) {

@@ -12,6 +12,7 @@
 #define RSEL_SUPPORT_RANDOM_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace rsel {
@@ -92,7 +93,7 @@ class Rng
      * @param weights non-negative weights, at least one positive.
      * @return index in [0, weights.size()).
      */
-    std::size_t nextWeighted(const std::vector<double> &weights);
+    std::size_t nextWeighted(std::span<const double> weights);
 
   private:
     /** Panics: nextBelow's bound was zero. Out of line, so that

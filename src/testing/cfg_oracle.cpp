@@ -28,7 +28,7 @@ CfgOracle::legalEdge(const BasicBlock &from, const BasicBlock &to) const
         return to.startAddr() == from.takenTarget();
     case BranchKind::IndirectJump:
     case BranchKind::IndirectCall: {
-        const IndirectBehavior &ib = prog_.indirectBehavior(from.id());
+        const IndirectView ib = prog_.indirectBehavior(from.id());
         return std::find(ib.targets.begin(), ib.targets.end(),
                          to.id()) != ib.targets.end();
     }

@@ -1,7 +1,10 @@
 #include "testing/differential.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/program_verifier.hpp"
 #include "analysis/region_verifier.hpp"
@@ -258,7 +261,8 @@ makeOptions(const GenSpec &spec)
     SimOptions opts;
     opts.maxEvents = spec.events;
     opts.seed = spec.execSeed;
-    opts.cache.capacityBytes = spec.cacheKb * 1024;
+    opts.cache.capacityBytes =
+        cacheBytesFromKb(spec.cacheKb, "spec field \"cachekb\"");
     return opts;
 }
 
@@ -280,72 +284,125 @@ firstDiff(const std::string &a, const std::string &b)
 
 } // namespace
 
+namespace {
+
+/** Counts the characters a FingerprintWriter would write. */
+struct FingerprintLength
+{
+    std::size_t n = 0;
+
+    void text(std::string_view s) { n += s.size(); }
+
+    void
+    number(std::uint64_t v)
+    {
+        char buf[20];
+        n += static_cast<std::size_t>(
+            std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
+    }
+};
+
+/** Writes the fingerprint into storage FingerprintLength sized. */
+struct FingerprintWriter
+{
+    char *p;
+
+    void text(std::string_view s) { p = std::copy(s.begin(), s.end(), p); }
+
+    /** @pre 20 characters of room: the widest uint64. */
+    void number(std::uint64_t v) { p = std::to_chars(p, p + 20, v).ptr; }
+};
+
+/** Emit the fingerprint text of `r` into `out`. */
+template <typename Out>
+void
+emitFingerprint(const SimResult &r, Out &out)
+{
+    const auto line = [&out](std::string_view name, std::uint64_t v) {
+        out.text(name);
+        out.number(v);
+        out.text("\n");
+    };
+    out.text("selector=");
+    out.text(r.selector);
+    out.text("\n");
+    line("events=", r.events);
+    line("totalInsts=", r.totalInsts);
+    line("cachedInsts=", r.cachedInsts);
+    line("interpretedInsts=", r.interpretedInsts);
+    line("regionCount=", r.regionCount);
+    line("expansionInsts=", r.expansionInsts);
+    line("expansionBytes=", r.expansionBytes);
+    line("exitStubs=", r.exitStubs);
+    line("estimatedCacheBytes=", r.estimatedCacheBytes);
+    line("icacheAccesses=", r.icacheAccesses);
+    line("icacheMisses=", r.icacheMisses);
+    line("cacheCapacityBytes=", r.cacheCapacityBytes);
+    line("cacheEvictions=", r.cacheEvictions);
+    line("cacheFlushes=", r.cacheFlushes);
+    line("cacheRegenerations=", r.cacheRegenerations);
+    line("cacheLiveBytes=", r.cacheLiveBytes);
+    line("regionTransitions=", r.regionTransitions);
+    line("interRegionLinks=", r.interRegionLinks);
+    line("regionExecutions=", r.regionExecutions);
+    line("cycleTerminations=", r.cycleTerminations);
+    line("spanningRegions=", r.spanningRegions);
+    line("coverSet90=", r.coverSet90);
+    line("coverSetSaturated=", r.coverSetSaturated ? 1 : 0);
+    line("maxLiveCounters=", r.maxLiveCounters);
+    line("peakObservedTraceBytes=", r.peakObservedTraceBytes);
+    line("markSweepRegions=", r.markSweepRegions);
+    line("markSweepMultiIterRegions=", r.markSweepMultiIterRegions);
+    line("exitDominatedRegions=", r.exitDominatedRegions);
+    line("exitDominatedDupInsts=", r.exitDominatedDupInsts);
+    line("duplicatedInsts=", r.duplicatedInsts);
+    line("regionsWithInternalCycle=", r.regionsWithInternalCycle);
+    line("licmCapableRegions=", r.licmCapableRegions);
+    line("dualSplitRegions=", r.dualSplitRegions);
+    line("joinBlocksTotal=", r.joinBlocksTotal);
+    line("faultsInjected=", r.recovery.faultsInjected);
+    line("translationFailures=", r.recovery.translationFailures);
+    line("blockInvalidations=", r.recovery.blockInvalidations);
+    line("regionsInvalidated=", r.recovery.regionsInvalidated);
+    line("flushStorms=", r.recovery.flushStorms);
+    line("selectorResets=", r.recovery.selectorResets);
+    line("retries=", r.recovery.retries);
+    line("backoffSuppressed=", r.recovery.backoffSuppressed);
+    line("blacklistSuppressed=", r.recovery.blacklistSuppressed);
+    line("blacklistedEntrances=", r.recovery.blacklistedEntrances);
+    line("retranslations=", r.recovery.retranslations);
+    for (const RegionStats &s : r.regions) {
+        out.text("region");
+        out.number(s.id);
+        out.text(s.kind == Region::Kind::Trace ? "=T," : "=M,");
+        for (const std::uint64_t v :
+             {std::uint64_t{s.blockCount}, s.instCount, s.byteSize,
+              std::uint64_t{s.exitStubs},
+              std::uint64_t{s.spansCycle ? 1u : 0u}, s.executedInsts,
+              s.executions}) {
+            out.number(v);
+            out.text(",");
+        }
+        out.number(s.cycleEnds);
+        out.text("\n");
+    }
+}
+
+} // namespace
+
 std::string
 resultFingerprint(const SimResult &r)
 {
-    std::ostringstream os;
-    os << "selector=" << r.selector << "\n"
-       << "events=" << r.events << "\n"
-       << "totalInsts=" << r.totalInsts << "\n"
-       << "cachedInsts=" << r.cachedInsts << "\n"
-       << "interpretedInsts=" << r.interpretedInsts << "\n"
-       << "regionCount=" << r.regionCount << "\n"
-       << "expansionInsts=" << r.expansionInsts << "\n"
-       << "expansionBytes=" << r.expansionBytes << "\n"
-       << "exitStubs=" << r.exitStubs << "\n"
-       << "estimatedCacheBytes=" << r.estimatedCacheBytes << "\n"
-       << "icacheAccesses=" << r.icacheAccesses << "\n"
-       << "icacheMisses=" << r.icacheMisses << "\n"
-       << "cacheCapacityBytes=" << r.cacheCapacityBytes << "\n"
-       << "cacheEvictions=" << r.cacheEvictions << "\n"
-       << "cacheFlushes=" << r.cacheFlushes << "\n"
-       << "cacheRegenerations=" << r.cacheRegenerations << "\n"
-       << "cacheLiveBytes=" << r.cacheLiveBytes << "\n"
-       << "regionTransitions=" << r.regionTransitions << "\n"
-       << "interRegionLinks=" << r.interRegionLinks << "\n"
-       << "regionExecutions=" << r.regionExecutions << "\n"
-       << "cycleTerminations=" << r.cycleTerminations << "\n"
-       << "spanningRegions=" << r.spanningRegions << "\n"
-       << "coverSet90=" << r.coverSet90 << "\n"
-       << "coverSetSaturated=" << r.coverSetSaturated << "\n"
-       << "maxLiveCounters=" << r.maxLiveCounters << "\n"
-       << "peakObservedTraceBytes=" << r.peakObservedTraceBytes
-       << "\n"
-       << "markSweepRegions=" << r.markSweepRegions << "\n"
-       << "markSweepMultiIterRegions=" << r.markSweepMultiIterRegions
-       << "\n"
-       << "exitDominatedRegions=" << r.exitDominatedRegions << "\n"
-       << "exitDominatedDupInsts=" << r.exitDominatedDupInsts << "\n"
-       << "duplicatedInsts=" << r.duplicatedInsts << "\n"
-       << "regionsWithInternalCycle=" << r.regionsWithInternalCycle
-       << "\n"
-       << "licmCapableRegions=" << r.licmCapableRegions << "\n"
-       << "dualSplitRegions=" << r.dualSplitRegions << "\n"
-       << "joinBlocksTotal=" << r.joinBlocksTotal << "\n"
-       << "faultsInjected=" << r.recovery.faultsInjected << "\n"
-       << "translationFailures=" << r.recovery.translationFailures
-       << "\n"
-       << "blockInvalidations=" << r.recovery.blockInvalidations
-       << "\n"
-       << "regionsInvalidated=" << r.recovery.regionsInvalidated
-       << "\n"
-       << "flushStorms=" << r.recovery.flushStorms << "\n"
-       << "selectorResets=" << r.recovery.selectorResets << "\n"
-       << "retries=" << r.recovery.retries << "\n"
-       << "backoffSuppressed=" << r.recovery.backoffSuppressed << "\n"
-       << "blacklistSuppressed=" << r.recovery.blacklistSuppressed
-       << "\n"
-       << "blacklistedEntrances=" << r.recovery.blacklistedEntrances
-       << "\n"
-       << "retranslations=" << r.recovery.retranslations << "\n";
-    for (const RegionStats &s : r.regions)
-        os << "region" << s.id << "="
-           << (s.kind == Region::Kind::Trace ? "T" : "M") << ","
-           << s.blockCount << "," << s.instCount << "," << s.byteSize
-           << "," << s.exitStubs << "," << s.spansCycle << ","
-           << s.executedInsts << "," << s.executions << ","
-           << s.cycleEnds << "\n";
-    return os.str();
+    // Measure, then write into one exactly-sized string: the service
+    // keeps every tenant's fingerprint.
+    FingerprintLength length;
+    emitFingerprint(r, length);
+    std::string text(length.n, '\0');
+    FingerprintWriter writer{text.data()};
+    emitFingerprint(r, writer);
+    RSEL_ASSERT(writer.p == text.data() + text.size(),
+                "fingerprint length and text disagree");
+    return text;
 }
 
 DiffReport

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "resilience/plan_codec.hpp"
+#include "runtime/code_cache.hpp"
 #include "support/random.hpp"
 
 namespace rsel {
@@ -74,6 +75,7 @@ GenSpec
 GenSpec::parse(const std::string &text)
 {
     GenSpec spec = resilience::planParse(text, "v1", "spec", fieldTable);
+    cacheBytesFromKb(spec.cacheKb, "spec field \"cachekb\"");
     spec.clamp();
     return spec;
 }

@@ -22,55 +22,60 @@ drawTakenProb(Rng &rng, bool unbiased)
     return 0.02 + 0.13 * rng.nextDouble();
 }
 
-CondBehavior
-drawCondBehavior(Rng &rng, const GenSpec &spec)
+/**
+ * Reusable buffers of one generation: drawing a behaviour or a
+ * target pool allocates only while a buffer grows, and the builder
+ * copies behaviours into its own tables.
+ */
+struct Scratch
+{
+    /** A consumable pool of candidate blocks. */
+    std::vector<BlockId> pool;
+    /** A candidate list of functions. */
+    std::vector<FuncId> funcs;
+    CondBehavior cond;
+    IndirectBehavior indirect;
+};
+
+/** Draw a Bernoulli behaviour into `out`. */
+const CondBehavior &
+drawCondBehavior(Rng &rng, const GenSpec &spec, CondBehavior &out)
 {
     const bool unbiased = rng.nextBool(spec.pUnbiased / 100.0);
     const bool phased =
         spec.phases > 1 && rng.nextBool(spec.pPhased / 100.0);
-    if (!phased)
-        return CondBehavior::bernoulli(drawTakenProb(rng, unbiased));
-    std::vector<double> probs;
-    probs.reserve(spec.phases);
-    for (std::uint32_t p = 0; p < spec.phases; ++p)
-        probs.push_back(drawTakenProb(rng, unbiased));
-    return CondBehavior::phased(std::move(probs));
-}
-
-/** Sample up to `want` distinct entries from `pool` (consumed). */
-std::vector<BlockId>
-sampleDistinct(Rng &rng, std::vector<BlockId> pool, std::size_t want)
-{
-    std::vector<BlockId> out;
-    while (out.size() < want && !pool.empty()) {
-        const std::size_t i = rng.nextBelow(pool.size());
-        out.push_back(pool[i]);
-        pool.erase(pool.begin() +
-                   static_cast<std::ptrdiff_t>(i));
-    }
+    out.kind = CondBehavior::Kind::Bernoulli;
+    out.takenProbByPhase.clear();
+    for (std::uint32_t p = 0; p < (phased ? spec.phases : 1); ++p)
+        out.takenProbByPhase.push_back(drawTakenProb(rng, unbiased));
     return out;
 }
 
-IndirectBehavior
+/**
+ * Draw an indirect behaviour over up to spec.indirectTargets distinct
+ * entries of `pool` (consumed) into `out`.
+ */
+const IndirectBehavior &
 drawIndirectBehavior(Rng &rng, const GenSpec &spec,
-                     std::vector<BlockId> pool)
+                     std::vector<BlockId> &pool, IndirectBehavior &out)
 {
-    std::vector<BlockId> targets = sampleDistinct(
-        rng, std::move(pool),
-        std::max<std::size_t>(1, spec.indirectTargets));
+    const std::size_t want =
+        std::max<std::size_t>(1, spec.indirectTargets);
+    out.targets.clear();
+    while (out.targets.size() < want && !pool.empty()) {
+        const std::size_t i = rng.nextBelow(pool.size());
+        out.targets.push_back(pool[i]);
+        pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+    }
     const bool phased =
         spec.phases > 1 && rng.nextBool(spec.pPhased / 100.0);
-    const std::uint32_t nphases = phased ? spec.phases : 1;
-    IndirectBehavior b;
-    b.targets = std::move(targets);
-    for (std::uint32_t p = 0; p < nphases; ++p) {
-        std::vector<double> w;
-        w.reserve(b.targets.size());
-        for (std::size_t t = 0; t < b.targets.size(); ++t)
+    out.weightsByPhase.resize(phased ? spec.phases : 1);
+    for (std::vector<double> &w : out.weightsByPhase) {
+        w.clear();
+        for (std::size_t t = 0; t < out.targets.size(); ++t)
             w.push_back(0.05 + rng.nextDouble());
-        b.weightsByPhase.push_back(std::move(w));
     }
-    return b;
+    return out;
 }
 
 } // namespace
@@ -83,26 +88,26 @@ generateProgram(const GenSpec &rawSpec)
 
     Rng rng(spec.buildSeed ^ 0xc0ffee1234567890ull);
     ProgramBuilder b(spec.buildSeed);
+    b.reserve(std::size_t{spec.funcs} * spec.blocks, spec.funcs);
+    Scratch scratch;
 
     // Pass 1: create every function and block up front so indirect
     // branches can target any block program-wide. The entry function
     // is created LAST: callees then sit at lower addresses and every
     // call is a backward transfer, giving the interprocedural-cycle
     // shape (paper Figure 2) that distinguishes NET from LEI.
-    std::vector<std::vector<BlockId>> funcBlocks(spec.funcs);
-    std::vector<BlockId> allBlocks;
+    // Function f's blocks are the ids [funcFirst[f], funcFirst[f+1]).
+    std::vector<BlockId> funcFirst(spec.funcs + 1, 0);
     for (std::uint32_t f = 0; f < spec.funcs; ++f) {
         const bool isEntry = f + 1 == spec.funcs;
         b.beginFunction(isEntry ? "main" : "f" + std::to_string(f));
         const std::uint32_t nb = static_cast<std::uint32_t>(
             rng.nextRange(2, spec.blocks));
-        for (std::uint32_t k = 0; k < nb; ++k) {
-            const BlockId id = b.block(
-                static_cast<unsigned>(rng.nextRange(1, 8)));
-            funcBlocks[f].push_back(id);
-            allBlocks.push_back(id);
-        }
+        funcFirst[f] = static_cast<BlockId>(b.blockCount());
+        for (std::uint32_t k = 0; k < nb; ++k)
+            b.block(static_cast<unsigned>(rng.nextRange(1, 8)));
     }
+    funcFirst[spec.funcs] = static_cast<BlockId>(b.blockCount());
 
     // Dead functions: statically unreachable callees. A dead
     // function is excluded from every call and indirect-jump target
@@ -112,11 +117,11 @@ generateProgram(const GenSpec &rawSpec)
     std::vector<std::uint8_t> dead(spec.funcs, 0);
     for (std::uint32_t f = 0; f + 1 < spec.funcs; ++f)
         dead[f] = rng.nextBool(spec.pDeadFn / 100.0) ? 1 : 0;
-    std::vector<BlockId> liveBlocks;
-    for (std::uint32_t f = 0; f < spec.funcs; ++f)
-        if (!dead[f])
-            liveBlocks.insert(liveBlocks.end(), funcBlocks[f].begin(),
-                              funcBlocks[f].end());
+    // Function g is a call or indirect target of (live or dead) f: a
+    // dead caller may target anything, its edges never execute.
+    const auto targetable = [&](std::uint32_t f, std::uint32_t g) {
+        return dead[f] || !dead[g];
+    };
 
     // Pass 2: terminators and behaviours. Blocks 0..nb-2 of each
     // function get random terminators (their fall-through successor
@@ -124,8 +129,11 @@ generateProgram(const GenSpec &rawSpec)
     // function.
     for (std::uint32_t f = 0; f < spec.funcs; ++f) {
         const bool isEntry = f + 1 == spec.funcs;
-        const std::vector<BlockId> &bl = funcBlocks[f];
-        const std::uint32_t nb = static_cast<std::uint32_t>(bl.size());
+        const BlockId first = funcFirst[f];
+        const std::uint32_t nb = funcFirst[f + 1] - first;
+        const auto bl = [first](std::uint64_t k) {
+            return static_cast<BlockId>(first + k);
+        };
         bool hasBackEdge = false;
 
         // Guarded recursion: a non-entry function may plant one
@@ -140,9 +148,10 @@ generateProgram(const GenSpec &rawSpec)
         FuncId recurseTarget = invalidFunc;
         if (!isEntry && nb >= 4 &&
             rng.nextBool(spec.pRecurse / 100.0)) {
-            std::vector<FuncId> candidates{f};
+            std::vector<FuncId> &candidates = scratch.funcs;
+            candidates.assign(1, f);
             for (std::uint32_t g = f + 1; g + 1 < spec.funcs; ++g)
-                if (dead[f] || !dead[g])
+                if (targetable(f, g))
                     candidates.push_back(g);
             recurseTarget = candidates[rng.nextBelow(candidates.size())];
             recurseAt = static_cast<std::uint32_t>(
@@ -150,11 +159,11 @@ generateProgram(const GenSpec &rawSpec)
         }
 
         for (std::uint32_t k = 0; k + 1 < nb; ++k) {
-            const BlockId src = bl[k];
+            const BlockId src = bl(k);
 
             if (k == recurseAt) {
                 // Guard: taken arm hops over the recursive call.
-                b.condTo(src, bl[k + 2], CondBehavior::bernoulli(0.6));
+                b.condTo(src, bl(k + 2), CondBehavior::bernoulli(0.6));
                 continue;
             }
             if (recurseAt != invalidBlock && k == recurseAt + 1) {
@@ -175,7 +184,7 @@ generateProgram(const GenSpec &rawSpec)
                         ? 1'000'000'000
                         : static_cast<std::uint32_t>(
                               rng.nextRange(1, spec.tripMax));
-                b.loopTo(src, bl[0], trips, trips);
+                b.loopTo(src, bl(0), trips, trips);
                 continue;
             }
 
@@ -187,7 +196,7 @@ generateProgram(const GenSpec &rawSpec)
                     rng.nextRange(1, spec.tripMax));
                 const std::uint32_t tmax = static_cast<std::uint32_t>(
                     rng.nextRange(tmin, spec.tripMax));
-                b.loopTo(src, bl[0], tmin, tmax);
+                b.loopTo(src, bl(0), tmin, tmax);
                 hasBackEdge = true;
                 continue;
             }
@@ -196,7 +205,7 @@ generateProgram(const GenSpec &rawSpec)
             std::uint64_t acc = spec.pLoop;
             if (roll < acc && k >= 1) {
                 const BlockId head =
-                    bl[rng.nextBelow(k)]; // strictly earlier block
+                    bl(rng.nextBelow(k)); // strictly earlier block
                 const std::uint32_t tmin = static_cast<std::uint32_t>(
                     rng.nextRange(1, spec.tripMax));
                 const std::uint32_t tmax = static_cast<std::uint32_t>(
@@ -214,30 +223,37 @@ generateProgram(const GenSpec &rawSpec)
                     rng.nextBelow(nb - 1));
                 if (t >= k + 1)
                     ++t;
-                b.condTo(src, bl[t], drawCondBehavior(rng, spec));
+                b.condTo(src, bl(t),
+                         drawCondBehavior(rng, spec, scratch.cond));
                 hasBackEdge = hasBackEdge || t <= k;
                 continue;
             }
             acc += spec.pIndirect;
             if (roll < acc) {
                 // Target pools exclude dead functions so they stay
-                // genuinely unreachable (a dead caller may target
-                // anything: its edges never execute).
-                std::vector<BlockId> entries;
+                // genuinely unreachable.
+                std::vector<BlockId> &pool = scratch.pool;
+                pool.clear();
                 for (std::uint32_t g = 0; g < f; ++g)
-                    if (dead[f] || !dead[g])
-                        entries.push_back(funcBlocks[g][0]);
-                if (!entries.empty() && rng.nextBool(0.5)) {
+                    if (targetable(f, g))
+                        pool.push_back(funcFirst[g]);
+                if (!pool.empty() && rng.nextBool(0.5)) {
                     // Indirect call to earlier function entries.
                     b.indirectCall(src, drawIndirectBehavior(
-                                            rng, spec,
-                                            std::move(entries)));
+                                            rng, spec, pool,
+                                            scratch.indirect));
                 } else {
-                    b.indirectJump(src,
-                                   drawIndirectBehavior(
-                                       rng, spec,
-                                       dead[f] ? allBlocks
-                                               : liveBlocks));
+                    // Indirect jump to any block of a targetable
+                    // function.
+                    pool.clear();
+                    for (std::uint32_t g = 0; g < spec.funcs; ++g)
+                        if (targetable(f, g))
+                            for (BlockId id = funcFirst[g];
+                                 id < funcFirst[g + 1]; ++id)
+                                pool.push_back(id);
+                    b.indirectJump(src, drawIndirectBehavior(
+                                            rng, spec, pool,
+                                            scratch.indirect));
                 }
                 continue;
             }
@@ -248,9 +264,10 @@ generateProgram(const GenSpec &rawSpec)
                 // interprocedural-cycle shape of paper Figure 2,
                 // and together with the forward recursion edges
                 // above they close mutual-recursion rings.
-                std::vector<FuncId> callees;
+                std::vector<FuncId> &callees = scratch.funcs;
+                callees.clear();
                 for (std::uint32_t g = 0; g < f; ++g)
-                    if (dead[f] || !dead[g])
+                    if (targetable(f, g))
                         callees.push_back(g);
                 if (!callees.empty()) {
                     b.callTo(src,
@@ -262,20 +279,21 @@ generateProgram(const GenSpec &rawSpec)
             if (roll < acc && k + 2 < nb) {
                 const std::uint32_t t = static_cast<std::uint32_t>(
                     rng.nextRange(k + 2, nb - 1));
-                b.jumpTo(src, bl[t]);
+                b.jumpTo(src, bl(t));
                 continue;
             }
             // Fall through (BranchKind::None): nothing to set.
         }
         if (f + 1 == spec.funcs)
-            b.halt(bl[nb - 1]);
+            b.halt(bl(nb - 1));
         else
-            b.ret(bl[nb - 1]);
+            b.ret(bl(nb - 1));
     }
 
     b.setEntry(b.functionEntry(spec.funcs - 1));
     if (spec.phases > 1) {
         std::vector<std::uint64_t> lengths;
+        lengths.reserve(spec.phases);
         for (std::uint32_t p = 0; p < spec.phases; ++p)
             lengths.push_back(rng.nextRange(400, 2500));
         b.setPhaseLengths(std::move(lengths));

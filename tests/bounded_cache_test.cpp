@@ -66,8 +66,8 @@ TEST(BoundedCacheTest, FifoEvictsOldestUntilFit)
     EXPECT_GE(cache.evictions(), 1u);
     EXPECT_FALSE(cache.isLive(r0));
     EXPECT_TRUE(cache.isLive(r1));
-    EXPECT_EQ(cache.lookup(p.block(Ids::a).startAddr()), nullptr);
-    EXPECT_NE(cache.lookup(p.block(Ids::e).startAddr()), nullptr);
+    EXPECT_EQ(cache.lookupEntry(Ids::a), nullptr);
+    EXPECT_NE(cache.lookupEntry(Ids::e), nullptr);
     // The evicted region's object is still reachable by id.
     EXPECT_EQ(cache.region(r0).entryAddr(),
               p.block(Ids::a).startAddr());
@@ -93,7 +93,7 @@ TEST(BoundedCacheTest, FullFlushEmptiesEverything)
     EXPECT_EQ(cache.flushes(), 1u);
     EXPECT_EQ(cache.evictions(), 2u);
     EXPECT_EQ(cache.liveRegionCount(), 1u); // only the newcomer
-    EXPECT_NE(cache.lookup(p.block(Ids::l).startAddr()), nullptr);
+    EXPECT_NE(cache.lookupEntry(Ids::l), nullptr);
 }
 
 TEST(BoundedCacheTest, RegenerationCountsReinsertedEntries)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -131,6 +132,27 @@ toolExit(const std::string &tool, const std::string &args)
     return exitOf(RSEL_TOOL_DIR, tool, args);
 }
 
+/** Run one shipped tool, stdout muted; return its stderr. */
+std::string
+toolStderr(const std::string &tool, const std::string &args)
+{
+    const std::string cmd = std::string(RSEL_TOOL_DIR) + "/" + tool +
+                            " " + args + " 2>&1 >/dev/null";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    EXPECT_NE(pipe, nullptr) << cmd;
+    std::string out;
+    if (pipe == nullptr)
+        return out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr)
+        out += buf;
+    pclose(pipe);
+    return out;
+}
+
+/** 2^54 + 1 KiB: its byte count wraps 64 bits to 1 KiB. */
+const std::string wrappingCacheKb = "--cache-kb 18014398509481985";
+
 TEST(ExitCodeTest, SimDistinguishesUsageFromClean)
 {
     EXPECT_EQ(toolExit("rselect-sim",
@@ -150,13 +172,31 @@ TEST(ExitCodeTest, SimDistinguishesUsageFromClean)
     // on them, and an unknown cache policy is not a silent flush.
     for (const char *bad :
          {"--buffer 0", "--net-threshold 0", "--lei-threshold 4294967296",
-          "--tprof 0", "--tmin 16", "--cache-policy bogus"})
+          "--tprof 0", "--tmin 16", "--cache-policy bogus",
+          wrappingCacheKb.c_str()})
         EXPECT_EQ(toolExit("rselect-sim",
                            std::string("--workload gzip --events 2000 "
                                        "--algos paper ") +
                                bad),
                   ExitUsageError)
             << bad;
+}
+
+TEST(ExitCodeTest, UsageErrorsStartWithErrorPrefix)
+{
+    EXPECT_EQ(toolStderr("rselect-sim", "--definitely-not-a-flag")
+                  .rfind("error: unknown option --definitely-not-a-flag",
+                         0),
+              0u);
+    EXPECT_EQ(toolStderr("rselect-sim",
+                         "--workload gzip --events 2000 --algos NET " +
+                             wrappingCacheKb)
+                  .rfind("error: --cache-kb must be at most", 0),
+              0u);
+    EXPECT_EQ(toolStderr("rselect-serve",
+                         "--tenants 2 --events 2000 " + wrappingCacheKb)
+                  .rfind("error: --cache-kb must be at most", 0),
+              0u);
 }
 
 TEST(ExitCodeTest, FuzzSignalsFailuresFound)
@@ -247,6 +287,9 @@ TEST(ExitCodeTest, ServeHonoursTheContract)
     EXPECT_EQ(toolExit("rselect-serve", "--tenants 2abc"),
               ExitUsageError);
     EXPECT_EQ(toolExit("rselect-serve", "--cache-kb 12x"),
+              ExitUsageError);
+    EXPECT_EQ(toolExit("rselect-serve",
+                       "--tenants 2 --events 2000 " + wrappingCacheKb),
               ExitUsageError);
     EXPECT_EQ(toolExit("rselect-serve", "--tenants 0"),
               ExitUsageError);

@@ -27,18 +27,18 @@ TEST(CodeCacheTest, InsertAndLookup)
     using Ids = InterprocCycleIds;
     CodeCache cache;
     EXPECT_EQ(cache.regionCount(), 0u);
-    EXPECT_EQ(cache.lookup(p.block(Ids::a).startAddr()), nullptr);
+    EXPECT_EQ(cache.lookupEntry(Ids::a), nullptr);
 
     const RegionId id = cache.insert(Region::makeTrace(
         cache.nextRegionId(), pathOf(p, {Ids::a, Ids::b, Ids::d})));
     EXPECT_EQ(id, 0u);
     EXPECT_EQ(cache.regionCount(), 1u);
 
-    const Region *r = cache.lookup(p.block(Ids::a).startAddr());
+    const Region *r = cache.lookupEntry(Ids::a);
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r->id(), id);
-    // Only entry addresses hit.
-    EXPECT_EQ(cache.lookup(p.block(Ids::b).startAddr()), nullptr);
+    // Only entry blocks hit.
+    EXPECT_EQ(cache.lookupEntry(Ids::b), nullptr);
 }
 
 TEST(CodeCacheTest, AccountingAccumulates)
@@ -71,14 +71,14 @@ TEST(CodeCacheTest, ReferencesSurviveGrowth)
     CodeCache cache;
     cache.insert(Region::makeTrace(cache.nextRegionId(),
                                    pathOf(p, {Ids::a, Ids::b, Ids::d})));
-    const Region *first = cache.lookup(p.block(Ids::a).startAddr());
+    const Region *first = cache.lookupEntry(Ids::a);
     // Grow the cache with distinct single-block regions and verify
     // the earlier pointer is unaffected (deque stability).
     cache.insert(Region::makeTrace(cache.nextRegionId(),
                                    pathOf(p, {Ids::e})));
     cache.insert(Region::makeTrace(cache.nextRegionId(),
                                    pathOf(p, {Ids::l})));
-    EXPECT_EQ(first, cache.lookup(p.block(Ids::a).startAddr()));
+    EXPECT_EQ(first, cache.lookupEntry(Ids::a));
     EXPECT_EQ(first->entryAddr(), p.block(Ids::a).startAddr());
 }
 

@@ -221,11 +221,11 @@ TEST(CacheInvalidationTest, InvalidateDropsLookupKeepsObject)
     CodeCache cache;
     const RegionId id = cache.insert(Region::makeTrace(
         cache.nextRegionId(), pathOf(p, {Ids::a, Ids::b, Ids::d})));
-    const Addr entry = p.block(Ids::a).startAddr();
+    const BlockId entry = Ids::a;
 
     EXPECT_TRUE(cache.invalidate(id));
     EXPECT_FALSE(cache.isLive(id));
-    EXPECT_EQ(cache.lookup(entry), nullptr);
+    EXPECT_EQ(cache.lookupEntry(entry), nullptr);
     EXPECT_EQ(cache.invalidations(), 1u);
     EXPECT_EQ(cache.evictions(), 0u);
     // The object survives for in-flight execution.
@@ -242,7 +242,7 @@ TEST(CacheInvalidationTest, InvalidateDropsLookupKeepsObject)
                                    pathOf(p, {Ids::a, Ids::b})));
     EXPECT_EQ(cache.retranslations(), 1u);
     EXPECT_EQ(cache.regenerations(), 1u);
-    EXPECT_NE(cache.lookup(entry), nullptr);
+    EXPECT_NE(cache.lookupEntry(entry), nullptr);
 }
 
 TEST(CacheInvalidationTest, InvalidateBlockHitsEveryContainingRegion)
@@ -292,7 +292,7 @@ TEST(CacheInvalidationTest, EvictionAndInvalidationStayDisjoint)
     Program p = buildInterproceduralCycle();
     using Ids = InterprocCycleIds;
     CodeCache cache;
-    const Addr entryA = p.block(Ids::a).startAddr();
+    const BlockId entryA = Ids::a;
 
     // Evict-then-reinsert is a regeneration, never a retranslation.
     const RegionId r0 = cache.insert(Region::makeTrace(
@@ -317,11 +317,12 @@ TEST(CacheInvalidationTest, EvictionAndInvalidationStayDisjoint)
     // isLive() never resurrects a dropped region.
     EXPECT_FALSE(cache.isLive(r0));
     EXPECT_FALSE(cache.isLive(r2));
-    EXPECT_EQ(cache.lookup(entryA), nullptr); // second flush took it
+    EXPECT_EQ(cache.lookupEntry(entryA), nullptr); // second flush took it
     for (RegionId id = 0; id < cache.regionCount(); ++id) {
         if (cache.isLive(id)) {
-            EXPECT_EQ(cache.lookup(cache.region(id).entryAddr())->id(),
-                      id);
+            EXPECT_EQ(
+                cache.lookupEntry(cache.region(id).entryBlock().id())->id(),
+                id);
         }
     }
 }

@@ -63,6 +63,17 @@ TEST(GenSpecTest, ParseRejectsMalformedInput)
                   std::string::npos)
             << e.what();
     }
+    // A cache size whose bytes overflow 64 bits is an error naming
+    // the field, not a bound that wraps to a tiny cache.
+    EXPECT_NO_THROW(GenSpec::parse("v1,cachekb=18014398509481983"));
+    try {
+        GenSpec::parse("v1,cachekb=18014398509481985");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("\"cachekb\""),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(RandomProgramTest, GenerationIsDeterministic)
@@ -91,7 +102,7 @@ TEST(RandomProgramTest, SeedsSweepTheProgramSpace)
             sawIndirect |= isIndirect(b.terminator());
             sawCall |= b.terminator() == BranchKind::Call;
             if (b.terminator() == BranchKind::CondDirect) {
-                const CondBehavior &cb = prog.condBehavior(b.id());
+                const CondView cb = prog.condBehavior(b.id());
                 sawLoop |= cb.kind == CondBehavior::Kind::Loop;
                 if (cb.kind == CondBehavior::Kind::Bernoulli)
                     for (double p : cb.takenProbByPhase)

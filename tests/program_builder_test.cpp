@@ -170,7 +170,7 @@ TEST(ProgramBuilderTest, InstructionSizesAreRealistic)
     b.halt(x);
     Program p = b.build();
     double total = 0;
-    for (const Instruction &i : p.block(x).instructions()) {
+    for (const Instruction &i : p.instructions(p.block(x))) {
         EXPECT_GE(i.sizeBytes, 2);
         EXPECT_LE(i.sizeBytes, 6);
         total += i.sizeBytes;

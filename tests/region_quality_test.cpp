@@ -27,7 +27,8 @@ TEST(RegionQualityTest, LinearTraceHasNoOpportunities)
     Program p = buildInterproceduralCycle();
     using Ids = InterprocCycleIds;
     Region r = Region::makeTrace(0, pathOf(p, {Ids::a, Ids::b, Ids::d}));
-    const RegionQuality q = analyzeRegionQuality(r, p);
+    RegionQualityScratch scratch;
+    const RegionQuality q = analyzeRegionQuality(r, scratch);
     EXPECT_FALSE(q.hasInternalCycle);
     EXPECT_FALSE(q.licmCapable);
     EXPECT_EQ(q.dualSuccessorSplits, 0u);
@@ -45,7 +46,8 @@ TEST(RegionQualityTest, CycleSpanningTraceIsNotLicmCapable)
     Region r =
         Region::makeTrace(0, pathOf(p, {Ids::a, Ids::c, Ids::d, Ids::f}));
     ASSERT_TRUE(r.spansCycle());
-    const RegionQuality q = analyzeRegionQuality(r, p);
+    RegionQualityScratch scratch;
+    const RegionQuality q = analyzeRegionQuality(r, scratch);
     EXPECT_TRUE(q.hasInternalCycle);
     EXPECT_FALSE(q.licmCapable); // the entry is inside the cycle
 }
@@ -56,7 +58,8 @@ TEST(RegionQualityTest, MultiPathRegionHasBothSidesAndJoin)
     using Ids = UnbiasedBranchIds;
     Region r = Region::makeMultiPath(
         0, pathOf(p, {Ids::a, Ids::b, Ids::c, Ids::d, Ids::f}));
-    const RegionQuality q = analyzeRegionQuality(r, p);
+    RegionQualityScratch scratch;
+    const RegionQuality q = analyzeRegionQuality(r, scratch);
     // A's taken and fall-through are both inside: compensation-free
     // redundancy elimination across the if-else.
     EXPECT_EQ(q.dualSuccessorSplits, 1u);
@@ -84,7 +87,8 @@ TEST(RegionQualityTest, InnerCycleWithPreheaderIsLicmCapable)
 
     Region r = Region::makeMultiPath(
         0, pathOf(p, {pre, head, latch}));
-    const RegionQuality q = analyzeRegionQuality(r, p);
+    RegionQualityScratch scratch;
+    const RegionQuality q = analyzeRegionQuality(r, scratch);
     EXPECT_TRUE(q.hasInternalCycle);
     EXPECT_TRUE(q.licmCapable);
 }

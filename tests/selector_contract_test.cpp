@@ -71,7 +71,7 @@ TEST_P(SelectorContractTest, StructuralInvariantsHold)
             EXPECT_EQ(prog.blockAtAddr(b->startAddr()), b);
         // The lookup index agrees with the region set.
         if (cache.isLive(r.id())) {
-            EXPECT_EQ(cache.lookup(r.entryAddr()), &r);
+            EXPECT_EQ(cache.lookupEntry(r.entryBlock().id()), &r);
         }
         // Footprint arithmetic is internally consistent.
         std::uint64_t insts = 0, bytes = 0;

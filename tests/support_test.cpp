@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "support/cli.hpp"
 #include "support/error.hpp"
+#include "support/flat_key_set.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -97,6 +101,44 @@ TEST(RngTest, WeightedPickRejectsAllZero)
     Rng rng(5);
     std::vector<double> weights = {0.0, 0.0};
     EXPECT_THROW(rng.nextWeighted(weights), PanicError);
+}
+
+TEST(FlatKeySetTest, InsertIsIdempotentAcrossGrowth)
+{
+    // Start at the smallest table so the keys force several
+    // doublings; key 0 and keys sharing low bits must all survive.
+    FlatKeySet set;
+    EXPECT_FALSE(set.contains(0));
+    std::vector<std::uint64_t> keys{0};
+    for (std::uint64_t k = 1; k < 500; ++k)
+        keys.push_back((k << 32) | (k * 7));
+    for (const std::uint64_t k : keys)
+        EXPECT_TRUE(set.insert(k));
+    for (const std::uint64_t k : keys)
+        EXPECT_FALSE(set.insert(k)) << k;
+    EXPECT_EQ(set.size(), keys.size());
+
+    // Exactly half full: re-adding a key must not grow the array.
+    FlatKeySet half;
+    for (std::uint64_t k = 0; k < 8; ++k)
+        half.insert(k);
+    std::vector<std::uint64_t> before;
+    half.forEach([&](std::uint64_t k) { before.push_back(k); });
+    EXPECT_FALSE(half.insert(3));
+    std::vector<std::uint64_t> after;
+    half.forEach([&](std::uint64_t k) { after.push_back(k); });
+    EXPECT_EQ(before, after); // same slot order: no rehash
+    for (const std::uint64_t k : keys)
+        EXPECT_TRUE(set.contains(k)) << k;
+    EXPECT_FALSE(set.contains(1));
+    EXPECT_FALSE(set.contains((7ull << 32) | 48));
+
+    std::vector<std::uint64_t> seen;
+    set.forEach([&](std::uint64_t k) { seen.push_back(k); });
+    std::sort(seen.begin(), seen.end());
+    std::vector<std::uint64_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(seen, sorted);
 }
 
 TEST(TableTest, RendersHeaderRowsAndSummary)

@@ -89,6 +89,7 @@ buildConfig(const CliOptions &cli)
     config.tenants = buildTenants(cli);
     config.jobs = static_cast<std::size_t>(cli.getUint("jobs"));
     config.cacheKb = cli.getUint("cache-kb");
+    cacheBytesFromKb(config.cacheKb, "--cache-kb");
     config.shards = static_cast<std::size_t>(cli.getUint("shards"));
     if (config.shards == 0)
         fatal("--shards must be at least 1");

@@ -143,7 +143,7 @@ main(int argc, char **argv)
     try {
         cli.parse(argc, argv);
     } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
+        std::cerr << "error: " << e.what() << '\n';
         return ExitUsageError;
     }
     if (cli.helpRequested()) {
@@ -158,7 +158,8 @@ main(int argc, char **argv)
         SimOptions opts;
         opts.seed = cli.getUint("seed");
         readSelectorKnobs(cli, opts.net, opts.lei);
-        opts.cache.capacityBytes = cli.getUint("cache-kb") * 1024;
+        opts.cache.capacityBytes =
+            cacheBytesFromKb(cli.getUint("cache-kb"), "--cache-kb");
         const std::string policy = cli.get("cache-policy");
         if (policy != "flush" && policy != "fifo")
             fatal("--cache-policy must be 'flush' or 'fifo'");
