@@ -23,9 +23,8 @@ addCalleeAt(const Program &prog, Addr addr, std::vector<FuncId> &out)
 } // namespace
 
 CallGraph
-buildCallGraph(const ProgramFacts &pf)
+buildCallGraph(const Program &prog)
 {
-    const Program &prog = *pf.prog;
     CallGraph cg;
     cg.prog = &prog;
     const std::uint32_t nFuncs =
@@ -36,15 +35,6 @@ buildCallGraph(const ProgramFacts &pf)
     cg.sitesOf.resize(nFuncs);
     cg.fanIn.assign(nFuncs, 0);
     cg.recursive.assign(nFuncs, 0);
-
-    // Block-level natural-loop nesting depth: the number of loop
-    // bodies (in the caller CFG, conservative return edges included)
-    // a block belongs to.
-    cg.blockLoopDepth.assign(nBlocks, 0);
-    for (const NaturalLoop &loop : pf.cfg.loops)
-        for (const std::uint32_t node : loop.body)
-            if (node < nBlocks)
-                ++cg.blockLoopDepth[node];
 
     if (nBlocks != 0 && prog.entry() < nBlocks)
         cg.entryFunc = prog.block(prog.entry()).func();
@@ -57,7 +47,6 @@ buildCallGraph(const ProgramFacts &pf)
         CallSite site;
         site.block = b.id();
         site.caller = b.func();
-        site.loopDepth = cg.blockLoopDepth[b.id()];
         // The return landing pad: fallThroughOf excludes calls
         // (canFallThrough is about *un-taken* control flow), so
         // resolve the address directly, like the executor's step

@@ -3,10 +3,10 @@
  * The interprocedural call graph: functions as nodes, call sites as
  * edges.
  *
- * Built from the call/return terminators of a `Program` (via its
- * `ProgramFacts`): every `Call` terminator contributes the
- * edge caller -> owning-function-of-target, every `IndirectCall`
- * one edge per declared target. `CfgFacts::compute` over the
+ * Built from the call/return terminators of a `Program`: every
+ * `Call` terminator contributes the edge caller ->
+ * owning-function-of-target, every `IndirectCall` one edge per
+ * declared target. `CfgFacts::compute` over the
  * function-level graph gives reachability from the entry function
  * and the Tarjan SCC condensation, so recursion and mutual recursion
  * collapse into single condensation nodes and the bottom-up order is
@@ -31,8 +31,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/program_facts.hpp"
 #include "analysis/cfg_facts.hpp"
+#include "program/program.hpp"
 
 namespace rsel {
 namespace analysis {
@@ -46,9 +46,6 @@ struct CallSite
     FuncId caller = invalidFunc;
     /** Possible callees, deduplicated, ascending. */
     std::vector<FuncId> callees;
-    /** Natural-loop nesting depth of the call block in the caller's
-     *  block-level CFG (0 = not inside any loop). */
-    std::uint32_t loopDepth = 0;
     /** Fall-through block the matching return must land at. */
     BlockId returnBlock = invalidBlock;
 };
@@ -61,8 +58,8 @@ struct CallGraph
     FuncId entryFunc = invalidFunc;
     /** Node f == FuncId f; edge caller -> callee. */
     DiGraph graph{0};
-    /** Facts of `graph` rooted at entryFunc: reachability, SCC
-     *  condensation, predecessor lists. */
+    /** Facts of `graph` rooted at entryFunc: reachability and the
+     *  SCC condensation. */
     CfgFacts cfg;
     /** Every call site in the program, in block-id order. */
     std::vector<CallSite> sites;
@@ -72,8 +69,6 @@ struct CallGraph
     std::vector<std::uint32_t> fanIn;
     /** Per function: 1 iff it sits on a call cycle (its SCC cycles). */
     std::vector<std::uint8_t> recursive;
-    /** Natural-loop nesting depth per basic block (caller CFG). */
-    std::vector<std::uint32_t> blockLoopDepth;
     /**
      * Every FuncId, callees before callers across SCCs (ascending
      * Tarjan completion id; members of one SCC are adjacent).
@@ -87,8 +82,8 @@ struct CallGraph
     }
 };
 
-/** Build the call graph from a program's facts. */
-CallGraph buildCallGraph(const ProgramFacts &pf);
+/** Build the call graph of a program. */
+CallGraph buildCallGraph(const Program &prog);
 
 } // namespace analysis
 } // namespace rsel

@@ -1,7 +1,6 @@
 #include "analysis/cfg_facts.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace rsel {
 namespace analysis {
@@ -25,75 +24,23 @@ DiGraph::hasEdge(std::uint32_t from, std::uint32_t to) const
 
 namespace {
 
-/** Post order of the nodes reachable from `entry` (iterative DFS). */
-std::vector<std::uint32_t>
-postOrder(const DiGraph &g, std::uint32_t entry,
-          std::vector<std::uint8_t> &reachable)
+/** Mark the nodes reachable from `entry` (iterative DFS). */
+void
+markReachable(const DiGraph &g, std::uint32_t entry,
+              std::vector<std::uint8_t> &reachable)
 {
-    std::vector<std::uint32_t> post;
-    if (g.size() == 0 || entry >= g.size())
-        return post;
-    std::vector<std::pair<std::uint32_t, std::size_t>> stack;
+    if (entry >= g.size())
+        return;
+    std::vector<std::uint32_t> work{entry};
     reachable[entry] = 1;
-    stack.emplace_back(entry, 0);
-    while (!stack.empty()) {
-        auto &[node, child] = stack.back();
-        if (child < g.succs(node).size()) {
-            const std::uint32_t succ = g.succs(node)[child++];
+    while (!work.empty()) {
+        const std::uint32_t node = work.back();
+        work.pop_back();
+        for (const std::uint32_t succ : g.succs(node))
             if (!reachable[succ]) {
                 reachable[succ] = 1;
-                stack.emplace_back(succ, 0);
+                work.push_back(succ);
             }
-        } else {
-            post.push_back(node);
-            stack.pop_back();
-        }
-    }
-    return post;
-}
-
-/**
- * Cooper–Harvey–Kennedy: iterate "idom[n] = intersect of processed
- * preds" over reverse post order to a fixpoint.
- */
-void
-computeDominators(const CfgFacts &f, std::vector<std::uint32_t> &idom)
-{
-    if (f.rpo.empty())
-        return;
-    std::vector<std::uint32_t> order(idom.size(), invalidNode);
-    for (std::uint32_t i = 0; i < f.rpo.size(); ++i)
-        order[f.rpo[i]] = i;
-
-    const auto intersect = [&](std::uint32_t a, std::uint32_t b) {
-        while (a != b) {
-            while (order[a] > order[b])
-                a = idom[a];
-            while (order[b] > order[a])
-                b = idom[b];
-        }
-        return a;
-    };
-
-    idom[f.entry] = f.entry;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const std::uint32_t node : f.rpo) {
-            if (node == f.entry)
-                continue;
-            std::uint32_t best = invalidNode;
-            for (const std::uint32_t pred : f.preds[node]) {
-                if (idom[pred] == invalidNode)
-                    continue; // unreachable or not yet processed
-                best = best == invalidNode ? pred
-                                           : intersect(pred, best);
-            }
-            if (best != invalidNode && idom[node] != best) {
-                idom[node] = best;
-                changed = true;
-            }
-        }
     }
 }
 
@@ -177,87 +124,16 @@ computeSccs(const DiGraph &g, CfgFacts &f)
     }
 }
 
-/** Natural loops from reachable back edges a -> header. */
-void
-computeLoops(const DiGraph &g, CfgFacts &f)
-{
-    // header -> body (accumulated across all back edges to it).
-    std::vector<std::vector<std::uint32_t>> bodies(g.size());
-    std::vector<std::uint8_t> isHeader(g.size(), 0);
-    for (std::uint32_t a = 0; a < g.size(); ++a) {
-        if (!f.reachable[a])
-            continue;
-        for (const std::uint32_t header : g.succs(a)) {
-            if (!f.reachable[header] || !f.dominates(header, a))
-                continue;
-            isHeader[header] = 1;
-            // Classic backward walk from the latch to the header.
-            std::vector<std::uint8_t> inBody(g.size(), 0);
-            for (const std::uint32_t known : bodies[header])
-                inBody[known] = 1;
-            inBody[header] = 1;
-            std::vector<std::uint32_t> work{a};
-            while (!work.empty()) {
-                const std::uint32_t v = work.back();
-                work.pop_back();
-                if (inBody[v])
-                    continue;
-                inBody[v] = 1;
-                bodies[header].push_back(v);
-                for (const std::uint32_t p : f.preds[v])
-                    if (f.reachable[p])
-                        work.push_back(p);
-            }
-        }
-    }
-    for (std::uint32_t header = 0; header < g.size(); ++header) {
-        if (!isHeader[header])
-            continue;
-        NaturalLoop loop;
-        loop.header = header;
-        loop.body = std::move(bodies[header]);
-        std::sort(loop.body.begin(), loop.body.end());
-        loop.body.insert(loop.body.begin(), header);
-        f.loops.push_back(std::move(loop));
-    }
-}
-
 } // namespace
 
 CfgFacts
 CfgFacts::compute(const DiGraph &graph, std::uint32_t entry)
 {
-    const std::uint32_t n = graph.size();
     CfgFacts f;
-    f.entry = entry;
-    f.preds.assign(n, {});
-    for (std::uint32_t from = 0; from < n; ++from)
-        for (const std::uint32_t to : graph.succs(from))
-            f.preds[to].push_back(from);
-
-    f.reachable.assign(n, 0);
-    const std::vector<std::uint32_t> post =
-        postOrder(graph, entry, f.reachable);
-    f.rpo.assign(post.rbegin(), post.rend());
-    f.reachableCount = static_cast<std::uint32_t>(f.rpo.size());
-
-    f.idom.assign(n, invalidNode);
-    computeDominators(f, f.idom);
+    f.reachable.assign(graph.size(), 0);
+    markReachable(graph, entry, f.reachable);
     computeSccs(graph, f);
-    computeLoops(graph, f);
     return f;
-}
-
-bool
-CfgFacts::dominates(std::uint32_t a, std::uint32_t b) const
-{
-    while (true) {
-        if (b == a)
-            return true;
-        if (b >= idom.size() || b == entry || idom[b] == invalidNode)
-            return false;
-        b = idom[b];
-    }
 }
 
 } // namespace analysis

@@ -3,13 +3,11 @@
  * Graph facts over a rooted directed graph: the core of the analysis
  * layer.
  *
- * Everything the verifier passes need about a CFG is derived once
+ * Everything the verifier gates need about a CFG is derived once
  * from a plain adjacency list (`DiGraph`) and cached in a `CfgFacts`
- * value: predecessor lists, reachability from the entry, reverse
- * post order, the dominator tree (Cooper–Harvey–Kennedy iterative
- * algorithm over reverse post order), strongly connected components
- * (iterative Tarjan), and natural loops (back edges `a -> b` where
- * `b` dominates `a`, bodies collected by the classic backward walk).
+ * value: reachability from the entry and the strongly connected
+ * components (iterative Tarjan), each marked cyclic or not and with
+ * or without a leaving edge.
  *
  * The graph is node-index based and knows nothing about blocks or
  * programs; `program_facts` adapts guest `Program`s and region
@@ -63,38 +61,11 @@ class DiGraph
 /** Sentinel node index ("no node"). */
 constexpr std::uint32_t invalidNode = 0xffffffffu;
 
-/** One natural loop: a header plus its body (header included). */
-struct NaturalLoop
-{
-    std::uint32_t header = invalidNode;
-    /** Loop body node indices, header first, rest sorted. */
-    std::vector<std::uint32_t> body;
-};
-
 /** Facts derived once from a (graph, entry) pair. */
 struct CfgFacts
 {
-    /** Entry node the facts are rooted at. */
-    std::uint32_t entry = invalidNode;
-
-    /** Predecessor lists (over all edges, reachable or not). */
-    std::vector<std::vector<std::uint32_t>> preds;
-
     /** Reachability from the entry. */
     std::vector<std::uint8_t> reachable;
-    std::uint32_t reachableCount = 0;
-
-    /**
-     * Reverse post order of the nodes reachable from the entry
-     * (entry first).
-     */
-    std::vector<std::uint32_t> rpo;
-
-    /**
-     * Immediate dominator per node; `idom[entry] == entry`,
-     * `invalidNode` for unreachable nodes.
-     */
-    std::vector<std::uint32_t> idom;
 
     /** Strongly connected component id per node (all nodes). */
     std::vector<std::uint32_t> sccId;
@@ -109,14 +80,8 @@ struct CfgFacts
     /** Per component: does any edge leave it? */
     std::vector<std::uint8_t> sccHasExit;
 
-    /** Natural loops of reachable back edges, by header. */
-    std::vector<NaturalLoop> loops;
-
     /** Compute every fact for `graph` rooted at `entry`. */
     static CfgFacts compute(const DiGraph &graph, std::uint32_t entry);
-
-    /** True if `a` dominates `b` (reflexive). @pre b reachable. */
-    bool dominates(std::uint32_t a, std::uint32_t b) const;
 };
 
 } // namespace analysis

@@ -32,11 +32,10 @@ instsOf(const std::vector<FuncSummary> &summaries, const FuncSet &funcs)
 } // namespace
 
 InterFacts
-buildInterFacts(const ProgramFacts &pf)
+buildInterFacts(const Program &prog)
 {
-    const Program &prog = *pf.prog;
     InterFacts inf;
-    inf.callGraph = buildCallGraph(pf);
+    inf.callGraph = buildCallGraph(prog);
     const CallGraph &cg = inf.callGraph;
     const std::uint32_t nFuncs =
         static_cast<std::uint32_t>(prog.functions().size());
@@ -48,11 +47,8 @@ buildInterFacts(const ProgramFacts &pf)
         FuncSummary &s = inf.summaries[f];
         s.func = f;
         for (BlockId b = fn.firstBlock; b < fn.lastBlock; ++b) {
-            const BasicBlock &bb = prog.block(b);
             ++s.blockCount;
-            s.insts += bb.instCount();
-            s.maxLoopDepth =
-                std::max(s.maxLoopDepth, cg.blockLoopDepth[b]);
+            s.insts += prog.block(b).instCount();
         }
         s.callSites =
             static_cast<std::uint32_t>(cg.sitesOf[f].size());

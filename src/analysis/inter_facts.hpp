@@ -41,8 +41,6 @@ struct FuncSummary
     std::uint32_t blockCount = 0;
     /** Static instructions of the function body. */
     std::uint64_t insts = 0;
-    /** Max natural-loop nesting depth over the function's blocks. */
-    std::uint32_t maxLoopDepth = 0;
     /** Call sites inside the function. */
     std::uint32_t callSites = 0;
     /** Call sites elsewhere that may target the function. */
@@ -86,8 +84,8 @@ struct InterFacts
     std::uint64_t closureInstsOf(const CallSite &site) const;
 };
 
-/** Build the interprocedural facts of a program from its facts. */
-InterFacts buildInterFacts(const ProgramFacts &pf);
+/** Build the interprocedural facts of a program. */
+InterFacts buildInterFacts(const Program &prog);
 
 } // namespace analysis
 } // namespace rsel

@@ -9,8 +9,8 @@
  * fall-through (the same edge relation as the testing layer's
  * independent `CfgOracle`, recomputed here from first principles so
  * the analysis layer does not depend on the testing layer). On top
- * of the graph sit the shared graph facts (`CfgFacts`): dominator
- * tree, reachability, RPO, SCCs, natural loops, predecessor lists.
+ * of the graph sit the shared graph facts (`CfgFacts`): reachability
+ * and the SCCs.
  *
  * `MemberFacts` is the induced possible-edge subgraph over a region
  * member list — what the region passes run on.

@@ -1,6 +1,5 @@
 #include "analysis/program_verifier.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "analysis/call_graph.hpp"
@@ -274,57 +273,22 @@ lintInterproceduralReachability(const CallGraph &cg,
 
 } // namespace
 
-bool
-ProgramVerifyOptions::passEnabled(const std::string &pass) const
-{
-    const auto contains = [&pass](const std::vector<std::string> &v) {
-        return std::find(v.begin(), v.end(), pass) != v.end();
-    };
-    if (!only.empty() && !contains(only))
-        return false;
-    return !contains(skip);
-}
-
 void
-ProgramVerifier::run(const Program &prog, DiagnosticEngine &diag,
-                     const ProgramVerifyOptions &opts)
+ProgramVerifier::run(const Program &prog, DiagnosticEngine &diag)
 {
     const ProgramFacts pf = buildProgramFacts(prog);
-    if (opts.passEnabled("entry"))
-        checkEntry(pf, diag);
+    checkEntry(pf, diag);
     if (prog.blocks().empty() ||
         prog.entry() >= prog.blocks().size())
         return; // the remaining passes assume a rooted CFG
-    if (opts.passEnabled("branch-targets"))
-        checkBranchTargets(pf, diag);
-    if (opts.passEnabled("fallthrough"))
-        checkFallthrough(pf, diag);
-    if (opts.passEnabled("behaviors"))
-        checkBehaviors(pf, diag);
-    if (opts.passEnabled("call-graph-consistency"))
-        checkCallGraphConsistency(pf, diag);
-    if (!opts.lints)
-        return;
-    if (opts.passEnabled("unreachable-code"))
-        lintUnreachable(pf, diag);
-    if (opts.passEnabled("dead-function"))
-        lintDeadFunctions(pf, diag);
-    if (opts.passEnabled("no-exit-scc"))
-        lintNoExitSccs(pf, diag);
-    if (opts.passEnabled("interprocedural-reachability"))
-        lintInterproceduralReachability(buildCallGraph(pf), diag);
-}
-
-const std::vector<std::string> &
-ProgramVerifier::passNames()
-{
-    static const std::vector<std::string> names = {
-        "entry",          "branch-targets",
-        "fallthrough",    "behaviors",
-        "call-graph-consistency",
-        "unreachable-code", "dead-function",
-        "no-exit-scc",    "interprocedural-reachability"};
-    return names;
+    checkBranchTargets(pf, diag);
+    checkFallthrough(pf, diag);
+    checkBehaviors(pf, diag);
+    checkCallGraphConsistency(pf, diag);
+    lintUnreachable(pf, diag);
+    lintDeadFunctions(pf, diag);
+    lintNoExitSccs(pf, diag);
+    lintInterproceduralReachability(buildCallGraph(prog), diag);
 }
 
 } // namespace analysis

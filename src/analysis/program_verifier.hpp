@@ -42,39 +42,18 @@
 #ifndef RSEL_ANALYSIS_PROGRAM_VERIFIER_HPP
 #define RSEL_ANALYSIS_PROGRAM_VERIFIER_HPP
 
-#include <string>
-#include <vector>
-
 #include "analysis/diagnostics.hpp"
 #include "analysis/program_facts.hpp"
 
 namespace rsel {
 namespace analysis {
 
-/** Which program passes to run. */
-struct ProgramVerifyOptions
-{
-    /** Run the warning-severity lint passes too. */
-    bool lints = true;
-    /** When non-empty, run only the named passes. */
-    std::vector<std::string> only;
-    /** Skip the named passes (applied after `only`). */
-    std::vector<std::string> skip;
-
-    /** True if the named pass should run under this filter. */
-    bool passEnabled(const std::string &pass) const;
-};
-
 /** Runs the Program pass set on facts it builds for the run. */
 class ProgramVerifier
 {
   public:
-    /** Run all (enabled) passes on `prog`, reporting into `diag`. */
-    static void run(const Program &prog, DiagnosticEngine &diag,
-                    const ProgramVerifyOptions &opts = {});
-
-    /** Names of every pass, error passes first. */
-    static const std::vector<std::string> &passNames();
+    /** Run every pass on `prog`, reporting into `diag`. */
+    static void run(const Program &prog, DiagnosticEngine &diag);
 };
 
 } // namespace analysis

@@ -318,15 +318,5 @@ checkDuplicationAccounting(const Program &prog, const CodeCache &cache,
                  result.regionCount);
 }
 
-const std::vector<std::string> &
-RegionVerifier::passNames()
-{
-    static const std::vector<std::string> names = {
-        "region-members",      "region-single-entrance",
-        "region-connectivity", "lei-cyclicity",
-        "region-exit-stubs",   "duplication-accounting"};
-    return names;
-}
-
 } // namespace analysis
 } // namespace rsel

@@ -49,7 +49,6 @@
 #define RSEL_ANALYSIS_REGION_VERIFIER_HPP
 
 #include <string>
-#include <vector>
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/program_facts.hpp"
@@ -94,10 +93,6 @@ class RegionVerifier
     void runOnRegion(const Region &region,
                      const RegionVerifyContext &ctx,
                      DiagnosticEngine &diag) const;
-
-    /** Names of every region pass, including the whole-cache
-     *  duplication accountant. */
-    static const std::vector<std::string> &passNames();
 
   private:
     const ProgramFacts &facts_;

@@ -123,9 +123,6 @@ class DynOptSystem : public ExecutionSink, public BatchSink
      */
     DynOptSystem &enableVerifyOnSubmit();
 
-    /** True if verify-on-submit is active. */
-    bool verifyOnSubmit() const { return facts_ != nullptr; }
-
     /**
      * Arm deterministic fault injection for this run. A disarmed
      * plan (nothing can fire) is a no-op, and with no plan armed
@@ -141,9 +138,6 @@ class DynOptSystem : public ExecutionSink, public BatchSink
      * @return this.
      */
     DynOptSystem &armFaults(const resilience::FaultPlan &plan);
-
-    /** True if fault injection is armed. */
-    bool faultsArmed() const { return injector_ != nullptr; }
 
     /**
      * Observe this system's code-cache structural mutations
@@ -212,9 +206,6 @@ class DynOptSystem : public ExecutionSink, public BatchSink
         pendingCacheExit_ = false;
         interpretOnly_ = true;
     }
-
-    /** True once degradeToInterpretation() was called. */
-    bool interpretOnly() const { return interpretOnly_; }
 
     /** Fault/recovery counters so far (all zero when disarmed). */
     const resilience::RecoveryStats &recoveryStats() const

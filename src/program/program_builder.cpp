@@ -104,6 +104,12 @@ ProgramBuilder::condTo(BlockId src, BlockId target,
         behavior.takenProbByPhase.empty()) {
         fatal("Bernoulli behaviour needs at least one probability");
     }
+    if (behavior.kind == CondBehavior::Kind::Loop &&
+        (behavior.tripMin < 1 || behavior.tripMax < behavior.tripMin)) {
+        fatal("loop latch needs 1 <= tripMin <= tripMax, got " +
+              std::to_string(behavior.tripMin) + ".." +
+              std::to_string(behavior.tripMax));
+    }
     setTerminator(src, BranchKind::CondDirect, target, invalidFunc);
     Program::Behavior &b = pendings_[src].behavior;
     b.kind = Program::Behavior::Kind::Cond;

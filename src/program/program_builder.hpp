@@ -65,7 +65,11 @@ class ProgramBuilder
      */
     void reserve(std::size_t blocks, std::size_t functions);
 
-    /** Make `src` a conditional branch to `target`. */
+    /**
+     * Make `src` a conditional branch to `target`. @throws FatalError
+     * for a Bernoulli behaviour without probabilities or a loop latch
+     * outside 1 <= tripMin <= tripMax.
+     */
     void condTo(BlockId src, BlockId target,
                 const CondBehavior &behavior);
 

@@ -13,6 +13,7 @@
 #include "program/executor.hpp"
 #include "service/overload.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "testing/differential.hpp"
 #include "testing/random_program.hpp"
 
@@ -459,11 +460,11 @@ writeServiceReportJson(std::ostream &out, const ServiceConfig &config,
     std::ostringstream os;
     os << std::setprecision(std::numeric_limits<double>::max_digits10);
     os << "{\n"
-       << "  \"tool\": \"rselect-serve\",\n"
+       << "  \"tool\": " << jsonStr("rselect-serve") << ",\n"
        << "  \"tenants\": " << report.tenants.size() << ",\n"
        << "  \"jobs\": " << report.jobs << ",\n"
        << "  \"cache_kb\": " << config.cacheKb << ",\n"
-       << "  \"policy\": \"" << policyName(config.policy) << "\",\n"
+       << "  \"policy\": " << jsonStr(policyName(config.policy)) << ",\n"
        << "  \"shards\": " << report.arena.shardCount << ",\n"
        << "  \"slice_events\": " << config.sliceEvents << ",\n"
        << "  \"quota_bytes\": " << report.quotaBytes << ",\n"
@@ -481,8 +482,8 @@ writeServiceReportJson(std::ostream &out, const ServiceConfig &config,
        << ", \"quarantines\": " << report.arena.quarantines
        << ", \"quarantined_admissions\": "
        << report.arena.quarantinedAdmissions << "},\n"
-       << "  \"chaos\": {\"plan\": \"" << config.chaos.toString()
-       << "\", \"armed\": "
+       << "  \"chaos\": {\"plan\": " << jsonStr(config.chaos.toString())
+       << ", \"armed\": "
        << (config.chaos.armed() ? "true" : "false")
        << ", \"aborts\": " << report.chaos.aborts
        << ", \"restarts\": " << report.chaos.restarts
@@ -506,17 +507,18 @@ writeServiceReportJson(std::ostream &out, const ServiceConfig &config,
        << "  \"tenant_reports\": [\n";
     for (std::size_t i = 0; i < report.tenants.size(); ++i) {
         const TenantReport &tr = report.tenants[i];
-        os << "    {\"name\": \"" << tr.name << "\", \"selector\": \""
-           << tr.selector << "\", \"events\": " << tr.result.events
+        os << "    {\"name\": " << jsonStr(tr.name)
+           << ", \"selector\": " << jsonStr(tr.selector)
+           << ", \"events\": " << tr.result.events
            << ", \"hit_rate\": " << tr.result.hitRate()
            << ", \"regions\": " << tr.result.regionCount
            << ", \"evictions\": " << tr.cache.evictionReleases
            << ", \"invalidations\": " << tr.cache.invalidationReleases
            << ", \"flushes\": " << tr.cache.flushReleases
-           << ", \"fingerprint_fnv1a\": \""
-           << hex16(fnv1a(tr.fingerprint))
-           << "\", \"health\": \"" << healthName(tr.health)
-           << "\", \"scheduled_slices\": " << tr.chaos.scheduledSlices
+           << ", \"fingerprint_fnv1a\": "
+           << jsonStr(hex16(fnv1a(tr.fingerprint)))
+           << ", \"health\": " << jsonStr(healthName(tr.health))
+           << ", \"scheduled_slices\": " << tr.chaos.scheduledSlices
            << ", \"shed_slices\": " << tr.chaos.shedSlices
            << ", \"restarts\": " << tr.chaos.restarts
            << ", \"aborted\": " << (tr.aborted ? "true" : "false")

@@ -162,8 +162,7 @@ validateInterprocedural(const Program &prog, std::uint64_t events,
                         std::uint64_t seed)
 {
     InterValidation val;
-    const analysis::InterFacts inf =
-        analysis::buildInterFacts(analysis::buildProgramFacts(prog));
+    const analysis::InterFacts inf = analysis::buildInterFacts(prog);
     const analysis::CallGraph &cg = inf.callGraph;
 
     // Replay the deterministic stream once, counting.

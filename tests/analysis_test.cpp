@@ -1,13 +1,13 @@
 /**
  * @file
  * Unit tests for the analysis layer's graph core: DiGraph,
- * reachability, RPO, dominators, SCCs, natural loops, and the
- * Program/region adapters of program_facts.
+ * reachability, SCCs, and the Program/region adapters of
+ * program_facts.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
 #include "analysis/cfg_facts.hpp"
 #include "analysis/program_facts.hpp"
@@ -32,51 +32,23 @@ TEST(DiGraphTest, DeduplicatesEdges)
     ASSERT_EQ(g.succs(0).size(), 1u);
 }
 
-TEST(CfgFactsTest, DiamondDominators)
+TEST(CfgFactsTest, ReachabilityFollowsEdgesFromTheEntry)
 {
-    // 0 -> {1, 2}; {1, 2} -> 3: neither branch dominates the join.
-    DiGraph g(4);
+    // 0 -> {1, 2}; {1, 2} -> 3; node 4 is disconnected, and 5 only
+    // reaches into the graph.
+    DiGraph g(6);
     g.addEdge(0, 1);
     g.addEdge(0, 2);
     g.addEdge(1, 3);
     g.addEdge(2, 3);
+    g.addEdge(5, 3);
     const CfgFacts f = CfgFacts::compute(g, 0);
+    EXPECT_EQ(f.reachable,
+              (std::vector<std::uint8_t>{1, 1, 1, 1, 0, 0}));
 
-    EXPECT_EQ(f.idom[0], 0u);
-    EXPECT_EQ(f.idom[1], 0u);
-    EXPECT_EQ(f.idom[2], 0u);
-    EXPECT_EQ(f.idom[3], 0u);
-    EXPECT_TRUE(f.dominates(0, 3));
-    EXPECT_FALSE(f.dominates(1, 3));
-    EXPECT_FALSE(f.dominates(2, 3));
-    EXPECT_TRUE(f.dominates(3, 3));
-    EXPECT_EQ(f.reachableCount, 4u);
-    ASSERT_EQ(f.rpo.size(), 4u);
-    EXPECT_EQ(f.rpo.front(), 0u);
-    EXPECT_EQ(f.rpo.back(), 3u);
-}
-
-TEST(CfgFactsTest, ChainDominatorsAndPreds)
-{
-    DiGraph g(3);
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
-    const CfgFacts f = CfgFacts::compute(g, 0);
-    EXPECT_EQ(f.idom[1], 0u);
-    EXPECT_EQ(f.idom[2], 1u);
-    EXPECT_TRUE(f.dominates(1, 2));
-    ASSERT_EQ(f.preds[2].size(), 1u);
-    EXPECT_EQ(f.preds[2][0], 1u);
-}
-
-TEST(CfgFactsTest, UnreachableNodesHaveNoDominator)
-{
-    DiGraph g(3);
-    g.addEdge(0, 1); // node 2 is disconnected
-    const CfgFacts f = CfgFacts::compute(g, 0);
-    EXPECT_FALSE(f.reachable[2]);
-    EXPECT_EQ(f.idom[2], invalidNode);
-    EXPECT_EQ(f.reachableCount, 2u);
+    // Rooted elsewhere, only what that root reaches.
+    EXPECT_EQ(CfgFacts::compute(g, 5).reachable,
+              (std::vector<std::uint8_t>{0, 0, 0, 1, 0, 1}));
 }
 
 TEST(CfgFactsTest, SccCyclesAndExits)
@@ -99,21 +71,6 @@ TEST(CfgFactsTest, SccCyclesAndExits)
     EXPECT_FALSE(f.sccIsCycle[f.sccId[0]]);
     EXPECT_TRUE(f.sccHasExit[f.sccId[1]]);
     EXPECT_FALSE(f.sccHasExit[f.sccId[3]]);
-}
-
-TEST(CfgFactsTest, NaturalLoopBody)
-{
-    // 0 -> 1 -> 2 -> 1, 2 -> 3: back edge 2 -> 1 (1 dominates 2)
-    // gives the loop {1, 2}.
-    DiGraph g(4);
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
-    g.addEdge(2, 1);
-    g.addEdge(2, 3);
-    const CfgFacts f = CfgFacts::compute(g, 0);
-    ASSERT_EQ(f.loops.size(), 1u);
-    EXPECT_EQ(f.loops[0].header, 1u);
-    EXPECT_EQ(f.loops[0].body, (std::vector<std::uint32_t>{1, 2}));
 }
 
 /** a: cond -> c | b; b: ft -> c; c: latch -> a | d; d: halt. */
@@ -148,10 +105,10 @@ TEST(ProgramFactsTest, PossibleEdgesOfLoopProgram)
     // c -> a (latch taken) and c -> d (loop exit fall-through).
     EXPECT_TRUE(pf.possibleEdge(p.block(2), p.block(0)));
     EXPECT_TRUE(pf.possibleEdge(p.block(2), p.block(3)));
-    // The a..c loop shows up as a cyclic SCC and a natural loop.
+    // The a..c loop shows up as one cyclic SCC with an exit to d.
     EXPECT_TRUE(pf.cfg.sccIsCycle[pf.cfg.sccId[0]]);
-    ASSERT_EQ(pf.cfg.loops.size(), 1u);
-    EXPECT_EQ(pf.cfg.loops[0].header, 0u);
+    EXPECT_EQ(pf.cfg.sccId[0], pf.cfg.sccId[2]);
+    EXPECT_TRUE(pf.cfg.sccHasExit[pf.cfg.sccId[0]]);
 }
 
 TEST(ProgramFactsTest, CallAndReturnEdges)
@@ -203,16 +160,14 @@ TEST(CfgFactsDegenerateTest, SingleBlockProgram)
 
     EXPECT_EQ(pf.graph.size(), 1u);
     EXPECT_EQ(pf.graph.edgeCount(), 0u);
-    EXPECT_EQ(pf.cfg.reachableCount, 1u);
-    EXPECT_EQ(pf.cfg.idom[0], 0u);
-    EXPECT_TRUE(pf.cfg.loops.empty());
+    EXPECT_TRUE(pf.cfg.reachable[0]);
+    EXPECT_EQ(pf.cfg.sccCount, 1u);
     EXPECT_FALSE(pf.cfg.sccIsCycle[pf.cfg.sccId[0]]);
 }
 
 TEST(CfgFactsDegenerateTest, SelfLoopBlock)
 {
-    // A latch that targets itself: a one-node cycle and a natural
-    // loop whose body is just the header.
+    // A latch that targets itself: a one-node cycle.
     ProgramBuilder pb;
     pb.beginFunction("main");
     const BlockId a = pb.block(2);
@@ -225,16 +180,13 @@ TEST(CfgFactsDegenerateTest, SelfLoopBlock)
 
     EXPECT_TRUE(pf.possibleEdge(p.block(a), p.block(a)));
     EXPECT_TRUE(pf.cfg.sccIsCycle[pf.cfg.sccId[a]]);
-    ASSERT_EQ(pf.cfg.loops.size(), 1u);
-    EXPECT_EQ(pf.cfg.loops[0].header, static_cast<std::uint32_t>(a));
-    EXPECT_EQ(pf.cfg.loops[0].body,
-              (std::vector<std::uint32_t>{a}));
+    EXPECT_NE(pf.cfg.sccId[a], pf.cfg.sccId[b]);
 }
 
 TEST(CfgFactsDegenerateTest, UnreachableOnlyFunction)
 {
-    // A second function no call ever enters: reachability, idom and
-    // loops must all treat its blocks as off the rooted CFG.
+    // A second function no call ever enters: reachability must
+    // treat its blocks as off the rooted CFG.
     ProgramBuilder pb;
     pb.beginFunction("main");
     const BlockId a = pb.block(2);
@@ -251,31 +203,9 @@ TEST(CfgFactsDegenerateTest, UnreachableOnlyFunction)
 
     EXPECT_FALSE(pf.cfg.reachable[u0]);
     EXPECT_FALSE(pf.cfg.reachable[u1]);
-    EXPECT_EQ(pf.cfg.idom[u0], invalidNode);
-    EXPECT_EQ(pf.cfg.reachableCount, 1u);
-    // Natural loops are defined over reachable back edges only.
-    EXPECT_TRUE(pf.cfg.loops.empty());
+    EXPECT_FALSE(pf.cfg.reachable[u2]);
     // The dead cycle still shows up in the (whole-graph) SCCs.
     EXPECT_TRUE(pf.cfg.sccIsCycle[pf.cfg.sccId[u0]]);
-}
-
-TEST(CfgFactsDegenerateTest, IrreducibleCycleHasNoNaturalLoop)
-{
-    // 0 -> {1, 2}, 1 <-> 2: the cycle {1, 2} has two entries, so
-    // neither node dominates the other — an irreducible region with
-    // a cyclic SCC but no natural loop.
-    DiGraph g(3);
-    g.addEdge(0, 1);
-    g.addEdge(0, 2);
-    g.addEdge(1, 2);
-    g.addEdge(2, 1);
-    const CfgFacts f = CfgFacts::compute(g, 0);
-
-    EXPECT_EQ(f.sccId[1], f.sccId[2]);
-    EXPECT_TRUE(f.sccIsCycle[f.sccId[1]]);
-    EXPECT_TRUE(f.loops.empty());
-    EXPECT_EQ(f.idom[1], 0u);
-    EXPECT_EQ(f.idom[2], 0u);
 }
 
 TEST(CfgFactsPropertyTest, InvariantsHoldOverFuzzCorpus)
@@ -291,48 +221,28 @@ TEST(CfgFactsPropertyTest, InvariantsHoldOverFuzzCorpus)
         const std::uint32_t n = pf.graph.size();
         SCOPED_TRACE("seed " + std::to_string(seed));
 
-        // RPO enumerates exactly the reachable nodes, entry first.
-        ASSERT_EQ(f.rpo.size(), f.reachableCount);
-        if (!f.rpo.empty()) {
-            EXPECT_EQ(f.rpo.front(), f.entry);
-        }
-        std::uint32_t reachable = 0;
-        for (std::uint32_t u = 0; u < n; ++u)
-            reachable += f.reachable[u] ? 1 : 0;
-        EXPECT_EQ(reachable, f.reachableCount);
-
-        // The entry dominates itself; unreachable nodes have no
-        // dominator; every reachable non-entry's idom is reachable.
-        EXPECT_EQ(f.idom[f.entry], f.entry);
+        // Reachability is closed under the edge relation and holds
+        // the entry; SCC ids are dense, and a component that cycles
+        // or exits does so through an edge.
+        ASSERT_EQ(f.reachable.size(), n);
+        EXPECT_TRUE(f.reachable[p.entry()]);
+        std::vector<std::uint8_t> cycles(f.sccCount, 0);
+        std::vector<std::uint8_t> exits(f.sccCount, 0);
         for (std::uint32_t u = 0; u < n; ++u) {
-            if (!f.reachable[u]) {
-                EXPECT_EQ(f.idom[u], invalidNode);
-                continue;
-            }
-            if (u != f.entry) {
-                ASSERT_NE(f.idom[u], invalidNode);
-                EXPECT_TRUE(f.reachable[f.idom[u]]);
-                EXPECT_TRUE(f.dominates(f.idom[u], u));
+            ASSERT_LT(f.sccId[u], f.sccCount);
+            for (const std::uint32_t v : pf.graph.succs(u)) {
+                if (f.reachable[u]) {
+                    EXPECT_TRUE(f.reachable[v]) << u << " -> " << v;
+                }
+                if (f.sccId[u] == f.sccId[v])
+                    cycles[f.sccId[u]] = 1;
+                else
+                    exits[f.sccId[u]] = 1;
             }
         }
-
-        // Predecessor lists agree with the edge relation.
-        for (std::uint32_t u = 0; u < n; ++u)
-            for (const std::uint32_t v : pf.graph.succs(u))
-                EXPECT_NE(std::find(f.preds[v].begin(),
-                                    f.preds[v].end(), u),
-                          f.preds[v].end());
-
-        // Loop headers dominate their bodies, bodies are cyclic.
-        for (const NaturalLoop &loop : f.loops) {
-            EXPECT_TRUE(f.reachable[loop.header]);
-            for (const std::uint32_t node : loop.body) {
-                EXPECT_TRUE(f.dominates(loop.header, node));
-                EXPECT_EQ(f.sccId[node], f.sccId[loop.header]);
-            }
-            if (loop.body.size() > 1) {
-                EXPECT_TRUE(f.sccIsCycle[f.sccId[loop.header]]);
-            }
+        for (std::uint32_t id = 0; id < f.sccCount; ++id) {
+            EXPECT_EQ(f.sccIsCycle[id], cycles[id]) << "scc " << id;
+            EXPECT_EQ(f.sccHasExit[id], exits[id]) << "scc " << id;
         }
     }
 }

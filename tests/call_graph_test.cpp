@@ -43,7 +43,7 @@ TEST(CallGraphTest, SingleFunctionNoCalls)
     pb.setEntry(a);
     const Program prog = pb.build();
 
-    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
+    const InterFacts inf = buildInterFacts(prog);
     const CallGraph &cg = inf.callGraph;
 
     ASSERT_EQ(inf.summaries.size(), 1u);
@@ -75,7 +75,7 @@ TEST(CallGraphTest, SelfRecursionIsACycleOfOne)
     pb.setEntry(m0);
     const Program prog = pb.build();
 
-    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
+    const InterFacts inf = buildInterFacts(prog);
     const CallGraph &cg = inf.callGraph;
 
     ASSERT_EQ(inf.summaries.size(), 2u);
@@ -119,7 +119,7 @@ TEST(CallGraphTest, MutualRecursionRingCondensesToOneScc)
     pb.setEntry(m0);
     const Program prog = pb.build();
 
-    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
+    const InterFacts inf = buildInterFacts(prog);
     const CallGraph &cg = inf.callGraph;
 
     // One cyclic SCC holding the whole ring; main stays outside.
@@ -166,12 +166,11 @@ TEST(CallGraphTest, CallInsideLoopBodyIsBoundedByItsLeafCallee)
     pb.setEntry(head);
     const Program prog = pb.build();
 
-    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
+    const InterFacts inf = buildInterFacts(prog);
     const CallGraph &cg = inf.callGraph;
 
     ASSERT_EQ(cg.sites.size(), 1u);
     EXPECT_EQ(cg.sites[0].block, body);
-    EXPECT_EQ(cg.sites[0].loopDepth, 1u);
     EXPECT_EQ(cg.sites[0].returnBlock, land);
     // A leaf's call closure is its own body.
     EXPECT_EQ(inf.closureInstsOf(cg.sites[0]), inf.summaries[leaf].insts);
@@ -203,7 +202,7 @@ TEST(CallGraphTest, IndirectSiteBoundCountsASharedCalleeOnce)
     pb.setEntry(m0);
     const Program prog = pb.build();
 
-    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
+    const InterFacts inf = buildInterFacts(prog);
     const CallGraph &cg = inf.callGraph;
 
     // Sites in block-id order: f's, g's, then main's indirect call.
@@ -237,7 +236,7 @@ TEST(CallGraphTest, UnreachableCalleeIsNotCallReachable)
     pb.setEntry(m0);
     const Program prog = pb.build();
 
-    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
+    const InterFacts inf = buildInterFacts(prog);
     const CallGraph &cg = inf.callGraph;
 
     EXPECT_TRUE(cg.callReachable(called));
@@ -271,7 +270,7 @@ TEST(CallGraphTest, DeepCallChainOrdersCalleesFirst)
     pb.setEntry(first[0]);
     const Program prog = pb.build();
 
-    const InterFacts inf = buildInterFacts(buildProgramFacts(prog));
+    const InterFacts inf = buildInterFacts(prog);
     const CallGraph &cg = inf.callGraph;
 
     ASSERT_EQ(inf.summaries.size(), depth);

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "support/cli.hpp"
@@ -132,12 +133,10 @@ toolExit(const std::string &tool, const std::string &args)
     return exitOf(RSEL_TOOL_DIR, tool, args);
 }
 
-/** Run one shipped tool, stdout muted; return its stderr. */
+/** Run a shell command; return what it writes to stdout. */
 std::string
-toolStderr(const std::string &tool, const std::string &args)
+captured(const std::string &cmd)
 {
-    const std::string cmd = std::string(RSEL_TOOL_DIR) + "/" + tool +
-                            " " + args + " 2>&1 >/dev/null";
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     std::string out;
@@ -148,6 +147,22 @@ toolStderr(const std::string &tool, const std::string &args)
         out += buf;
     pclose(pipe);
     return out;
+}
+
+/** Run one shipped tool, stdout muted; return its stderr. */
+std::string
+toolStderr(const std::string &tool, const std::string &args)
+{
+    return captured(std::string(RSEL_TOOL_DIR) + "/" + tool + " " +
+                    args + " 2>&1 >/dev/null");
+}
+
+/** Run one shipped tool, stderr muted; return its stdout. */
+std::string
+toolStdout(const std::string &tool, const std::string &args)
+{
+    return captured(std::string(RSEL_TOOL_DIR) + "/" + tool + " " +
+                    args + " 2>/dev/null");
 }
 
 /** 2^54 + 1 KiB: its byte count wraps 64 bits to 1 KiB. */
@@ -180,6 +195,31 @@ TEST(ExitCodeTest, SimDistinguishesUsageFromClean)
                                bad),
                   ExitUsageError)
             << bad;
+}
+
+// --program replaces --workload: alone it runs the live table (or
+// CSV) over the loaded program, labelled by its path; next to
+// --workload it is a usage error in every mode.
+TEST(ExitCodeTest, SimProgramReplacesWorkload)
+{
+    const std::string prog = ::testing::TempDir() + "cli_test_mcf.prog";
+    ASSERT_EQ(toolExit("rselect-sim",
+                       "--workload mcf --save-program " + prog),
+              ExitOk);
+    const std::string run =
+        "--program " + prog + " --algos NET --events 4000";
+    EXPECT_NE(toolStdout("rselect-sim", run)
+                  .find("rselect-sim: " + prog + " (4000 events)"),
+              std::string::npos);
+    EXPECT_NE(toolStdout("rselect-sim", run + " --csv")
+                  .find("\n" + prog + ",NET,4000,"),
+              std::string::npos);
+    for (const char *mode :
+         {"", " --csv", " --save-program /dev/null",
+          " --record-trace /dev/null", " --trace /dev/null"})
+        EXPECT_EQ(toolExit("rselect-sim", run + " --workload gzip" + mode),
+                  ExitUsageError)
+            << mode;
 }
 
 TEST(ExitCodeTest, UsageErrorsStartWithErrorPrefix)
@@ -223,29 +263,30 @@ TEST(ExitCodeTest, FuzzSignalsFailuresFound)
 
 TEST(ExitCodeTest, VerifySignalsVerdicts)
 {
-    EXPECT_EQ(toolExit("rselect-verify", "--self-test all"), ExitOk);
-    EXPECT_EQ(toolExit("rselect-verify", "--workload gzip"), ExitOk);
-    // No mode selected prints usage and flags the invocation.
-    EXPECT_EQ(toolExit("rselect-verify", ""), ExitUsageError);
-    EXPECT_EQ(toolExit("rselect-verify", "--self-test bogus"),
-              ExitUsageError);
-    // The corpus mode went: rselect-fuzz --verify runs that corpus.
-    EXPECT_EQ(toolExit("rselect-verify", "--corpus 1"), ExitUsageError);
-}
-
-TEST(ExitCodeTest, VerifyPassFiltering)
-{
-    EXPECT_EQ(toolExit("rselect-verify", "--list-passes"), ExitOk);
-    EXPECT_EQ(toolExit("rselect-verify",
-                       "--workload gzip --only entry,branch-targets"),
-              ExitOk);
-    EXPECT_EQ(toolExit("rselect-verify",
-                       "--workload gzip --skip dead-function"),
-              ExitOk);
-    // Unknown pass names are usage errors, not silent no-ops.
-    EXPECT_EQ(toolExit("rselect-verify", "--workload gzip --only bogus"),
-              ExitUsageError);
-    EXPECT_EQ(toolExit("rselect-verify", "--workload gzip --skip bogus"),
+    // Every workload lints without an error (warnings only).
+    EXPECT_EQ(toolExit("rselect-analyze", "--workload gzip"), ExitOk);
+    // An indirect call that declares a mid-function target loads, and
+    // the call-graph-consistency pass rejects it: exit 3, tables or
+    // JSON alike.
+    const std::string bad =
+        ::testing::TempDir() + "cli_test_icall_nonentry.prog";
+    std::ofstream(bad) << "rsel-program 1\n"
+                          "entry 0\n"
+                          "function main\n"
+                          "block 1 4 icall\n"
+                          "block 1 4 halt\n"
+                          "function callee\n"
+                          "block 1 4 fall-through\n"
+                          "block 1 4 return\n"
+                          "indirect 0 targets 1 3 phases 1 1\n";
+    EXPECT_EQ(toolExit("rselect-analyze", "--program " + bad),
+              ExitVerifyFailure);
+    EXPECT_EQ(toolExit("rselect-analyze", "--program " + bad + " --json"),
+              ExitVerifyFailure);
+    EXPECT_EQ(toolExit("rselect-analyze",
+                       "--program " + bad + " --validate"),
+              ExitVerifyFailure);
+    EXPECT_EQ(toolExit("rselect-analyze", "--program /nonexistent.prog"),
               ExitUsageError);
 }
 
@@ -261,11 +302,12 @@ TEST(ExitCodeTest, AnalyzeSignalsVerdicts)
     EXPECT_EQ(toolExit("rselect-analyze", ""), ExitUsageError);
     EXPECT_EQ(toolExit("rselect-analyze", "--workload bogus"),
               ExitUsageError);
-    // Flags the tool does not define are usage errors; the
-    // call-graph layer needs no switch.
+    // Flags the tool does not define are usage errors: the
+    // call-graph layer needs no switch, and every program pass runs.
     for (const char *gone :
          {"--selector NET", "--self-test", "--interprocedural",
-          "--list-passes"})
+          "--list-passes", "--only entry", "--skip dead-function",
+          "--corpus 1"})
         EXPECT_EQ(toolExit("rselect-analyze",
                            std::string("--workload gzip ") + gone),
                   ExitUsageError)

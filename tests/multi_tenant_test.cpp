@@ -167,6 +167,23 @@ TEST(MultiTenantTest, ReportJsonKeepsHitRatePrecision)
                 report.tenants[0].result.hitRate(), 1e-9);
 }
 
+// A spec-file tenant name may hold any byte but '|': the report
+// escapes it, so the document stays valid JSON.
+TEST(MultiTenantTest, ReportJsonEscapesTenantNames)
+{
+    const std::string seeded = TenantSpec::fromSeed(1).toString();
+    ServiceConfig config;
+    config.tenants.push_back(TenantSpec::parse(
+        "name=a\"b\\c\x01" + seeded.substr(seeded.find('|'))));
+    config.jobs = 1;
+    config.eventsOverride = 2000;
+    std::ostringstream json;
+    writeServiceReportJson(json, config, runService(config));
+    EXPECT_NE(json.str().find("{\"name\": \"a\\\"b\\\\c\\u0001\", "),
+              std::string::npos)
+        << json.str();
+}
+
 // The shard count is a physical layout knob: 1, 4 and 64 shards
 // must produce identical tenant results and identical accounting
 // (only the contention counter may differ).

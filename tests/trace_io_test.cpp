@@ -287,6 +287,23 @@ TEST(TraceIoTest, MalformedInputsAreFatal)
     }
 }
 
+// A loop latch needs 1 <= tripMin <= tripMax: 'loop 0 0' would wrap
+// the executor's trip count, and the latch would never exit.
+TEST(TraceIoTest, EmptyLoopTripRangeIsFatal)
+{
+    const std::string head = "rsel-program 1\n"
+                             "function main\n"
+                             "block 1 4 cond 0\n"
+                             "block 1 4 halt\n";
+    for (const char *trips : {"0 0", "5 3"}) {
+        SCOPED_TRACE(trips);
+        std::stringstream bad(head + "cond 0 loop " + trips + " 1\n");
+        EXPECT_THROW(loadProgram(bad), FatalError);
+    }
+    std::stringstream good(head + "cond 0 loop 1 1 1\n");
+    EXPECT_EQ(loadProgram(good).blocks().size(), 2u);
+}
+
 // A count a program file states is read value by value: a line that
 // runs short fails naming the keyword and the count, before anything
 // is sized by the count.

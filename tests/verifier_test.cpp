@@ -101,13 +101,6 @@ TEST(ProgramVerifierTest, LintsUnreachableAndNoExitCycle)
     EXPECT_FALSE(diag.hasErrors());
     EXPECT_TRUE(hasWarningFromPass(diag, "unreachable-code"));
     EXPECT_TRUE(hasWarningFromPass(diag, "no-exit-scc"));
-
-    // The same program with lints off is silent.
-    DiagnosticEngine quiet;
-    analysis::ProgramVerifyOptions opts;
-    opts.lints = false;
-    ProgramVerifier::run(p, quiet, opts);
-    EXPECT_TRUE(quiet.empty());
 }
 
 TEST(ProgramVerifierTest, LintsDeadFunction)
@@ -126,6 +119,51 @@ TEST(ProgramVerifierTest, LintsDeadFunction)
     DiagnosticEngine diag;
     ProgramVerifier::run(p, diag);
     EXPECT_TRUE(hasWarningFromPass(diag, "dead-function"));
+}
+
+TEST(ProgramVerifierTest, RejectsCallToNonEntryBlock)
+{
+    // callToBlock bypasses callTo's FuncId resolution and targets the
+    // callee's second block: loadProgram rejects such a file at parse
+    // time, so only a hand-built program carries the bug.
+    ProgramBuilder pb;
+    pb.beginFunction("main");
+    const BlockId a = pb.block(2);
+    const BlockId b = pb.block(1);
+    pb.beginFunction("callee");
+    const BlockId e = pb.block(2);
+    const BlockId x = pb.block(1);
+    pb.callToBlock(a, x);
+    pb.halt(b);
+    pb.ret(e);
+    pb.halt(x);
+    pb.setEntry(a);
+    const Program p = pb.build();
+
+    DiagnosticEngine diag;
+    ProgramVerifier::run(p, diag);
+    EXPECT_TRUE(hasErrorFromPass(diag, "call-graph-consistency"));
+}
+
+TEST(ProgramVerifierTest, LintsFunctionNoCallReaches)
+{
+    // "orphan" is never called: no call chain from the entry
+    // function reaches it.
+    ProgramBuilder pb;
+    pb.beginFunction("main");
+    const BlockId a = pb.block(2);
+    const BlockId b = pb.block(1);
+    pb.halt(b);
+    pb.beginFunction("orphan");
+    const BlockId e = pb.block(2);
+    pb.halt(e);
+    pb.setEntry(a);
+    const Program p = pb.build();
+
+    DiagnosticEngine diag;
+    ProgramVerifier::run(p, diag);
+    EXPECT_FALSE(diag.hasErrors()) << diag.firstError();
+    EXPECT_TRUE(hasWarningFromPass(diag, "interprocedural-reachability"));
 }
 
 class RegionVerifierTest : public ::testing::Test

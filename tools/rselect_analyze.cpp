@@ -1,10 +1,11 @@
 /**
  * @file
- * rselect-analyze: front end of the call-graph layer.
+ * rselect-analyze: the one front end of the analysis layer.
  *
- * Builds a program's interprocedural facts (src/analysis/call_graph,
- * inter_facts) and prints its bottom-up function summaries and every
- * call site's duplication-growth bound.
+ * Lints a program with the static program verifier
+ * (src/analysis/program_verifier), then builds its interprocedural
+ * facts (call_graph, inter_facts) and prints its bottom-up function
+ * summaries and every call site's duplication-growth bound.
  *
  * Modes (first match wins):
  *
@@ -12,15 +13,19 @@
  *  - --spec 'SPEC'     generate the fuzz spec's program and analyze.
  *  - --workload NAME   analyze one synthetic workload, or all.
  *
- * --validate additionally replays the program and checks every sound
- * claim of the layer against its counted dynamic call behaviour
- * (testing::validateInterprocedural). --json emits the report as one
- * JSON document instead of tables, {"schema": N, "programs": [...]}
- * with one object per program (the schema field versions the
- * layout); a violated claim is then reported on stderr only.
+ * The diagnostics table (or `<what>: clean (no diagnostics)`) comes
+ * before the call-graph tables. --validate additionally replays the
+ * program and checks every sound claim of the layer against its
+ * counted dynamic call behaviour (testing::validateInterprocedural);
+ * a program with an error diagnostic is malformed and is not run.
+ * --json emits the report as one JSON document instead of tables,
+ * {"schema": N, "programs": [...]} with one object per program and
+ * its diagnostics in a `diagnostics` array (the schema field
+ * versions the layout); a violated claim is then reported on stderr
+ * only.
  *
- * Exit codes: 0 = clean, 1 = runtime fault, 2 = usage error, 3 =
- * validation found a violated claim.
+ * Exit codes: 0 = clean, 1 = runtime fault, 2 = usage error, 3 = an
+ * error diagnostic, or validation found a violated claim.
  */
 
 #include <algorithm>
@@ -31,10 +36,12 @@
 #include <vector>
 
 #include "analysis/inter_facts.hpp"
+#include "analysis/program_verifier.hpp"
 #include "program/trace_io.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/exit_codes.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 #include "testing/gen_spec.hpp"
 #include "testing/inter_check.hpp"
@@ -60,25 +67,12 @@ u64(std::uint64_t v)
     return std::to_string(v);
 }
 
-/** Minimal JSON string escape: quotes and backslashes only (names,
- *  labels, specs and paths are taken to hold no control characters). */
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out + "\"";
-}
-
 /** JSON layout version; bump when fields move or change meaning. */
-constexpr int jsonSchemaVersion = 5;
+constexpr int jsonSchemaVersion = 6;
 
 void
 emitJson(const Program &prog, const std::string &what,
+         const analysis::DiagnosticEngine &diag,
          const analysis::InterFacts &inf,
          const testing::InterValidation *val, std::ostream &os)
 {
@@ -91,6 +85,17 @@ emitJson(const Program &prog, const std::string &what,
             ++recursive;
     }
     os << "{\n  \"program\": " << jsonStr(what)
+       << ",\n  \"diagnostics\": [";
+    const std::vector<analysis::Diagnostic> diags = diag.stableUnique();
+    for (std::size_t i = 0; i < diags.size(); ++i) {
+        const analysis::Diagnostic &d = diags[i];
+        os << (i == 0 ? "\n" : ",\n") << "    {\"severity\": "
+           << jsonStr(analysis::severityName(d.severity))
+           << ", \"pass\": " << jsonStr(d.pass)
+           << ", \"object\": " << jsonStr(d.object)
+           << ", \"message\": " << jsonStr(d.message) << "}";
+    }
+    os << (diags.empty() ? "]" : "\n  ]")
        << ",\n  \"funcs\": " << inf.summaries.size()
        << ", \"callSites\": " << cg.sites.size()
        << ", \"callReachable\": " << reachable
@@ -102,7 +107,6 @@ emitJson(const Program &prog, const std::string &what,
            << jsonStr(prog.functions()[s.func].name)
            << ", \"blocks\": " << s.blockCount
            << ", \"insts\": " << s.insts
-           << ", \"maxLoopDepth\": " << s.maxLoopDepth
            << ", \"callSites\": " << s.callSites
            << ", \"fanIn\": " << s.fanIn
            << ", \"leaf\": " << (s.leaf ? "true" : "false")
@@ -116,7 +120,6 @@ emitJson(const Program &prog, const std::string &what,
         os << (i == 0 ? "\n" : ",\n") << "    {\"block\": "
            << site.block << ", \"caller\": "
            << jsonStr(prog.functions()[site.caller].name)
-           << ", \"loopDepth\": " << site.loopDepth
            << ", \"callees\": " << site.callees.size()
            << ", \"dupGrowthBoundInsts\": " << inf.closureInstsOf(site)
            << "}";
@@ -149,33 +152,28 @@ printTables(const Program &prog, const analysis::InterFacts &inf,
 {
     const analysis::CallGraph &cg = inf.callGraph;
     Table funcs("Interprocedural summaries: " + what,
-                {"function", "blocks", "insts", "loopDepth",
-                 "callSites", "fanIn", "leaf", "recursive",
-                 "closureFuncs", "closureInsts"});
+                {"function", "blocks", "insts", "callSites", "fanIn",
+                 "leaf", "recursive", "closureFuncs", "closureInsts"});
     for (const analysis::FuncSummary &s : inf.summaries)
         funcs.addRow({prog.functions()[s.func].name,
-                      u64(s.blockCount), u64(s.insts),
-                      u64(s.maxLoopDepth), u64(s.callSites),
+                      u64(s.blockCount), u64(s.insts), u64(s.callSites),
                       u64(s.fanIn), yn(s.leaf), yn(s.recursive),
                       u64(s.closureFuncs), u64(s.closureInsts)});
-    funcs.addSummaryRow(
-        {"total", "-", "-", "-", u64(cg.sites.size()), "-", "-", "-",
-         "-", "-"});
+    funcs.addSummaryRow({"total", "-", "-", u64(cg.sites.size()), "-",
+                         "-", "-", "-", "-"});
     funcs.print(std::cout);
 
     Table sites("Call-site duplication bounds: " + what,
-                {"block", "caller", "loopDepth", "callees",
-                 "dupBound"});
+                {"block", "caller", "callees", "dupBound"});
     std::uint64_t total = 0;
     for (const analysis::CallSite &site : cg.sites) {
         const std::uint64_t bound = inf.closureInstsOf(site);
         total += bound;
         sites.addRow({u64(site.block),
                       prog.functions()[site.caller].name,
-                      u64(site.loopDepth), u64(site.callees.size()),
-                      u64(bound)});
+                      u64(site.callees.size()), u64(bound)});
     }
-    sites.addSummaryRow({"total", "-", "-", "-", u64(total)});
+    sites.addSummaryRow({"total", "-", "-", u64(total)});
     sites.print(std::cout);
 
     if (val == nullptr)
@@ -194,23 +192,41 @@ printTables(const Program &prog, const analysis::InterFacts &inf,
     dyn.print(std::cout);
 }
 
+/** Print the diagnostics table, or that there is nothing to say. */
+void
+printDiagnostics(const analysis::DiagnosticEngine &diag,
+                 const std::string &what)
+{
+    if (diag.empty()) {
+        std::printf("%s: clean (no diagnostics)\n", what.c_str());
+        return;
+    }
+    diag.toTable("Verifier diagnostics: " + what).print(std::cout);
+    std::printf("%s: %s\n", what.c_str(), diag.summary().c_str());
+}
+
 int
 analyzeProgram(const Program &prog, const std::string &what,
                const AnalyzeOptions &opts)
 {
-    const analysis::InterFacts inf =
-        analysis::buildInterFacts(analysis::buildProgramFacts(prog));
+    analysis::DiagnosticEngine diag;
+    analysis::ProgramVerifier::run(prog, diag);
+    const analysis::InterFacts inf = analysis::buildInterFacts(prog);
+    const bool validate = opts.validate && !diag.hasErrors();
     testing::InterValidation val;
-    if (opts.validate)
+    if (validate)
         val = testing::validateInterprocedural(prog, opts.events,
                                                opts.seed);
-    const testing::InterValidation *valPtr =
-        opts.validate ? &val : nullptr;
+    const testing::InterValidation *valPtr = validate ? &val : nullptr;
 
-    if (opts.json)
-        emitJson(prog, what, inf, valPtr, std::cout);
-    else
+    if (opts.json) {
+        emitJson(prog, what, diag, inf, valPtr, std::cout);
+    } else {
+        printDiagnostics(diag, what);
         printTables(prog, inf, valPtr, what);
+    }
+    if (diag.hasErrors())
+        return ExitVerifyFailure;
     if (!val.error.empty()) {
         std::fprintf(stderr, "%s: VALIDATION FAILED: %s\n", what.c_str(),
                      val.error.c_str());

@@ -21,6 +21,11 @@
  *     rselect-sim --workload gzip --save-program gzip.prog
  *     rselect-sim --workload gzip --record-trace gzip.trc --events 1000000
  *     rselect-sim --program gzip.prog --trace gzip.trc --algos LEI
+ *     rselect-sim --program gzip.prog --algos NET,LEI
+ *
+ * --program replaces --workload: the last form runs the live table
+ * (or CSV) over the loaded program, labelled by its path. Giving
+ * both is a usage error.
  */
 
 #include <fstream>
@@ -102,16 +107,88 @@ printCsvRow(const SimResult &r)
               << r.cacheRegenerations << '\n';
 }
 
+/** Print one program's results under every algorithm as a table. */
+void
+printTable(const std::string &label, std::uint64_t events,
+           const std::vector<SimResult> &results, const SimOptions &opts)
+{
+    std::vector<std::string> headers{"metric"};
+    for (const SimResult &r : results)
+        headers.push_back(r.selector);
+    Table t("rselect-sim: " + label + " (" + std::to_string(events) +
+                " events)",
+            headers);
+    auto row = [&](const std::string &name, auto getter, int decimals) {
+        std::vector<std::string> cells{name};
+        for (const SimResult &r : results)
+            cells.push_back(formatDouble(getter(r), decimals));
+        t.addRow(cells);
+    };
+    row("hit rate (%)",
+        [](const SimResult &r) { return 100 * r.hitRate(); }, 2);
+    row("regions",
+        [](const SimResult &r) { return double(r.regionCount); }, 0);
+    row("expansion (insts)",
+        [](const SimResult &r) { return double(r.expansionInsts); }, 0);
+    row("exit stubs",
+        [](const SimResult &r) { return double(r.exitStubs); }, 0);
+    row("transitions",
+        [](const SimResult &r) { return double(r.regionTransitions); },
+        0);
+    row("90% cover set",
+        [](const SimResult &r) { return double(r.coverSet90); }, 0);
+    row("duplicated insts",
+        [](const SimResult &r) { return double(r.duplicatedInsts); }, 0);
+    if (opts.cache.capacityBytes != 0) {
+        row("cache evictions",
+            [](const SimResult &r) { return double(r.cacheEvictions); },
+            0);
+        row("cache regenerations",
+            [](const SimResult &r) {
+                return double(r.cacheRegenerations);
+            },
+            0);
+    }
+    if (opts.faults.armed()) {
+        row("faults injected",
+            [](const SimResult &r) {
+                return double(r.recovery.faultsInjected);
+            },
+            0);
+        row("regions invalidated",
+            [](const SimResult &r) {
+                return double(r.recovery.regionsInvalidated);
+            },
+            0);
+        row("retranslations",
+            [](const SimResult &r) {
+                return double(r.recovery.retranslations);
+            },
+            0);
+        row("blacklisted entrances",
+            [](const SimResult &r) {
+                return double(r.recovery.blacklistedEntrances);
+            },
+            0);
+    }
+    t.print(std::cout);
+    std::cout << '\n';
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     CliOptions cli;
-    cli.define("workload", "all", "workload name, or 'all'");
+    cli.define("workload", "",
+               "workload name, or 'all' (the default without "
+               "--program)");
     cli.define("algos", "paper",
                "comma-separated algorithms, 'paper', or 'all'");
-    cli.define("events", "0", "events per run (0 = workload default)");
+    cli.define("events", "0",
+               "events per run (0 = workload default; 1000000 for "
+               "--program and --record-trace)");
     cli.define("seed", "7", "executor seed");
     cli.define("build-seed", "42", "program-synthesis seed");
     defineSelectorKnobs(cli);
@@ -129,7 +206,7 @@ main(int argc, char **argv)
                "execute and record a trace file, then exit");
     cli.define("program", "",
                "load the guest program from a file instead of a "
-               "built-in workload");
+               "built-in workload (not with --workload)");
     cli.define("trace", "",
                "replay a recorded trace instead of executing "
                "(requires --program or --workload)");
@@ -172,23 +249,33 @@ main(int argc, char **argv)
                 resilience::FaultPlan::parse(cli.get("fault-spec"));
         opts.verifyRegions = cli.getBool("verify");
 
-        // Trace-driven single-program modes.
+        const std::string programPath = cli.get("program");
+        const std::string workload = cli.get("workload");
+        if (!programPath.empty() && !workload.empty())
+            fatal("--program and --workload each name the guest "
+                  "program: give one");
+        // What --program and --record-trace run when --events is 0.
+        const std::uint64_t programEvents =
+            opts.maxEvents != 0 ? opts.maxEvents : 1'000'000;
+        const bool csv = cli.getBool("csv");
+
+        // Single-program modes: a loaded program, or a trace mode.
         if (!cli.get("save-program").empty() ||
-            !cli.get("record-trace").empty() ||
-            !cli.get("program").empty() || !cli.get("trace").empty()) {
+            !cli.get("record-trace").empty() || !programPath.empty() ||
+            !cli.get("trace").empty()) {
             Program prog = [&] {
-                if (!cli.get("program").empty()) {
-                    std::ifstream in(cli.get("program"));
+                if (!programPath.empty()) {
+                    std::ifstream in(programPath);
                     if (!in)
-                        fatal("cannot open " + cli.get("program"));
+                        fatal("cannot open " + programPath);
                     return loadProgram(in);
                 }
-                const WorkloadInfo *w =
-                    findWorkload(cli.get("workload"));
+                const WorkloadInfo *w = findWorkload(workload);
                 if (w == nullptr)
-                    fatal("unknown workload '" + cli.get("workload") +
-                          "' (trace modes need --workload or "
-                          "--program)");
+                    fatal(workload.empty()
+                              ? "trace modes need --workload or "
+                                "--program"
+                              : "unknown workload '" + workload + "'");
                 return w->build(cli.getUint("build-seed"));
             }();
 
@@ -204,10 +291,7 @@ main(int argc, char **argv)
                                   std::ios::binary);
                 TraceWriter writer(out, prog);
                 Executor exec(prog, cli.getUint("seed"));
-                const std::uint64_t events =
-                    cli.getUint("events") != 0 ? cli.getUint("events")
-                                               : 1'000'000;
-                exec.run(events, writer);
+                exec.run(programEvents, writer);
                 writer.finish();
                 std::cout << "wrote " << writer.eventCount()
                           << " events to "
@@ -248,21 +332,35 @@ main(int argc, char **argv)
                 }
                 return 0;
             }
+
+            // The live run over the loaded program.
+            opts.maxEvents = programEvents;
+            std::vector<SimResult> results;
+            for (Algorithm algo : algos) {
+                results.push_back(simulate(prog, algo, opts));
+                results.back().workload = programPath;
+            }
+            if (csv) {
+                printCsvHeader();
+                for (const SimResult &r : results)
+                    printCsvRow(r);
+            } else {
+                printTable(programPath, programEvents, results, opts);
+            }
+            return 0;
         }
 
         std::vector<const WorkloadInfo *> workloads;
-        if (cli.get("workload") == "all") {
+        if (workload.empty() || workload == "all") {
             for (const WorkloadInfo &w : workloadSuite())
                 workloads.push_back(&w);
         } else {
-            const WorkloadInfo *w = findWorkload(cli.get("workload"));
+            const WorkloadInfo *w = findWorkload(workload);
             if (w == nullptr)
-                fatal("unknown workload '" + cli.get("workload") +
-                      "'");
+                fatal("unknown workload '" + workload + "'");
             workloads.push_back(w);
         }
 
-        const bool csv = cli.getBool("csv");
         if (csv)
             printCsvHeader();
 
@@ -286,86 +384,8 @@ main(int argc, char **argv)
                 continue;
             }
 
-            std::vector<std::string> headers{"metric"};
-            for (const SimResult &r : results)
-                headers.push_back(r.selector);
-            Table t("rselect-sim: " + w->name + " (" +
-                        std::to_string(grid[wi * algos.size()]
-                                           .opts.maxEvents) +
-                        " events)",
-                    headers);
-            auto row = [&](const std::string &name, auto getter,
-                           int decimals) {
-                std::vector<std::string> cells{name};
-                for (const SimResult &r : results)
-                    cells.push_back(
-                        formatDouble(getter(r), decimals));
-                t.addRow(cells);
-            };
-            row("hit rate (%)",
-                [](const SimResult &r) { return 100 * r.hitRate(); },
-                2);
-            row("regions",
-                [](const SimResult &r) { return double(r.regionCount); },
-                0);
-            row("expansion (insts)",
-                [](const SimResult &r) {
-                    return double(r.expansionInsts);
-                },
-                0);
-            row("exit stubs",
-                [](const SimResult &r) { return double(r.exitStubs); },
-                0);
-            row("transitions",
-                [](const SimResult &r) {
-                    return double(r.regionTransitions);
-                },
-                0);
-            row("90% cover set",
-                [](const SimResult &r) { return double(r.coverSet90); },
-                0);
-            row("duplicated insts",
-                [](const SimResult &r) {
-                    return double(r.duplicatedInsts);
-                },
-                0);
-            if (opts.cache.capacityBytes != 0) {
-                row("cache evictions",
-                    [](const SimResult &r) {
-                        return double(r.cacheEvictions);
-                    },
-                    0);
-                row("cache regenerations",
-                    [](const SimResult &r) {
-                        return double(r.cacheRegenerations);
-                    },
-                    0);
-            }
-            if (opts.faults.armed()) {
-                row("faults injected",
-                    [](const SimResult &r) {
-                        return double(r.recovery.faultsInjected);
-                    },
-                    0);
-                row("regions invalidated",
-                    [](const SimResult &r) {
-                        return double(r.recovery.regionsInvalidated);
-                    },
-                    0);
-                row("retranslations",
-                    [](const SimResult &r) {
-                        return double(r.recovery.retranslations);
-                    },
-                    0);
-                row("blacklisted entrances",
-                    [](const SimResult &r) {
-                        return double(
-                            r.recovery.blacklistedEntrances);
-                    },
-                    0);
-            }
-            t.print(std::cout);
-            std::cout << '\n';
+            printTable(w->name, grid[wi * algos.size()].opts.maxEvents,
+                       results, opts);
         }
     } catch (const FatalError &e) {
         std::cerr << "error: " << e.what() << '\n';

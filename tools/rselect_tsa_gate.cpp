@@ -22,7 +22,7 @@
  * `--self-test` proves the gate itself detects a non-failing case:
  * it reruns the battery with the violation define withheld, so
  * every negative leg compiles — and asserts the gate flags every
- * single one (mirroring rselect-verify's planted-bug self-tests).
+ * single one (mirroring the static verifier's planted-bug tests).
  *
  * Exit codes: 0 = battery clean (or skipped: non-Clang host),
  * 1 = runtime fault, 2 = usage error, 3 = battery failure.
