@@ -54,7 +54,7 @@ struct CallSite
 struct CallGraph
 {
     const Program *prog = nullptr;
-    /** Function owning Program::entry() (invalidFunc if none). */
+    /** Function owning Program::entry(). */
     FuncId entryFunc = invalidFunc;
     /** Node f == FuncId f; edge caller -> callee. */
     DiGraph graph{0};

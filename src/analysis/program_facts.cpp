@@ -10,9 +10,7 @@ buildProgramFacts(const Program &prog)
 {
     ProgramFacts pf;
     pf.prog = &prog;
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(prog.blocks().size());
-    pf.graph = DiGraph(n);
+    pf.graph = DiGraph(static_cast<std::uint32_t>(prog.blocks().size()));
 
     // Fall-through addresses of call blocks (return landing pads).
     std::unordered_set<Addr> returnTargets;
@@ -21,46 +19,35 @@ buildProgramFacts(const Program &prog)
             b.terminator() == BranchKind::IndirectCall)
             returnTargets.insert(b.fallThroughAddr());
 
+    // ProgramBuilder::build() resolves every taken target and
+    // fall-through below to a block.
+    const auto blockAt = [&prog](Addr addr) {
+        return prog.blockAtAddr(addr)->id();
+    };
     for (const BasicBlock &b : prog.blocks()) {
         switch (b.terminator()) {
-        case BranchKind::None: {
-            if (const BasicBlock *ft = prog.fallThroughOf(b))
-                pf.graph.addEdge(b.id(), ft->id());
+        case BranchKind::CondDirect:
+            pf.graph.addEdge(b.id(), blockAt(b.takenTarget()));
+            [[fallthrough]];
+        case BranchKind::None:
+            pf.graph.addEdge(b.id(), prog.fallThroughOf(b)->id());
             break;
-        }
-        case BranchKind::CondDirect: {
-            if (const BasicBlock *tk =
-                    prog.blockAtAddr(b.takenTarget()))
-                pf.graph.addEdge(b.id(), tk->id());
-            if (const BasicBlock *ft = prog.fallThroughOf(b))
-                pf.graph.addEdge(b.id(), ft->id());
-            break;
-        }
         case BranchKind::Jump:
-        case BranchKind::Call: {
-            if (const BasicBlock *tk =
-                    prog.blockAtAddr(b.takenTarget()))
-                pf.graph.addEdge(b.id(), tk->id());
+        case BranchKind::Call:
+            pf.graph.addEdge(b.id(), blockAt(b.takenTarget()));
             break;
-        }
         case BranchKind::IndirectJump:
-        case BranchKind::IndirectCall: {
-            if (!prog.hasIndirectBehavior(b.id()))
-                break;
+        case BranchKind::IndirectCall:
             for (const BlockId t :
                  prog.indirectBehavior(b.id()).targets)
-                if (t < n)
-                    pf.graph.addEdge(b.id(), t);
+                pf.graph.addEdge(b.id(), t);
             break;
-        }
-        case BranchKind::Return: {
+        case BranchKind::Return:
             // Conservative: a return may land at any call's
             // fall-through (mirrors CfgOracle::legalEdge).
             for (const Addr addr : returnTargets)
-                if (const BasicBlock *tb = prog.blockAtAddr(addr))
-                    pf.graph.addEdge(b.id(), tb->id());
+                pf.graph.addEdge(b.id(), blockAt(addr));
             break;
-        }
         case BranchKind::Halt:
             break;
         }

@@ -1,31 +1,15 @@
 /**
  * @file
- * Static verifier passes over a guest Program.
+ * Static lints over a guest Program.
  *
- * Error-severity passes (a violation means the program is malformed
- * and the simulator's behaviour on it is undefined):
+ * Structure is not checked here: ProgramBuilder::build() is the one
+ * gate on it, so every Program this runs on already has each target
+ * a block, each call target a function entry, a behaviour on each
+ * conditional and indirect block and a same-function successor after
+ * each block that falls through or calls. What is left is legal but
+ * suspicious, and reported at warning severity, never fatal:
  *
- *  - `branch-targets`     static taken targets of direct branches
- *                         resolve to block starts; declared indirect
- *                         targets are in range.
- *  - `fallthrough`        every fall-through-capable terminator has
- *                         a block at its fall-through address.
- *  - `behaviors`          conditional blocks carry a conditional
- *                         behaviour (with at least one phase
- *                         probability), indirect blocks carry a
- *                         non-empty target set with matching weight
- *                         vectors.
- *  - `entry`              the program entry exists and starts a
- *                         function.
- *  - `call-graph-consistency`
- *                         every call terminator targets a function
- *                         entry (direct target and declared indirect
- *                         targets alike) and its return edge lands
- *                         at the caller's own layout successor.
- *
- * Warning-severity lints (legal but suspicious; reported, never
- * fatal):
- *
+ *  - `entry`              the program entry starts no function.
  *  - `unreachable-code`   blocks no possible edge path reaches from
  *                         the entry.
  *  - `dead-function`      functions none of whose blocks are
@@ -48,11 +32,14 @@
 namespace rsel {
 namespace analysis {
 
-/** Runs the Program pass set on facts it builds for the run. */
+/** Runs the Program lints on facts it builds for the run. */
 class ProgramVerifier
 {
   public:
-    /** Run every pass on `prog`, reporting into `diag`. */
+    /**
+     * Run every lint on `prog`, reporting into `diag`.
+     * @pre `prog` came from ProgramBuilder::build().
+     */
     static void run(const Program &prog, DiagnosticEngine &diag);
 };
 

@@ -16,8 +16,7 @@ Executor::Executor(const Program &prog, std::uint64_t seed)
         if (b.takenTarget() != invalidAddr)
             step.taken = prog_.blockAtAddr(b.takenTarget());
         step.fall = prog_.blockAtAddr(b.fallThroughAddr());
-        if (b.terminator() == BranchKind::CondDirect &&
-            prog_.hasCondBehavior(b.id())) {
+        if (b.terminator() == BranchKind::CondDirect) {
             const CondView cb = prog_.condBehavior(b.id());
             step.kind = cb.kind == CondBehavior::Kind::Bernoulli
                             ? Step::Kind::Bernoulli
@@ -26,9 +25,8 @@ Executor::Executor(const Program &prog, std::uint64_t seed)
             step.tripMax = cb.tripMax;
             step.takenIsBackEdge = cb.takenIsBackEdge;
         }
-        if ((b.terminator() == BranchKind::IndirectCall ||
-             b.terminator() == BranchKind::IndirectJump) &&
-            prog_.hasIndirectBehavior(b.id())) {
+        if (b.terminator() == BranchKind::IndirectCall ||
+            b.terminator() == BranchKind::IndirectJump) {
             const IndirectView ib = prog_.indirectBehavior(b.id());
             step.kind = Step::Kind::Indirect;
             step.targets = ib.targets.data();

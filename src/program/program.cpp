@@ -36,7 +36,9 @@ Program::fallThroughOf(const BasicBlock &b) const
 CondView
 Program::condBehavior(BlockId id) const
 {
-    RSEL_ASSERT(hasCondBehavior(id), "block has no conditional behaviour");
+    RSEL_ASSERT(id < behaviors_.size() &&
+                    behaviors_[id].kind == Behavior::Kind::Cond,
+                "block has no conditional behaviour");
     const Behavior &b = behaviors_[id];
     CondView v;
     v.kind = b.condKind;
@@ -51,7 +53,8 @@ Program::condBehavior(BlockId id) const
 IndirectView
 Program::indirectBehavior(BlockId id) const
 {
-    RSEL_ASSERT(hasIndirectBehavior(id),
+    RSEL_ASSERT(id < behaviors_.size() &&
+                    behaviors_[id].kind == Behavior::Kind::Indirect,
                 "block has no indirect behaviour");
     const Behavior &b = behaviors_[id];
     IndirectView v;

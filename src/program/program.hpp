@@ -80,25 +80,11 @@ class Program
      */
     const BasicBlock *fallThroughOf(const BasicBlock &b) const;
 
-    /** Behaviour of a conditional block. @pre the block has one. */
+    /** Behaviour of a CondDirect block (ProgramBuilder gives each one). */
     CondView condBehavior(BlockId id) const;
 
-    /** Behaviour of an indirect block. @pre the block has one. */
+    /** Behaviour of an IndirectJump or IndirectCall block. */
     IndirectView indirectBehavior(BlockId id) const;
-
-    /** True if the block has a conditional-behaviour annotation. */
-    bool hasCondBehavior(BlockId id) const
-    {
-        return id < behaviors_.size() &&
-               behaviors_[id].kind == Behavior::Kind::Cond;
-    }
-
-    /** True if the block has an indirect-behaviour annotation. */
-    bool hasIndirectBehavior(BlockId id) const
-    {
-        return id < behaviors_.size() &&
-               behaviors_[id].kind == Behavior::Kind::Indirect;
-    }
 
     /**
      * Phase lengths in executed-block counts; the Executor cycles

@@ -145,12 +145,6 @@ ProgramBuilder::callTo(BlockId src, FuncId callee)
     setTerminator(src, BranchKind::Call, invalidBlock, callee);
 }
 
-void
-ProgramBuilder::callToBlock(BlockId src, BlockId target)
-{
-    setTerminator(src, BranchKind::Call, target, invalidFunc);
-}
-
 namespace {
 
 void
@@ -261,6 +255,38 @@ ProgramBuilder::build()
         }
     }
 
+    // Pass 0: every target names a block, and every indirect-call
+    // target a function entry, before pass 2 reads their addresses.
+    // Direct calls name a FuncId, which callTo() already checked.
+    const std::size_t nBlocks = pendings_.size();
+    for (BlockId id = 0; id < nBlocks; ++id) {
+        const PendingBlock &pb = pendings_[id];
+        if ((pb.terminator == BranchKind::Jump ||
+             pb.terminator == BranchKind::CondDirect) &&
+            pb.target >= nBlocks) {
+            fatal("block " + std::to_string(id) + " branches to block " +
+                  std::to_string(pb.target) + ", which is not a block "
+                  "of the program (" + std::to_string(nBlocks) +
+                  " blocks)");
+        }
+        const Program::Behavior &b = pb.behavior;
+        if (b.kind != Program::Behavior::Kind::Indirect)
+            continue;
+        for (std::uint32_t i = 0; i < b.targetsCount; ++i) {
+            const BlockId t = targets_[b.targetsBegin + i];
+            if (t >= nBlocks)
+                fatal("block " + std::to_string(id) +
+                      " declares indirect target " + std::to_string(t) +
+                      ", which is not a block of the program (" +
+                      std::to_string(nBlocks) + " blocks)");
+            if (pb.terminator == BranchKind::IndirectCall &&
+                functions_[pendings_[t].func].entry != t)
+                fatal("block " + std::to_string(id) +
+                      " calls block " + std::to_string(t) +
+                      " indirectly, which is not a function entry");
+        }
+    }
+
     // Pass 1: assign instruction sizes and block addresses in layout
     // order. Sizes are 2-6 bytes, mean approximately 3.5, matching
     // the paper's "between three and four bytes" average.
@@ -302,8 +328,7 @@ ProgramBuilder::build()
     for (BlockId id = 0; id < pendings_.size(); ++id) {
         const PendingBlock &pb = pendings_[id];
         Addr target = invalidAddr;
-        if (pb.terminator == BranchKind::Call &&
-            pb.callee != invalidFunc) {
+        if (pb.terminator == BranchKind::Call) {
             target = startAddr(functions_[pb.callee].entry);
         } else if (pb.target != invalidBlock) {
             target = startAddr(pb.target);

@@ -86,15 +86,6 @@ class ProgramBuilder
     /** Make `src` a direct call to function `callee`. */
     void callTo(BlockId src, FuncId callee);
 
-    /**
-     * Make `src` a direct call whose target is the *block* `target`
-     * rather than a function entry. Only the verifier self-tests
-     * want this (a well-formed program never calls mid-function);
-     * it exists so the call-graph-consistency planted bug is
-     * expressible at all.
-     */
-    void callToBlock(BlockId src, BlockId target);
-
     /** Make `src` an indirect jump resolved by `behavior`. */
     void indirectJump(BlockId src, const IndirectBehavior &behavior);
 
@@ -110,9 +101,6 @@ class ProgramBuilder
     /** Entry block of an already-created function. */
     BlockId functionEntry(FuncId func) const;
 
-    /** Number of functions created so far. */
-    std::size_t functionCount() const { return functions_.size(); }
-
     /** Number of blocks created so far. */
     std::size_t blockCount() const { return pendings_.size(); }
 
@@ -123,8 +111,14 @@ class ProgramBuilder
     void setPhaseLengths(std::vector<std::uint64_t> lengths);
 
     /**
-     * Finalize: assign addresses, resolve block targets, validate
-     * fall-through structure. @throws FatalError on inconsistency.
+     * Finalize: check every target, assign addresses, resolve block
+     * targets, validate fall-through structure. This is the one gate
+     * on program structure: a Program it returns has every direct
+     * and indirect target a block of the program, every call and
+     * indirect-call target a function entry, a behaviour on every
+     * conditional and indirect block, and a same-function successor
+     * after every block that can fall through or call.
+     * @throws FatalError naming the block (and its target) otherwise.
      */
     Program build();
 

@@ -55,6 +55,14 @@ readStated(std::istream &ls, const char *keyword, std::size_t count)
     return value;
 }
 
+/** An `ijump` or `icall`: the kinds an `indirect` line resolves. */
+bool
+takesIndirectLine(BranchKind kind)
+{
+    return kind == BranchKind::IndirectJump ||
+           kind == BranchKind::IndirectCall;
+}
+
 void
 writeLeb128(std::ostream &os, std::uint64_t value)
 {
@@ -107,8 +115,7 @@ saveProgram(const Program &prog, std::ostream &os)
                    << ' ' << cb.tripMax << ' '
                    << (cb.takenIsBackEdge ? 1 : 0) << '\n';
             }
-        } else if (b.terminator() == BranchKind::IndirectJump ||
-                   b.terminator() == BranchKind::IndirectCall) {
+        } else if (takesIndirectLine(b.terminator())) {
             const IndirectView ib = prog.indirectBehavior(b.id());
             os << "indirect " << b.id() << " targets "
                << ib.targets.size();
@@ -141,13 +148,16 @@ loadProgram(std::istream &is)
     BlockId entry = invalidBlock;
     std::vector<std::uint64_t> phases;
 
-    struct PendingTerminator
+    /** What a block line declared, indexed by block id. */
+    struct DeclaredBlock
     {
-        BlockId src;
         BranchKind kind;
         BlockId target;
+        FuncId starts;            ///< the function it is the entry of
+        bool hasBehavior = false; ///< a cond or indirect line named it
     };
-    std::vector<PendingTerminator> terminators;
+    std::vector<DeclaredBlock> declared;
+    FuncId nextStarts = invalidFunc; ///< a function awaiting its entry
     struct PendingCond
     {
         BlockId src;
@@ -157,11 +167,9 @@ loadProgram(std::istream &is)
     struct PendingIndirect
     {
         BlockId src;
-        BranchKind kind;
         IndirectBehavior behavior;
     };
     std::vector<PendingIndirect> indirects;
-    std::vector<BranchKind> kindOf; // per created block
 
     while (std::getline(is, line)) {
         if (line.empty())
@@ -182,7 +190,7 @@ loadProgram(std::istream &is)
         } else if (keyword == "function") {
             std::string name;
             ls >> name;
-            builder.beginFunction(name);
+            nextStarts = builder.beginFunction(name);
         } else if (keyword == "block") {
             std::size_t ninsts = 0;
             ls >> ninsts;
@@ -202,8 +210,7 @@ loadProgram(std::istream &is)
             if (!ls)
                 fatal("truncated block line in program file");
             const BranchKind kind = parseTerminator(term);
-            const BlockId id = builder.blockWithSizes(sizes);
-            kindOf.push_back(kind);
+            builder.blockWithSizes(sizes);
             BlockId target = invalidBlock;
             if (kind == BranchKind::CondDirect ||
                 kind == BranchKind::Jump || kind == BranchKind::Call) {
@@ -211,7 +218,8 @@ loadProgram(std::istream &is)
                 if (!ls)
                     fatal("direct branch without target");
             }
-            terminators.push_back({id, kind, target});
+            declared.push_back({kind, target, nextStarts});
+            nextStarts = invalidFunc;
         } else if (keyword == "cond") {
             PendingCond pc;
             std::string mode;
@@ -261,81 +269,67 @@ loadProgram(std::istream &is)
             }
             if (!ls)
                 fatal("truncated indirect line in program file");
-            if (pi.src >= kindOf.size())
+            if (pi.src >= declared.size())
                 fatal("indirect line references unknown block");
-            pi.kind = kindOf[pi.src];
+            if (!takesIndirectLine(declared[pi.src].kind))
+                fatal("indirect line for block " +
+                      std::to_string(pi.src) +
+                      ", which is not declared ijump or icall");
             indirects.push_back(std::move(pi));
         } else {
             fatal("unknown keyword '" + keyword + "' in program file");
         }
     }
 
-    // Wire terminators. Calls resolve their callee from the target
+    // Wire terminators. A call resolves its callee from the target
     // block, which must be a function entry.
-    std::vector<std::pair<BlockId, BlockId>> callSites;
-    for (const PendingTerminator &t : terminators) {
-        switch (t.kind) {
-          case BranchKind::None:
-            break;
+    for (BlockId id = 0; id < declared.size(); ++id) {
+        const BlockId target = declared[id].target;
+        switch (declared[id].kind) {
           case BranchKind::Jump:
-            builder.jumpTo(t.src, t.target);
+            builder.jumpTo(id, target);
             break;
           case BranchKind::Call:
-            callSites.emplace_back(t.src, t.target);
-            break;
-          case BranchKind::CondDirect:
-            // Behaviour attached below via condTo.
+            if (target >= declared.size() ||
+                declared[target].starts == invalidFunc)
+                fatal("block " + std::to_string(id) + " calls block " +
+                      std::to_string(target) +
+                      ", which is not a function entry");
+            builder.callTo(id, declared[target].starts);
             break;
           case BranchKind::Return:
-            builder.ret(t.src);
+            builder.ret(id);
             break;
           case BranchKind::Halt:
-            builder.halt(t.src);
+            builder.halt(id);
             break;
-          case BranchKind::IndirectJump:
-          case BranchKind::IndirectCall:
-            break; // attached below
+          default:
+            break; // fall-through, or a behaviour line attaches it
         }
     }
-    std::vector<std::uint8_t> hasCondBehavior(kindOf.size(), 0);
     for (const PendingCond &pc : conds) {
-        // Find this block's target among the parsed terminators.
-        BlockId target = invalidBlock;
-        for (const PendingTerminator &t : terminators)
-            if (t.src == pc.src)
-                target = t.target;
-        if (target == invalidBlock)
+        if (pc.src >= declared.size() ||
+            declared[pc.src].kind != BranchKind::CondDirect)
             fatal("cond behaviour for a non-conditional block");
-        builder.condTo(pc.src, target, pc.behavior);
-        hasCondBehavior[pc.src] = 1;
-    }
-    for (BlockId id = 0; id < kindOf.size(); ++id) {
-        if (kindOf[id] == BranchKind::CondDirect &&
-            !hasCondBehavior[id]) {
-            fatal("conditional block " + std::to_string(id) +
-                  " has no behaviour line");
-        }
+        builder.condTo(pc.src, declared[pc.src].target, pc.behavior);
+        declared[pc.src].hasBehavior = true;
     }
     for (PendingIndirect &pi : indirects) {
-        if (pi.kind == BranchKind::IndirectCall)
+        if (declared[pi.src].kind == BranchKind::IndirectCall)
             builder.indirectCall(pi.src, std::move(pi.behavior));
         else
             builder.indirectJump(pi.src, std::move(pi.behavior));
+        declared[pi.src].hasBehavior = true;
     }
-
-    // Resolve call sites: callee = the function whose entry block is
-    // the recorded target. Functions are known to the builder.
-    for (auto [src, target] : callSites) {
-        FuncId callee = invalidFunc;
-        for (FuncId f = 0; f < builder.functionCount(); ++f) {
-            if (builder.functionEntry(f) == target) {
-                callee = f;
-                break;
-            }
-        }
-        if (callee == invalidFunc)
-            fatal("call target is not a function entry");
-        builder.callTo(src, callee);
+    for (BlockId id = 0; id < declared.size(); ++id) {
+        if (declared[id].hasBehavior)
+            continue;
+        if (declared[id].kind == BranchKind::CondDirect)
+            fatal("conditional block " + std::to_string(id) +
+                  " has no behaviour line");
+        if (takesIndirectLine(declared[id].kind))
+            fatal("indirect block " + std::to_string(id) +
+                  " has no indirect line");
     }
 
     if (entry != invalidBlock)

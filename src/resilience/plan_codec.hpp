@@ -21,6 +21,7 @@
 #ifndef RSEL_RESILIENCE_PLAN_CODEC_HPP
 #define RSEL_RESILIENCE_PLAN_CODEC_HPP
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
@@ -100,16 +101,16 @@ planParse(const std::string &text, const char *tag, const char *kind,
         if (!def)
             fatal(std::string("unknown ") + kind + "-plan field \"" +
                   key + "\"");
+        // std::from_chars reads a bare run of decimal digits: a sign,
+        // a space, anything past the digits or a value too wide for
+        // the field is fatal.
         std::uint64_t v = 0;
-        try {
-            std::size_t used = 0;
-            v = std::stoull(val, &used);
-            if (used != val.size())
-                throw std::invalid_argument(val);
-        } catch (const std::exception &) {
+        const char *const last = val.data() + val.size();
+        const auto [end, ec] = std::from_chars(val.data(), last, v);
+        if (ec != std::errc() || end != last ||
+            (def->narrow && v > UINT32_MAX))
             fatal(std::string("bad value \"") + val + "\" for " + kind +
                   "-plan field \"" + key + "\"");
-        }
         planSetField(plan, *def, v);
     }
     return plan;

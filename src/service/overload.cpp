@@ -360,19 +360,7 @@ TenantConductor::onRegionDropped(const Region &region,
                                  std::uint64_t bytes,
                                  CodeCache::DropReason reason)
 {
-    ReleaseReason mapped = ReleaseReason::Eviction;
-    switch (reason) {
-      case CodeCache::DropReason::Evicted:
-        mapped = ReleaseReason::Eviction;
-        break;
-      case CodeCache::DropReason::Invalidated:
-        mapped = ReleaseReason::Invalidation;
-        break;
-      case CodeCache::DropReason::Flushed:
-        mapped = ReleaseReason::Flush;
-        break;
-    }
-    arena_.release(id_, region.entryAddr(), bytes, mapped);
+    arena_.release(id_, region.entryAddr(), bytes, reason);
 }
 
 } // namespace service

@@ -94,7 +94,8 @@ ShardedCodeCache::admit(TenantId tenant, Addr entry,
 
 void
 ShardedCodeCache::release(TenantId tenant, Addr entry,
-                          std::uint64_t bytes, ReleaseReason reason)
+                          std::uint64_t bytes,
+                          CodeCache::DropReason reason)
 {
     const std::uint64_t key = keyOf(tenant, entry);
     MutexLock lock(mu_, contention_);
@@ -113,13 +114,13 @@ ShardedCodeCache::release(TenantId tenant, Addr entry,
                 "release byte figure disagrees with admission");
     map->erase(it);
     switch (reason) {
-      case ReleaseReason::Eviction:
+      case CodeCache::DropReason::Evicted:
         ++mine.evictionReleases;
         break;
-      case ReleaseReason::Invalidation:
+      case CodeCache::DropReason::Invalidated:
         ++mine.invalidationReleases;
         break;
-      case ReleaseReason::Flush:
+      case CodeCache::DropReason::Flushed:
         ++mine.flushReleases;
         break;
     }

@@ -69,13 +69,6 @@ struct ArenaConfig
     CacheLimits::Policy policy = CacheLimits::Policy::FullFlush;
 };
 
-/** Why a physical entry was released (mirrors CodeCache drops). */
-enum class ReleaseReason : std::uint8_t {
-    Eviction,     ///< capacity eviction in the tenant's logical cache
-    Invalidation, ///< self-modifying-code invalidation
-    Flush,        ///< tenant-local flush (policy storm or teardown)
-};
-
 /** Per-tenant accounting snapshot (disjoint by release kind). */
 struct TenantCacheStats
 {
@@ -175,7 +168,7 @@ class ShardedCodeCache
      * re-entrancy contract as admit().
      */
     void release(TenantId tenant, Addr entry, std::uint64_t bytes,
-                 ReleaseReason reason) RSEL_EXCLUDES(mu_);
+                 CodeCache::DropReason reason) RSEL_EXCLUDES(mu_);
 
     /**
      * Drop every live and parked entry of `tenant` (teardown sweep),

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "analysis/program_verifier.hpp"
 #include "analysis/region_verifier.hpp"
 #include "dynopt/dynopt_system.hpp"
 #include "program/trace_io.hpp"
@@ -423,20 +422,6 @@ runDifferential(const GenSpec &rawSpec, BrokenMode broken, bool verify,
         const Program prog = generateProgram(spec);
         report.programBlocks =
             static_cast<std::uint32_t>(prog.blocks().size());
-
-        // Every generated program must satisfy the static program
-        // verifier. Lint warnings (unreachable blocks, dead
-        // functions) are legitimate in random programs and pass;
-        // an error diagnostic invalidates the whole matrix.
-        {
-            analysis::DiagnosticEngine diag;
-            analysis::ProgramVerifier::run(prog, diag);
-            if (diag.hasErrors()) {
-                report.error = "program verifier: " +
-                               diag.firstError();
-                return report;
-            }
-        }
         std::ostringstream text1, text2;
         saveProgram(prog, text1);
         {

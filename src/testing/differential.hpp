@@ -78,11 +78,11 @@ struct DiffReport
  * failures (including FatalError / PanicError / InvariantViolation
  * from any layer) are captured in the report.
  *
- * The generated program is always linted by the static
- * ProgramVerifier first; an error diagnostic fails the check. With
- * `verify` set, every live and replay system additionally runs with
- * verify-on-submit, so each emitted region passes the static
- * RegionVerifier before it is cached.
+ * The generated program is well formed by construction
+ * (ProgramBuilder::build() rejects anything else). With `verify`
+ * set, every live and replay system runs with verify-on-submit, so
+ * each emitted region passes the static RegionVerifier before it is
+ * cached.
  *
  * An armed `faults` plan is injected into every live and replay
  * system (the reference architectural run stays fault-free): the

@@ -11,8 +11,9 @@
  *    the closure-transitivity unit test this makes the call closure
  *    a sound bound on call-chain reachability);
  *  - every dynamic return lands exactly at the fall-through block of
- *    the site on top of the shadow stack (the return-edge /
- *    call-site-layout claim of the call-graph-consistency pass);
+ *    the site on top of the shadow stack (the return edge that
+ *    ProgramBuilder::build() guarantees by checking each call's
+ *    layout successor);
  *  - dynamically observed per-site callee instruction mass never
  *    exceeds the static callee mass, which never exceeds the site's
  *    duplication-growth bound (`InterFacts::closureInstsOf`);

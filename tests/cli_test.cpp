@@ -263,11 +263,11 @@ TEST(ExitCodeTest, FuzzSignalsFailuresFound)
 
 TEST(ExitCodeTest, VerifySignalsVerdicts)
 {
-    // Every workload lints without an error (warnings only).
+    // Lint warnings alone exit 0.
     EXPECT_EQ(toolExit("rselect-analyze", "--workload gzip"), ExitOk);
-    // An indirect call that declares a mid-function target loads, and
-    // the call-graph-consistency pass rejects it: exit 3, tables or
-    // JSON alike.
+    // An indirect call that declares a mid-function target is a
+    // malformed program file: ProgramBuilder::build() rejects it, and
+    // every mode of both tools exits 2 with the block named.
     const std::string bad =
         ::testing::TempDir() + "cli_test_icall_nonentry.prog";
     std::ofstream(bad) << "rsel-program 1\n"
@@ -280,12 +280,18 @@ TEST(ExitCodeTest, VerifySignalsVerdicts)
                           "block 1 4 return\n"
                           "indirect 0 targets 1 3 phases 1 1\n";
     EXPECT_EQ(toolExit("rselect-analyze", "--program " + bad),
-              ExitVerifyFailure);
+              ExitUsageError);
     EXPECT_EQ(toolExit("rselect-analyze", "--program " + bad + " --json"),
-              ExitVerifyFailure);
+              ExitUsageError);
     EXPECT_EQ(toolExit("rselect-analyze",
                        "--program " + bad + " --validate"),
-              ExitVerifyFailure);
+              ExitUsageError);
+    EXPECT_NE(toolStderr("rselect-analyze", "--program " + bad)
+                  .find("block 0 calls block 3 indirectly"),
+              std::string::npos);
+    EXPECT_EQ(toolExit("rselect-sim",
+                       "--program " + bad + " --algos NET --events 1000"),
+              ExitUsageError);
     EXPECT_EQ(toolExit("rselect-analyze", "--program /nonexistent.prog"),
               ExitUsageError);
 }

@@ -72,6 +72,10 @@ TEST(FaultPlanTest, ParseRejectsMalformedSpecs)
     EXPECT_THROW(FaultPlan::parse("f1,tfail=abc"), FatalError);
     EXPECT_THROW(FaultPlan::parse("f1,tfail=12x"), FatalError);
     EXPECT_THROW(FaultPlan::parse("f1,tfail"), FatalError);
+    // Values are bare digit runs: no sign, no space.
+    EXPECT_THROW(FaultPlan::parse("f1,tfail=-1"), FatalError);
+    EXPECT_THROW(FaultPlan::parse("f1,tfail=+7"), FatalError);
+    EXPECT_THROW(FaultPlan::parse("f1,seed= 9"), FatalError);
 }
 
 TEST(FaultPlanTest, ClampBoundsEveryField)

@@ -55,6 +55,12 @@ TEST(GenSpecTest, ParseRejectsMalformedInput)
     EXPECT_THROW(GenSpec::parse("v1,funcs"), FatalError);
     EXPECT_THROW(GenSpec::parse("v1,funcs=abc"), FatalError);
     EXPECT_THROW(GenSpec::parse("v1,funcs=1x"), FatalError);
+    // Values are bare digit runs that fit their field.
+    EXPECT_THROW(GenSpec::parse("v1,funcs=-1"), FatalError);
+    EXPECT_THROW(GenSpec::parse("v1,funcs=+7"), FatalError);
+    EXPECT_THROW(GenSpec::parse("v1,funcs= 9"), FatalError);
+    EXPECT_THROW(GenSpec::parse("v1,funcs=4294967297"), FatalError);
+    EXPECT_NO_THROW(GenSpec::parse("v1,funcs=4294967295"));
     try {
         GenSpec::parse("v1,trips=7q");
         FAIL() << "expected FatalError";

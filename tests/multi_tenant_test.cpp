@@ -417,7 +417,7 @@ TEST(MultiTenantTest, ArenaKeyRangeBoundary)
     EXPECT_EQ(arena.tenantStats(next).liveBytes, 7u);
 
     arena.liftShardQuarantine(0);
-    arena.release(next, 0, 7, ReleaseReason::Eviction);
+    arena.release(next, 0, 7, CodeCache::DropReason::Evicted);
     EXPECT_EQ(arena.liveEntryCount(next), 0u);
     EXPECT_EQ(arena.tenantStats(next).evictionReleases, 1u);
     EXPECT_EQ(arena.stats().liveBytes, 0u);
@@ -600,6 +600,9 @@ TEST(ServiceChaosTest, ChaosPlanCodecRoundTrip)
     EXPECT_THROW(ChaosPlan::parse("c1,bogus=3"), FatalError);
     EXPECT_THROW(ChaosPlan::parse("c1,crash"), FatalError);
     EXPECT_THROW(ChaosPlan::parse("c1,crash=many"), FatalError);
+    EXPECT_THROW(ChaosPlan::parse("c1,crash=-1"), FatalError);
+    EXPECT_THROW(ChaosPlan::parse("c1,crash=+7"), FatalError);
+    EXPECT_THROW(ChaosPlan::parse("c1,seed= 9"), FatalError);
 }
 
 // scheduleFor is a pure function of (plan, tenant index): the same
@@ -888,9 +891,9 @@ TEST(ServiceChaosTest, QuarantineParksAndLifts)
 
     // Fully lifted: releases find the merged entries, and the
     // identity closes to zero.
-    arena.release(id, 0x100, 64, ReleaseReason::Eviction);
-    arena.release(id, 0x200, 32, ReleaseReason::Flush);
-    arena.release(id, 0x300, 16, ReleaseReason::Invalidation);
+    arena.release(id, 0x100, 64, CodeCache::DropReason::Evicted);
+    arena.release(id, 0x200, 32, CodeCache::DropReason::Flushed);
+    arena.release(id, 0x300, 16, CodeCache::DropReason::Invalidated);
     EXPECT_EQ(arena.stats().liveBytes, 0u);
     EXPECT_EQ(arena.stats().admissions,
               arena.stats().releases + arena.stats().liveEntries);
@@ -909,7 +912,7 @@ TEST(ServiceChaosTest, ReleaseDuringQuarantineFindsParkedEntry)
     const TenantId id = arena.registerTenant();
     arena.quarantineShard(0);
     arena.admit(id, 0x500, 40);
-    arena.release(id, 0x500, 40, ReleaseReason::Eviction);
+    arena.release(id, 0x500, 40, CodeCache::DropReason::Evicted);
     EXPECT_EQ(arena.stats().liveBytes, 0u);
     arena.liftShardQuarantine(0);
     EXPECT_EQ(arena.stats().admissions,

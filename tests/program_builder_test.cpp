@@ -126,6 +126,34 @@ TEST(ProgramBuilderTest, IndirectBehaviourValidation)
     EXPECT_THROW(b.indirectJump(x, mismatched), FatalError);
 }
 
+// Only a function entry can be called: an indirect call that
+// declares the callee's second block fails the build, naming both.
+TEST(ProgramBuilderTest, IndirectCallToMidFunctionBlockIsFatal)
+{
+    ProgramBuilder b(1);
+    b.beginFunction("main");
+    const BlockId site = b.block(2);
+    const BlockId after = b.block(1);
+    b.beginFunction("callee");
+    b.block(2); // the entry, falling through to x
+    const BlockId x = b.block(1);
+    IndirectBehavior mid;
+    mid.targets = {x};
+    mid.weightsByPhase = {{1.0}};
+    b.indirectCall(site, mid);
+    b.halt(after);
+    b.ret(x);
+    try {
+        (void)b.build();
+        FAIL() << "built an indirect call to a mid-function block";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "block 0 calls block 3 indirectly"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(ProgramBuilderTest, AddressMapAndFallThroughLookup)
 {
     ProgramBuilder b(1);

@@ -285,6 +285,68 @@ TEST(TraceIoTest, MalformedInputsAreFatal)
             << "block 1 4 halt\n";
         EXPECT_THROW(loadProgram(bad), FatalError);
     }
+
+    // One function of four 2-instruction blocks: the third is a loop
+    // latch back to the first, the last halts. Each case below swaps
+    // one terminator or behaviour line; the error names the block,
+    // and the target where there is one.
+    const auto listing = [](const char *b0, const char *b1,
+                            const char *b2, const char *lines) {
+        return std::string("rsel-program 1\nentry 0\nphases 0\n"
+                           "function main\nblock 2 3 3 ") +
+               b0 + "\nblock 2 3 3 " + b1 + "\nblock 2 3 3 " + b2 +
+               "\nblock 2 3 3 halt\n" + lines;
+    };
+    const char *latch = "cond 2 loop 2 4 1\n";
+    {
+        std::stringstream good(
+            listing("fall-through", "fall-through", "cond 0", latch));
+        EXPECT_EQ(loadProgram(good).blocks().size(), 4u);
+    }
+    const struct
+    {
+        std::string file;
+        const char *message;
+    } malformed[] = {
+        {listing("fall-through", "jump 99", "cond 0", latch),
+         "block 1 branches to block 99,"},
+        {listing("fall-through", "fall-through", "cond 99", latch),
+         "block 2 branches to block 99,"},
+        {listing("fall-through", "jump 4000000000", "cond 0", latch),
+         "block 1 branches to block 4000000000,"},
+        {listing("ijump", "fall-through", "cond 0",
+                 "cond 2 loop 2 4 1\n"
+                 "indirect 0 targets 2 1 99 phases 1 0.5 0.5\n"),
+         "block 0 declares indirect target 99,"},
+        {listing("ijump", "fall-through", "cond 0", latch),
+         "indirect block 0 has no indirect line"},
+        {listing("fall-through", "fall-through", "cond 0",
+                 "cond 2 loop 2 4 1\n"
+                 "indirect 1 targets 1 2 phases 1 1\n"),
+         "indirect line for block 1,"},
+        {listing("fall-through", "call 2", "cond 0", latch),
+         "block 1 calls block 2, which is not a function entry"},
+        {listing("fall-through", "call 99", "cond 0", latch),
+         "block 1 calls block 99, which is not a function entry"},
+        // An icall whose declared target is the callee's second block.
+        {"rsel-program 1\nentry 0\nfunction main\n"
+         "block 1 4 icall\nblock 1 4 halt\n"
+         "function callee\nblock 1 4 fall-through\n"
+         "block 1 4 return\nindirect 0 targets 1 3 phases 1 1\n",
+         "block 0 calls block 3 indirectly"},
+    };
+    for (const auto &c : malformed) {
+        SCOPED_TRACE(c.file);
+        std::stringstream bad(c.file);
+        try {
+            loadProgram(bad);
+            ADD_FAILURE() << "loaded a malformed program";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // A loop latch needs 1 <= tripMin <= tripMax: 'loop 0 0' would wrap

@@ -63,25 +63,6 @@ hasWarningFromPass(const DiagnosticEngine &diag,
     return false;
 }
 
-TEST(ProgramVerifierTest, AcceptsWellFormedProgram)
-{
-    const Program p = buildLoopProgram();
-    DiagnosticEngine diag;
-    ProgramVerifier::run(p, diag);
-    EXPECT_FALSE(diag.hasErrors()) << diag.firstError();
-}
-
-TEST(ProgramVerifierTest, AcceptsEveryWorkload)
-{
-    for (const WorkloadInfo &w : workloadSuite()) {
-        const Program p = w.build(1);
-        DiagnosticEngine diag;
-        ProgramVerifier::run(p, diag);
-        EXPECT_FALSE(diag.hasErrors())
-            << w.name << ": " << diag.firstError();
-    }
-}
-
 TEST(ProgramVerifierTest, LintsUnreachableAndNoExitCycle)
 {
     // a -> b -> a is a reachable cycle with no exit and no halt; c
@@ -119,30 +100,6 @@ TEST(ProgramVerifierTest, LintsDeadFunction)
     DiagnosticEngine diag;
     ProgramVerifier::run(p, diag);
     EXPECT_TRUE(hasWarningFromPass(diag, "dead-function"));
-}
-
-TEST(ProgramVerifierTest, RejectsCallToNonEntryBlock)
-{
-    // callToBlock bypasses callTo's FuncId resolution and targets the
-    // callee's second block: loadProgram rejects such a file at parse
-    // time, so only a hand-built program carries the bug.
-    ProgramBuilder pb;
-    pb.beginFunction("main");
-    const BlockId a = pb.block(2);
-    const BlockId b = pb.block(1);
-    pb.beginFunction("callee");
-    const BlockId e = pb.block(2);
-    const BlockId x = pb.block(1);
-    pb.callToBlock(a, x);
-    pb.halt(b);
-    pb.ret(e);
-    pb.halt(x);
-    pb.setEntry(a);
-    const Program p = pb.build();
-
-    DiagnosticEngine diag;
-    ProgramVerifier::run(p, diag);
-    EXPECT_TRUE(hasErrorFromPass(diag, "call-graph-consistency"));
 }
 
 TEST(ProgramVerifierTest, LintsFunctionNoCallReaches)

@@ -13,19 +13,19 @@
  *  - --spec 'SPEC'     generate the fuzz spec's program and analyze.
  *  - --workload NAME   analyze one synthetic workload, or all.
  *
- * The diagnostics table (or `<what>: clean (no diagnostics)`) comes
- * before the call-graph tables. --validate additionally replays the
- * program and checks every sound claim of the layer against its
- * counted dynamic call behaviour (testing::validateInterprocedural);
- * a program with an error diagnostic is malformed and is not run.
+ * The lint table (or `<what>: clean (no diagnostics)`) comes before
+ * the call-graph tables. --validate additionally replays the program
+ * and checks every sound claim of the layer against its counted
+ * dynamic call behaviour (testing::validateInterprocedural).
  * --json emits the report as one JSON document instead of tables,
  * {"schema": N, "programs": [...]} with one object per program and
- * its diagnostics in a `diagnostics` array (the schema field
- * versions the layout); a violated claim is then reported on stderr
- * only.
+ * its lints in a `diagnostics` array (the schema field versions the
+ * layout); a violated claim is then reported on stderr only.
  *
- * Exit codes: 0 = clean, 1 = runtime fault, 2 = usage error, 3 = an
- * error diagnostic, or validation found a violated claim.
+ * Exit codes: 0 = clean (lint warnings included), 1 = runtime fault,
+ * 2 = usage error or a malformed program file (loadProgram and
+ * ProgramBuilder::build() reject it naming the block), 3 =
+ * validation found a violated claim.
  */
 
 #include <algorithm>
@@ -212,12 +212,12 @@ analyzeProgram(const Program &prog, const std::string &what,
     analysis::DiagnosticEngine diag;
     analysis::ProgramVerifier::run(prog, diag);
     const analysis::InterFacts inf = analysis::buildInterFacts(prog);
-    const bool validate = opts.validate && !diag.hasErrors();
     testing::InterValidation val;
-    if (validate)
+    if (opts.validate)
         val = testing::validateInterprocedural(prog, opts.events,
                                                opts.seed);
-    const testing::InterValidation *valPtr = validate ? &val : nullptr;
+    const testing::InterValidation *valPtr =
+        opts.validate ? &val : nullptr;
 
     if (opts.json) {
         emitJson(prog, what, diag, inf, valPtr, std::cout);
@@ -225,8 +225,6 @@ analyzeProgram(const Program &prog, const std::string &what,
         printDiagnostics(diag, what);
         printTables(prog, inf, valPtr, what);
     }
-    if (diag.hasErrors())
-        return ExitVerifyFailure;
     if (!val.error.empty()) {
         std::fprintf(stderr, "%s: VALIDATION FAILED: %s\n", what.c_str(),
                      val.error.c_str());
