@@ -124,12 +124,15 @@ DynOptSystem::installRegion(RegionSpec spec)
     RSEL_ASSERT(!inRegion_, "regions are installed outside the cache");
     RegionLayout layout;
     layout.base = nextLayoutAddr_;
-    layout.offsetsBegin = static_cast<std::uint32_t>(layoutOffsets_.size());
+    layout.posBegin = static_cast<std::uint32_t>(layoutPos_.size());
     std::uint32_t offset = 0;
     for (const BasicBlock *b : region.blocks()) {
-        layoutOffsets_.push_back(offset);
+        LayoutPos &p = layoutPos_.emplace_back();
+        p.offset = offset;
+        p.insts = static_cast<std::uint32_t>(b->instCount());
         offset += static_cast<std::uint32_t>(b->sizeBytes());
     }
+    layout.bytes = offset;
     nextLayoutAddr_ += offset + region.exitStubCount() * kExitStubBytes;
     layouts_.push_back(layout);
 
@@ -237,7 +240,7 @@ DynOptSystem::enterRegion(const Region &region, const BasicBlock &block)
     lastStep_.enteredRegion = true;
     const RegionLayout &layout = layouts_[curRegion_];
     curBase_ = layout.base;
-    curOffsets_ = layoutOffsets_.data() + layout.offsetsBegin;
+    curPos_ = layoutPos_.data() + layout.posBegin;
     metrics_.onRegionEntered(curRegion_);
     metrics_.onCachedBlock(block, curRegion_);
     fetchCachedCur(0, block);
@@ -381,17 +384,22 @@ std::size_t
 DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i,
                                std::size_t end)
 {
-    const BasicBlock *const progBlocks = prog_.blocks().data();
+    const BlockId *const ids = batch.blockIds.data();
+    const std::uint8_t *const takenFlags = batch.takenFlags.data();
 
-    // Current-region context, reloaded on every region switch.
+    // Current-region context, reloaded on every region switch: the
+    // loop reads only these and the batch, never a BasicBlock.
     const Region *r = curRegionPtr_;
+    RegionLayout *layout = &layouts_[curRegion_];
     bool trace = r->kind() == Region::Kind::Trace;
     const BlockId *rb = r->blockIds().data();
     std::size_t rn = r->blockIds().size();
-    Addr top = r->entryAddr();
+    LayoutPos *lp = curPos_;
+    std::uint64_t base = curBase_;
+    std::uint32_t mark = layout->edgeMark;
+    ICacheModel::Run fetches(icache_);
 
     std::size_t pos = regionPos_;
-    const BasicBlock *prev = prevBlock_;
     std::uint64_t insts = 0;
     std::uint64_t restarts = 0;
     std::size_t runStart = i;
@@ -405,69 +413,116 @@ DynOptSystem::consumeRegionRun(const EventBatch &batch, std::size_t i,
         runStart = upto;
     };
 
-    for (; i < end; ++i) {
-        const BasicBlock &b = progBlocks[batch.blockIds[i]];
-        // The same decision Region::step makes, checked before any
-        // effect so an unconsumed event is left wholly to
-        // processEvent. Traces compare inline against the cached
-        // stripe; multi-path regions ask the region.
-        RegionStep step;
+    // The effects every consumed event has: its block's instructions
+    // and its fetch from the position it ran at. Blocks are laid out
+    // back to back, so a block's bytes run to the next one's offset
+    // (read only when the fetch memo is not current).
+    const auto ranAt = [&](std::size_t at) {
+        LayoutPos &p = lp[at];
+        insts += p.insts;
+        fetches.fetch(base + p.offset, p.fetch, [&] {
+            return (at + 1 < rn ? lp[at + 1].offset : layout->bytes) -
+                   p.offset;
+        });
+    };
+
+    // The same decisions Region::step makes, checked before any
+    // effect so an unconsumed event is left wholly to processEvent.
+    // Each kind of region gets its own loop; both end at an exit,
+    // handled below. An edge is probed only where it can be new: a
+    // trace step past the high-water mark, a position's first trace
+    // restart or multi-path step along a cached successor, any other
+    // multi-path transfer, and every exit.
+    for (;;) {
         if (trace) {
-            if (batch.takenFlags[i] != 0 && b.startAddr() == top) {
-                pos = 0;
-                step = RegionStep::CycleRestart;
-            } else if (pos + 1 < rn && b.id() == rb[pos + 1]) {
-                ++pos;
-                step = RegionStep::Internal;
-            } else {
-                step = RegionStep::Exit;
+            for (; i < end; ++i) {
+                const BlockId id = ids[i];
+                // A region holds a block once, so the recorded next
+                // block is never the entry and the two tests below
+                // exclude each other. Block starts strictly increase,
+                // so the entry address test is an id test.
+                if (pos + 1 < rn && id == rb[pos + 1]) {
+                    if (++pos > mark) {
+                        mark = static_cast<std::uint32_t>(pos);
+                        metrics_.onEdge(rb[pos - 1], id);
+                    }
+                    lastWasEntry = false;
+                } else if (takenFlags[i] != 0 && id == rb[0]) {
+                    std::uint8_t &seen = lp[pos].edgesSeen;
+                    if ((seen & backEdgeSeen) == 0) {
+                        seen |= backEdgeSeen;
+                        metrics_.onEdge(rb[pos], id);
+                    }
+                    pos = 0;
+                    ++restarts;
+                    lastWasEntry = true;
+                } else {
+                    break;
+                }
+                ranAt(pos);
             }
         } else {
-            step = r->stepMultiPath(pos, b);
+            for (; i < end; ++i) {
+                const BlockId id = ids[i];
+                const std::size_t from = pos;
+                const Region::Successors &succ = r->successors(from);
+                const std::uint8_t bit = id == succ.takenId  ? takenEdgeSeen
+                                         : id == succ.fallId ? fallEdgeSeen
+                                                             : 0;
+                const RegionStep step = r->stepMultiPath(pos, id);
+                if (step == RegionStep::Exit)
+                    break;
+                std::uint8_t &seen = lp[from].edgesSeen;
+                if (bit == 0 || (seen & bit) == 0) {
+                    seen |= bit;
+                    metrics_.onEdge(rb[from], id);
+                }
+                lastWasEntry = step == RegionStep::CycleRestart;
+                restarts += lastWasEntry ? 1 : 0;
+                ranAt(pos);
+            }
         }
-        if (step == RegionStep::CycleRestart) {
-            ++restarts;
-            lastWasEntry = true;
-        } else if (step == RegionStep::Internal) {
-            lastWasEntry = false;
-        } else {
-            // Exit. If it lands on another cached region's entry the
-            // per-event path would chain straight into it (the
-            // selector is not consulted on the exit-stub path), so
-            // the run continues under the new region.
-            const Region *s = cache_.lookupEntry(b.id());
-            if (s == nullptr)
-                break;
-            flushRun(i);
-            if (s->id() != curRegion_)
-                metrics_.onRegionTransition(curRegion_, s->id());
-            // The effects of enterRegion(), with the run-local
-            // context rebound to the new region.
-            curRegion_ = s->id();
-            curRegionPtr_ = s;
-            const RegionLayout &layout = layouts_[curRegion_];
-            curBase_ = layout.base;
-            curOffsets_ = layoutOffsets_.data() + layout.offsetsBegin;
-            metrics_.onRegionEntered(curRegion_);
-            r = s;
-            trace = r->kind() == Region::Kind::Trace;
-            rb = r->blockIds().data();
-            rn = r->blockIds().size();
-            top = r->entryAddr();
-            pos = 0;
-            lastWasEntry = true;
-        }
-        if (prev != nullptr)
-            metrics_.onEdge(prev->id(), b.id());
-        prev = &b;
-        insts += b.instCount();
-        fetchCachedCur(pos, b);
+        if (i == end)
+            break;
+        // Exit. If it lands on another cached region's entry the
+        // per-event path would chain straight into it (the selector
+        // is not consulted on the exit-stub path), so the run
+        // continues under the new region.
+        const BlockId id = ids[i];
+        const Region *s = cache_.lookupEntry(id);
+        if (s == nullptr)
+            break;
+        metrics_.onEdge(rb[pos], id);
+        flushRun(i);
+        layout->edgeMark = mark;
+        if (s->id() != curRegion_)
+            metrics_.onRegionTransition(curRegion_, s->id());
+        // The effects of enterRegion(), with the run-local context
+        // rebound to the new region.
+        curRegion_ = s->id();
+        curRegionPtr_ = s;
+        layout = &layouts_[curRegion_];
+        curBase_ = layout->base;
+        curPos_ = layoutPos_.data() + layout->posBegin;
+        metrics_.onRegionEntered(curRegion_);
+        r = s;
+        trace = r->kind() == Region::Kind::Trace;
+        rb = r->blockIds().data();
+        rn = r->blockIds().size();
+        lp = curPos_;
+        base = curBase_;
+        mark = layout->edgeMark;
+        pos = 0;
+        lastWasEntry = true;
+        ranAt(0);
+        ++i;
     }
 
+    layout->edgeMark = mark;
     if (i != runStart) {
         flushRun(i);
         regionPos_ = pos;
-        prevBlock_ = prev;
+        prevBlock_ = &prog_.blocks()[ids[i - 1]];
         if (i == end) {
             // The run stopped mid-region: leave the same step-trace
             // probe state the per-event path would have.

@@ -265,10 +265,44 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     {
         /** Base address of the region in the code cache. */
         std::uint64_t base = 0;
-        /** Where the region's block offsets (parallel to
-         *  Region::blocks) start in layoutOffsets_. */
-        std::uint32_t offsetsBegin = 0;
+        /** Where the region's positions (parallel to
+         *  Region::blocks) start in layoutPos_. */
+        std::uint32_t posBegin = 0;
+        /**
+         * Trace edge high-water mark: the furthest position a
+         * consumeRegionRun step has reached. Every execution begins
+         * at position 0 and records each edge it traverses, so the
+         * edges into positions 1..edgeMark are in the profile.
+         */
+        std::uint32_t edgeMark = 0;
+        /** The region's block bytes (its last block ends there). */
+        std::uint32_t bytes = 0;
     };
+
+    /** One block of a laid-out region: everything the run loop
+     *  reads about a position besides its block id. */
+    struct LayoutPos
+    {
+        /** Byte offset from the region's base. */
+        std::uint32_t offset = 0;
+        /** The block's guest instructions. */
+        std::uint32_t insts = 0;
+        /** Where the block's I-cache lines were last found. */
+        ICacheModel::FetchMemo fetch;
+        /**
+         * Which of the position's fixed out-edges the profile
+         * already holds: for a multi-path member its cached
+         * successor edges (Region::Successors), for a trace position
+         * its back edge to the top.
+         */
+        std::uint8_t edgesSeen = 0;
+    };
+    static_assert(sizeof(LayoutPos) <= 24, "at most 24 bytes a position");
+
+    /** LayoutPos::edgesSeen bits. */
+    static constexpr std::uint8_t takenEdgeSeen = 1;
+    static constexpr std::uint8_t fallEdgeSeen = 2;
+    static constexpr std::uint8_t backEdgeSeen = 4;
 
     /** Insert a selector-completed region into the cache. */
     void installRegion(RegionSpec spec);
@@ -324,14 +358,14 @@ class DynOptSystem : public ExecutionSink, public BatchSink
                                  std::size_t end);
 
     /**
-     * Feed one cached block's fetch through the I-cache model, using
-     * the current-region layout cached by enterRegion() — no deque
-     * or layout-table indexing on the in-region fast path.
+     * Feed one cached block's fetch through the I-cache model's
+     * per-access path, using the current-region layout cached by
+     * enterRegion().
      */
     void
     fetchCachedCur(std::size_t pos, const BasicBlock &block)
     {
-        icache_.fetchRange(curBase_ + curOffsets_[pos],
+        icache_.fetchRange(curBase_ + curPos_[pos].offset,
                            static_cast<std::uint32_t>(
                                block.sizeBytes()));
     }
@@ -341,9 +375,8 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     MetricsCollector metrics_;
     ICacheModel icache_;
     std::vector<RegionLayout> layouts_;
-    /** Byte offset of each block of every region, region after
-     *  region. */
-    std::vector<std::uint32_t> layoutOffsets_;
+    /** Every region's positions, region after region. */
+    std::vector<LayoutPos> layoutPos_;
     std::uint64_t nextLayoutAddr_ = 0;
     std::unique_ptr<RegionSelector> selector_;
 
@@ -379,13 +412,13 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     std::size_t regionPos_ = 0;
     /**
      * The current region's layout, flattened: code-cache base and
-     * the per-block offset stripe. Set by enterRegion(). A region is
-     * installed only while execution is outside the cache, and every
-     * region entry re-caches both, so growing layoutOffsets_ never
-     * leaves a stale stripe in use.
+     * its positions. Set by enterRegion(). A region is installed
+     * only while execution is outside the cache, and every region
+     * entry re-caches both, so growing layoutPos_ never leaves a
+     * stale stripe in use.
      */
     std::uint64_t curBase_ = 0;
-    const std::uint32_t *curOffsets_ = nullptr;
+    LayoutPos *curPos_ = nullptr;
     /** Set when execution just left the cache to the interpreter. */
     bool pendingCacheExit_ = false;
     const BasicBlock *prevBlock_ = nullptr;

@@ -252,22 +252,34 @@ class Executor
     void reset(std::uint64_t seed);
 
   private:
-    /** Resolve the successor of `b`; may push/pop the call stack. */
-    const BasicBlock *nextBlock(const BasicBlock &b, bool &taken);
-
     struct Step;
 
-    /** Draw the target of an indirect block's step. */
-    const BasicBlock *indirectTarget(const Step &step);
+    /**
+     * Resolve the successor of `step`, drawing from the RNG and
+     * pushing or popping the call stack as its op requires. Both
+     * run() and fillBatch() go through it, so the two paths consume
+     * the RNG identically. @return the successor's record, nullptr
+     * when the program halted or returned past its entry frame.
+     * Always inlined: it runs once per event, and GCC would otherwise
+     * keep one out-of-line copy for its two callers.
+     */
+    [[gnu::always_inline]] Step *nextStep(Step &step, bool &taken);
 
-    /** Advance the phase schedule by one executed block. */
+    /** Draw the target of an indirect step. */
+    Step *indirectTarget(const Step &step);
+
+    /** Advance the phase schedule by one executed block (run()'s
+     *  per-event form; fillBatch() counts whole phase chunks). */
     void advancePhase();
+
+    /** Move to the next phase of the schedule and rebind. */
+    void switchPhase();
 
     /**
      * Re-resolve the phase-dependent step fields for the current
      * phaseIdx_. Runs once per phase switch (and at
      * construction/reset), so the per-event path never computes a
-     * phase modulus.
+     * phase modulus or sums a weight row.
      */
     void rebindPhase();
 
@@ -284,37 +296,64 @@ class Executor
     /**
      * Everything the per-event path reads about one static block,
      * resolved once at construction (the phase-dependent fields once
-     * per phase switch), so it never touches an address index or a
-     * behaviour table: one record per block, indexed by block id.
+     * per phase switch): one 64-byte record per block, indexed by
+     * block id. Successors are records too, so an event never reads
+     * a BasicBlock, an address index or a behaviour table.
      */
     struct Step
     {
-        /** What resolves the block's branch. */
-        enum class Kind : std::uint8_t {
-            Static,    ///< no behaviour (taken / fall are fixed)
-            Bernoulli, ///< conditional, phase-resolved prob
-            Loop,      ///< conditional loop latch
-            Indirect,  ///< weighted pick among targets
+        /** How the block picks its successor: the terminator and
+         *  the behaviour resolving it, folded into one tag. */
+        enum class Op : std::uint8_t {
+            FallThrough,  ///< no terminator: continue at `fall`
+            Jump,         ///< to `taken`
+            Call,         ///< push `fall`, go to `taken`
+            IndirectCall, ///< push `fall`, weighted pick
+            IndirectJump, ///< weighted pick
+            Return,       ///< pop the call stack
+            Halt,         ///< stop
+            Bernoulli,    ///< conditional, phase-bound probability
+            Loop,         ///< conditional loop latch
         };
 
-        /** Block at the taken target (nullptr if none). */
-        const BasicBlock *taken = nullptr;
-        /** Block at the fall-through address (nullptr if none). */
-        const BasicBlock *fall = nullptr;
-        /** Bernoulli: phase-resolved taken probability. */
-        double prob = 0.0;
-        /** Indirect: phase-resolved weight row, targetCount long. */
-        const double *weights = nullptr;
-        /** Indirect: the candidate targets, targetCount long. */
-        const BlockId *targets = nullptr;
-        /** Loop: back-edge executions left, or loopUnarmed. */
-        std::uint64_t loopRemaining = loopUnarmed;
-        std::uint32_t tripMin = 1;
-        std::uint32_t tripMax = 1;
+        /** Loop: the latch's trip range and the back-edge
+         *  executions it has left (loopUnarmed until entered). */
+        struct Latch
+        {
+            std::uint64_t remaining;
+            std::uint32_t tripMin;
+            std::uint32_t tripMax;
+        };
+
+        /** Indirect: the candidate targets and the phase-bound
+         *  weight row (targetCount long each) with its sum. */
+        struct Row
+        {
+            const BlockId *targets;
+            const double *weights;
+            double total;
+        };
+
+        /** The static taken target's record (nullptr if none). */
+        Step *taken = nullptr;
+        /** The fall-through address's record (nullptr if none). */
+        Step *fall = nullptr;
+        /** Address of the block's last instruction (the branch). */
+        Addr lastInstAddr = invalidAddr;
+        BlockId id = invalidBlock;
+        /** Indirect: the number of candidate targets. */
         std::uint32_t targetCount = 0;
-        Kind kind = Kind::Static;
+        Op op = Op::FallThrough;
+        /** Loop: the taken edge is the back edge. */
         bool takenIsBackEdge = true;
+        /** The op's own fields; `prob` for Bernoulli. */
+        union {
+            double prob = 0.0;
+            Latch latch;
+            Row row;
+        };
     };
+    static_assert(sizeof(Step) <= 64, "one step record per cache line");
 
     const Program &prog_;
     Rng rng_;
@@ -323,9 +362,9 @@ class Executor
     std::uint64_t phaseLenCur_ = 0;
     /** False when the program has a single unbounded phase. */
     bool hasPhases_ = false;
-    /** Return targets as block pointers (resolved at call time). */
-    std::vector<const BasicBlock *> callStack_;
-    const BasicBlock *current_;
+    /** Return targets as step records (resolved at call time). */
+    std::vector<Step *> callStack_;
+    Step *current_;
     bool pendingTaken_ = false;
     Addr pendingBranchAddr_ = invalidAddr;
     bool finished_ = false;

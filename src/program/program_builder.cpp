@@ -1,6 +1,8 @@
 #include "program/program_builder.hpp"
 
 #include <bit>
+#include <cmath>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -147,16 +149,40 @@ ProgramBuilder::callTo(BlockId src, FuncId callee)
 
 namespace {
 
+/**
+ * Reject an indirect behaviour the Executor could not draw from. Each
+ * phase's weights must be finite and non-negative with a positive,
+ * finite sum, added left to right from 0.0 as the Executor adds it.
+ */
 void
-validateIndirect(const IndirectBehavior &behavior)
+validateIndirect(BlockId src, const IndirectBehavior &behavior)
 {
     if (behavior.targets.empty())
         fatal("indirect branch needs at least one target");
     if (behavior.weightsByPhase.empty())
         fatal("indirect branch needs at least one weight vector");
-    for (const auto &weights : behavior.weightsByPhase) {
+    for (std::size_t phase = 0; phase < behavior.weightsByPhase.size();
+         ++phase) {
+        const std::vector<double> &weights = behavior.weightsByPhase[phase];
         if (weights.size() != behavior.targets.size())
             fatal("indirect weights must match target count");
+        const auto reject = [&](const char *what, double value,
+                                const char *rule) {
+            fatal("block " + std::to_string(src) +
+                  "'s indirect weights for phase " +
+                  std::to_string(phase) + ' ' + what + ' ' +
+                  std::to_string(value) + "; " + rule);
+        };
+        double total = 0.0;
+        for (const double w : weights) {
+            if (!std::isfinite(w) || w < 0.0)
+                reject("hold", w,
+                       "a weight must be finite and non-negative");
+            total += w;
+        }
+        if (!std::isfinite(total) || total <= 0.0)
+            reject("sum to", total,
+                   "a phase's weights need a positive, finite sum");
     }
 }
 
@@ -166,7 +192,7 @@ void
 ProgramBuilder::setIndirect(BlockId src, BranchKind kind,
                             const IndirectBehavior &behavior)
 {
-    validateIndirect(behavior);
+    validateIndirect(src, behavior);
     setTerminator(src, kind, invalidBlock, invalidFunc);
     Program::Behavior &b = pendings_[src].behavior;
     b.kind = Program::Behavior::Kind::Indirect;

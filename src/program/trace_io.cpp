@@ -1,8 +1,12 @@
 #include "program/trace_io.hpp"
 
+#include <charconv>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <system_error>
 
 #include "program/program_builder.hpp"
 #include "support/error.hpp"
@@ -53,6 +57,36 @@ readStated(std::istream &ls, const char *keyword, std::size_t count)
               std::to_string(count) +
               "' in program file: the line holds fewer values");
     return value;
+}
+
+/**
+ * A whole-number field of a `keyword` line that must fit a T: a run
+ * of decimal digits, nothing else (no sign, no suffix).
+ */
+template <typename T>
+T
+readNumber(std::istream &ls, const char *keyword, const char *field)
+{
+    std::string tok;
+    ls >> tok;
+    T value = 0;
+    const char *end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+    if (tok.empty() || tok[0] < '0' || tok[0] > '9' ||
+        ec != std::errc() || ptr != end)
+        fatal(std::string("bad ") + field + " '" + tok + "' on the '" +
+              keyword + "' line of the program file");
+    return value;
+}
+
+/** Fail unless a `keyword` line holds nothing after its fields. */
+void
+expectLineEnd(std::istream &ls, const char *keyword)
+{
+    std::string extra;
+    if (ls >> extra)
+        fatal(std::string("unexpected '") + extra + "' after the fields "
+              "of a '" + keyword + "' line in the program file");
 }
 
 /** An `ijump` or `icall`: the kinds an `indirect` line resolves. */
@@ -145,7 +179,7 @@ loadProgram(std::istream &is)
     }
 
     ProgramBuilder builder(1);
-    BlockId entry = invalidBlock;
+    std::optional<BlockId> entry;
     std::vector<std::uint64_t> phases;
 
     /** What a block line declared, indexed by block id. */
@@ -179,17 +213,22 @@ loadProgram(std::istream &is)
         ls >> keyword;
 
         if (keyword == "entry") {
-            ls >> entry;
+            entry = readNumber<BlockId>(ls, "entry", "block id");
+            expectLineEnd(ls, "entry");
         } else if (keyword == "phases") {
-            std::size_t n = 0;
-            ls >> n;
+            const auto n =
+                readNumber<std::size_t>(ls, "phases", "phase count");
             phases.clear();
             for (std::size_t i = 0; i < n; ++i)
                 phases.push_back(
                     readStated<std::uint64_t>(ls, "phases", n));
+            expectLineEnd(ls, "phases");
         } else if (keyword == "function") {
             std::string name;
-            ls >> name;
+            if (!(ls >> name))
+                fatal("'function' line without a name in the program "
+                      "file");
+            expectLineEnd(ls, "function");
             nextStarts = builder.beginFunction(name);
         } else if (keyword == "block") {
             std::size_t ninsts = 0;
@@ -218,6 +257,7 @@ loadProgram(std::istream &is)
                 if (!ls)
                     fatal("direct branch without target");
             }
+            expectLineEnd(ls, "block");
             declared.push_back({kind, target, nextStarts});
             nextStarts = invalidFunc;
         } else if (keyword == "cond") {
@@ -242,6 +282,7 @@ loadProgram(std::istream &is)
             }
             if (!ls)
                 fatal("truncated cond line in program file");
+            expectLineEnd(ls, "cond");
             conds.push_back(std::move(pc));
         } else if (keyword == "indirect") {
             PendingIndirect pi;
@@ -269,6 +310,7 @@ loadProgram(std::istream &is)
             }
             if (!ls)
                 fatal("truncated indirect line in program file");
+            expectLineEnd(ls, "indirect");
             if (pi.src >= declared.size())
                 fatal("indirect line references unknown block");
             if (!takesIndirectLine(declared[pi.src].kind))
@@ -332,8 +374,8 @@ loadProgram(std::istream &is)
                   " has no indirect line");
     }
 
-    if (entry != invalidBlock)
-        builder.setEntry(entry);
+    if (entry)
+        builder.setEntry(*entry);
     if (!phases.empty())
         builder.setPhaseLengths(std::move(phases));
     return builder.build();

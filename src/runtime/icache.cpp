@@ -39,13 +39,36 @@ ICacheModel::ICacheModel(ICacheConfig cfg)
     stamps_.assign(tags_.size(), 0);
 }
 
+ICacheModel::Hot
+ICacheModel::fetchAndMemoize(Hot h, Addr addr, std::uint64_t bytes,
+                             FetchMemo &memo)
+{
+    const std::uint32_t lines = linesSpanned(addr, bytes);
+    std::uint64_t line = addr >> lineShift_;
+    for (std::uint32_t k = 0; k < lines; ++k, ++line) {
+        accessLine(h, line);
+        if (k == 0)
+            memo.first = static_cast<std::uint32_t>(h.lastWay);
+    }
+    memo.last = static_cast<std::uint32_t>(h.lastWay);
+    // The two lines of a two-line span sit in different sets when
+    // there are at least two, so the second's access cannot have
+    // evicted the first: both are resident, in the slots noted, at
+    // today's miss count.
+    const bool fits =
+        (lines == 1 || (lines == 2 && sets_ >= 2)) &&
+        h.misses + 1 < std::numeric_limits<std::uint32_t>::max();
+    memo.key = fits ? static_cast<std::uint32_t>(h.misses + 1) : 0;
+    return h;
+}
+
 double
 ICacheModel::missRate() const
 {
-    if (accesses_ == 0)
+    if (hot_.accesses == 0)
         return 0.0;
-    return static_cast<double>(misses_) /
-           static_cast<double>(accesses_);
+    return static_cast<double>(hot_.misses) /
+           static_cast<double>(hot_.accesses);
 }
 
 } // namespace rsel

@@ -136,23 +136,22 @@ class Region
             return RegionStep::Exit;
         }
 
-        return stepMultiPath(pos, next);
+        return stepMultiPath(pos, next.id());
     }
 
     /**
-     * step() for a MultiPath region, which ignores `taken`. The
-     * batch run loop calls it directly.
+     * step() for a MultiPath region, which ignores `taken`, given the
+     * next block's id. The batch run loop calls it directly.
      * @pre kind() == MultiPath and pos < blocks().size().
      */
     RegionStep
-    stepMultiPath(std::size_t &pos, const BasicBlock &next) const
+    stepMultiPath(std::size_t &pos, BlockId id) const
     {
         // Any transfer to a member block stays inside. The current
         // member's static successors are cached, so only other next
         // blocks (indirect targets, exits) pay for the member-index
         // lookup.
         const Successors &succ = succs_[pos];
-        const BlockId id = next.id();
         std::size_t to;
         if (id == succ.takenId) {
             to = succ.takenPos;

@@ -15,6 +15,8 @@
 #include <span>
 #include <vector>
 
+#include "support/error.hpp"
+
 namespace rsel {
 
 /**
@@ -29,11 +31,11 @@ class Rng
     /** Construct a generator from a 64-bit seed. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-    // next/nextBelow/nextDouble/nextBool are defined inline, as the
-    // hottest leaf calls of the whole simulation: the executor draws
-    // once per conditional branch event, and an armed FaultInjector
-    // three times per event. There the bound is a constant, so the
-    // inlined nextBelow multiplies instead of dividing.
+    // The draws are defined inline, as the hottest leaf calls of the
+    // whole simulation: the executor draws once per conditional or
+    // indirect branch event, and an armed FaultInjector three times
+    // per event. There the bound is a constant, so the inlined
+    // nextBelow multiplies instead of dividing.
 
     /** Next raw 64-bit value. */
     std::uint64_t
@@ -56,8 +58,7 @@ class Rng
     std::uint64_t
     nextBelow(std::uint64_t bound)
     {
-        if (bound == 0)
-            zeroBound();
+        RSEL_ASSERT(bound != 0, "nextBelow requires a positive bound");
         // Rejection sampling to avoid modulo bias.
         const std::uint64_t threshold = -bound % bound;
         for (;;) {
@@ -68,7 +69,12 @@ class Rng
     }
 
     /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi. */
-    std::uint64_t nextRange(std::uint64_t lo, std::uint64_t hi);
+    std::uint64_t
+    nextRange(std::uint64_t lo, std::uint64_t hi)
+    {
+        RSEL_ASSERT(lo <= hi, "nextRange requires lo <= hi");
+        return lo + nextBelow(hi - lo + 1);
+    }
 
     /** Uniform double in [0, 1). */
     double
@@ -89,17 +95,28 @@ class Rng
     }
 
     /**
-     * Pick an index according to a discrete weight vector.
-     * @param weights non-negative weights, at least one positive.
+     * Pick an index according to a discrete weight vector: scale one
+     * nextDouble() by `total`, then subtract the weights in order.
+     * @param weights non-negative weights.
+     * @param total   their sum, added left to right from 0.0 (the
+     *                caller computes it once per weight row, not
+     *                once per draw); must be positive.
      * @return index in [0, weights.size()).
      */
-    std::size_t nextWeighted(std::span<const double> weights);
+    std::size_t
+    nextWeighted(std::span<const double> weights, double total)
+    {
+        RSEL_ASSERT(total > 0.0, "at least one weight must be positive");
+        double r = nextDouble() * total;
+        for (std::size_t i = 0; i < weights.size(); ++i) {
+            r -= weights[i];
+            if (r < 0.0)
+                return i;
+        }
+        return weights.size() - 1;
+    }
 
   private:
-    /** Panics: nextBelow's bound was zero. Out of line, so that
-     *  nextBelow stays small enough to inline. */
-    [[noreturn]] static void zeroBound();
-
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dynopt/dynopt_system.hpp"
 #include "program/executor.hpp"
+#include "program/program_builder.hpp"
 #include "program/trace_io.hpp"
 #include "testing/differential.hpp"
 #include "testing/random_program.hpp"
@@ -156,6 +159,34 @@ TEST(BatchDispatchTest, RunBatchedDeliversIdenticalStream)
     }
 }
 
+/** What one simulate() run leaves: the result's fingerprint and the
+ *  sizes of the live edge profile and region-link set. */
+struct Outcome
+{
+    std::string fingerprint;
+    std::size_t edges = 0;
+    std::size_t links = 0;
+};
+
+/** simulate(), keeping the system to read its metrics' sets. */
+Outcome
+simulateCounting(const Program &prog, Algorithm algo,
+                 const SimOptions &opts)
+{
+    DynOptSystem system(prog, opts.cache, opts.icache);
+    attachAlgorithm(system, algo, opts);
+    Executor exec(prog, opts.seed);
+    if (opts.dispatch == Dispatch::Batched)
+        exec.runBatched(opts.maxEvents, system, opts.batchSize);
+    else
+        exec.run(opts.maxEvents, system);
+    Outcome out;
+    out.edges = system.metrics().edgeCount();
+    out.links = system.metrics().linkCount();
+    out.fingerprint = testing::resultFingerprint(system.finish());
+    return out;
+}
+
 TEST(BatchDispatchTest, BatchedMatchesPerEventForEverySelector)
 {
     // The headline equivalence: for every selector, the batched
@@ -166,7 +197,10 @@ TEST(BatchDispatchTest, BatchedMatchesPerEventForEverySelector)
     // gzip two caches: unbounded, and suite-churn's 1 KiB FullFlush
     // cache, where runs chain between trace and multi-path regions
     // and flushes land mid-run (long enough that every selector
-    // flushes).
+    // flushes). The edge profile and the region links must be the
+    // same sets too: exit domination sees the edges only through
+    // each region entry's predecessors, and a batched run records
+    // only edges that executed, so equal counts mean equal sets.
     CacheLimits churn;
     churn.capacityBytes = 1024;
     churn.policy = CacheLimits::Policy::FullFlush;
@@ -194,13 +228,17 @@ TEST(BatchDispatchTest, BatchedMatchesPerEventForEverySelector)
                 EXPECT_GT(ref.cacheFlushes, 0u);
             }
             const std::string fp = testing::resultFingerprint(ref);
+            const Outcome perEvent = simulateCounting(prog, algo, opts);
+            EXPECT_EQ(perEvent.fingerprint, fp);
             opts.dispatch = Dispatch::Batched;
             for (const std::size_t bs :
                  {std::size_t{1}, std::size_t{257}, defaultBatchSize}) {
                 opts.batchSize = bs;
-                EXPECT_EQ(testing::resultFingerprint(
-                              simulate(prog, algo, opts)),
-                          fp)
+                const Outcome batched = simulateCounting(prog, algo, opts);
+                EXPECT_EQ(batched.fingerprint, fp) << "batch size " << bs;
+                EXPECT_EQ(batched.edges, perEvent.edges)
+                    << "batch size " << bs;
+                EXPECT_EQ(batched.links, perEvent.links)
                     << "batch size " << bs;
             }
         }
@@ -372,6 +410,105 @@ TEST(BatchDispatchTest, RunsChainBetweenTraceAndMultiPathRegions)
         for (const std::size_t bs :
              {std::size_t{1}, std::size_t{257}, defaultBatchSize})
             EXPECT_EQ(fingerprint(cache, bs), fp) << "batch size " << bs;
+    }
+}
+
+/**
+ * Emits one region over the first function, from the first
+ * interpreted block to the last, at that block's first execution:
+ * every edge inside the region is first seen from the code cache.
+ * (The shipped selectors form regions over paths they have watched
+ * run, so the interpreter has recorded those edges already.)
+ */
+class AheadOfTimeSelector : public RegionSelector
+{
+  public:
+    AheadOfTimeSelector(const Program &prog, Region::Kind kind)
+        : prog_(prog), kind_(kind)
+    {}
+
+    std::optional<RegionSpec>
+    onInterpreted(const SelectorEvent &event) override
+    {
+        if (emitted_)
+            return std::nullopt;
+        emitted_ = true;
+        RegionSpec spec;
+        spec.kind = kind_;
+        for (BlockId id = event.block->id();
+             id < prog_.function(0).lastBlock; ++id)
+            spec.blocks.push_back(&prog_.block(id));
+        return spec;
+    }
+
+    std::size_t maxLiveCounters() const override { return 0; }
+    std::string name() const override { return "ahead-of-time"; }
+
+  private:
+    const Program &prog_;
+    Region::Kind kind_;
+    bool emitted_ = false;
+};
+
+TEST(BatchDispatchTest, EdgesFirstSeenInTheCacheAreRecorded)
+{
+    // A loop whose body forks at b1 (taken skips b2), never or half
+    // the time. The region covers the whole loop before any of its
+    // edges ran, so the run loop's edge probes, not the interpreter,
+    // must record them: the trace's steps past its high-water mark
+    // and its restart's back edge (which, when the fork is never
+    // taken, only the cache ever runs), the multi-path region's
+    // cached successor edges. The batched profile must equal the
+    // per-event one.
+    // batchSize 0 = the per-event reference path.
+    const auto outcome = [](const Program &prog, Region::Kind kind,
+                            std::uint64_t seed, std::size_t batchSize) {
+        DynOptSystem system(prog);
+        system.useCustom([&](const Program &p, const CodeCache &) {
+            return std::make_unique<AheadOfTimeSelector>(p, kind);
+        });
+        Executor exec(prog, seed);
+        if (batchSize == 0)
+            exec.run(10'000, system);
+        else
+            exec.runBatched(10'000, system, batchSize);
+        Outcome out;
+        out.edges = system.metrics().edgeCount();
+        out.links = system.metrics().linkCount();
+        out.fingerprint = testing::resultFingerprint(system.finish());
+        return out;
+    };
+    for (const double fork : {0.0, 0.5}) {
+        SCOPED_TRACE(fork);
+        ProgramBuilder b(1);
+        b.beginFunction("main");
+        const BlockId b0 = b.block(2);
+        const BlockId b1 = b.block(3);
+        b.block(2); // b2
+        const BlockId b3 = b.block(2);
+        const BlockId b4 = b.block(1);
+        b.condTo(b1, b3, CondBehavior::bernoulli(fork));
+        b.loopTo(b3, b0, 500, 500);
+        b.halt(b4);
+        b.setEntry(b0);
+        const Program prog = b.build();
+        for (const Region::Kind kind :
+             {Region::Kind::Trace, Region::Kind::MultiPath}) {
+            SCOPED_TRACE(kind == Region::Kind::Trace ? "trace"
+                                                     : "multi-path");
+            const Outcome ref = outcome(prog, kind, 1, 0);
+            // b0->b1, b1->b2, b2->b3, b3->b0, b3->b4, and b1->b3 when
+            // the fork is taken.
+            EXPECT_EQ(ref.edges, fork == 0.0 ? 5u : 6u);
+            for (const std::size_t bs :
+                 {std::size_t{1}, std::size_t{257}, defaultBatchSize}) {
+                const Outcome batched = outcome(prog, kind, 1, bs);
+                EXPECT_EQ(batched.fingerprint, ref.fingerprint)
+                    << "batch size " << bs;
+                EXPECT_EQ(batched.edges, ref.edges) << "batch size " << bs;
+                EXPECT_EQ(batched.links, ref.links) << "batch size " << bs;
+            }
+        }
     }
 }
 

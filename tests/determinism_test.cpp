@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/sweep_runner.hpp"
 #include "program/program_builder.hpp"
 #include "program/trace_io.hpp"
+#include "service/tenant_spec.hpp"
 #include "testing/differential.hpp"
 #include "testing/fuzz_harness.hpp"
 #include "testing/invariant_sink.hpp"
@@ -23,6 +28,7 @@
 namespace rsel {
 namespace {
 
+using testing::fnvByte;
 using testing::fnvEvent;
 using testing::fnvOffset;
 using testing::FuzzOptions;
@@ -52,6 +58,63 @@ streamHashOf(const Program &prog, std::uint64_t seed,
     Executor exec(prog, seed);
     exec.run(events, sink);
     return sink.h;
+}
+
+/** Fold one event's block id, taken flag and branch address. */
+std::uint64_t
+fnvFullEvent(std::uint64_t h, BlockId id, bool taken, Addr branchAddr)
+{
+    h = fnvEvent(h, id, taken);
+    for (int shift = 0; shift < 64; shift += 8)
+        h = fnvByte(h, static_cast<std::uint8_t>(branchAddr >> shift));
+    return h;
+}
+
+/** fnvFullEvent over up to `events` events delivered by run(). */
+std::uint64_t
+runStreamHash(const Program &prog, std::uint64_t seed,
+              std::uint64_t events)
+{
+    class Hash : public ExecutionSink
+    {
+      public:
+        bool
+        onEvent(const ExecEvent &ev) override
+        {
+            h = fnvFullEvent(h, ev.block->id(), ev.takenBranch,
+                             ev.branchAddr);
+            return true;
+        }
+        std::uint64_t h = fnvOffset;
+    };
+    Hash sink;
+    Executor exec(prog, seed);
+    exec.run(events, sink);
+    return sink.h;
+}
+
+/** fnvFullEvent over up to `events` events filled `batchSize` at a
+ *  time by fillBatch(). */
+std::uint64_t
+batchStreamHash(const Program &prog, std::uint64_t seed,
+                std::uint64_t events, std::size_t batchSize)
+{
+    Executor exec(prog, seed);
+    EventBatch batch;
+    std::uint64_t h = fnvOffset;
+    while (events != 0) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(events, batchSize));
+        const std::size_t got = exec.fillBatch(batch, want);
+        for (std::size_t i = 0; i < got; ++i)
+            h = fnvFullEvent(h, batch.blockIds[i],
+                             batch.takenFlags[i] != 0,
+                             batch.branchAddrs[i]);
+        events -= got;
+        if (got < want)
+            break;
+    }
+    return h;
 }
 
 /**
@@ -252,6 +315,81 @@ TEST(DeterminismTest, ExecutorStreamIsSeedDeterministic)
     // stream — otherwise the hash is vacuous.
     const std::uint64_t h3 = streamHashOf(prog, 100, 20'000);
     EXPECT_NE(h1, h3);
+}
+
+TEST(DeterminismTest, ExecutorStreamsArePinned)
+{
+    // The Executor's streams, recorded before its per-block step
+    // records and phase chunks replaced the per-event BasicBlock
+    // walk: every event's block id, taken flag and branch address,
+    // through run() and through fillBatch at three batch sizes. The
+    // suite runs build seed 42 at executor seed 7; the seeded tenants
+    // (phased and indirect guests among them) at their own seeds.
+    static const std::pair<const char *, std::uint64_t> suite[] = {
+        {"gzip", 0xf4bc75275b55f4a3ull},
+        {"vpr", 0xee4385ba39c1c9d0ull},
+        {"gcc", 0x805cf176c30d2c12ull},
+        {"mcf", 0xd6089c4b662e509cull},
+        {"crafty", 0x6e2dfd8736f82edbull},
+        {"parser", 0x4366f3251d7234beull},
+        {"eon", 0x9a2f7726ddece81eull},
+        {"perlbmk", 0xeb9d3a0f796269d1ull},
+        {"gap", 0x5350b397d24163baull},
+        {"vortex", 0xa729684cad745827ull},
+        {"bzip2", 0x9bab1330d5f056d1ull},
+        {"twolf", 0xac0263e556e929caull},
+    };
+    static const std::uint64_t tenants[64] = {
+        0x46f0e10cbc4b61e5ull, 0x99d7c14c2b504742ull,
+        0x3f31f9b858215652ull, 0xd24ba73f1f0060c7ull,
+        0x82a26718762442d6ull, 0x9a8768fe74f1ad63ull,
+        0xb2fc279c530074f6ull, 0xbd1d22f19b4fe9c5ull,
+        0x2fa31d2373595fbcull, 0xa6ca934fee14f932ull,
+        0xc5bf4e6e8c2a52a1ull, 0xdcc1930544b17d8bull,
+        0xdaa8da725bf2520eull, 0x7c9880729c2a1acbull,
+        0x390ebe8e406c564bull, 0x7eedf241ee14aaf1ull,
+        0x4cdbea89949604faull, 0xeb245c59074dd438ull,
+        0xc75b5f405cee86d0ull, 0x09d020ab62aa165bull,
+        0x52a67f617af8c2fbull, 0xfb37619eb19fa493ull,
+        0x178b3a9ead683a8dull, 0xfe936584dc362fdcull,
+        0xa2aafa8be72580c6ull, 0x9939f109a8cf74f0ull,
+        0x8ad9d5d1fa4939aeull, 0x2766bb308ef68adbull,
+        0x6a14937e4b3e233bull, 0x053bdf7ec5cc2c83ull,
+        0xef760989e77df824ull, 0x4e35fc97508b21a4ull,
+        0xef76d090106edbc4ull, 0xce1d52296f61cf4eull,
+        0x0dee6281532fdf15ull, 0x5b653c92da9dc4fcull,
+        0x645baefa9f02f716ull, 0x8a71bb8390032becull,
+        0x5fc3b9ebf65dd6b3ull, 0x3ded5c1734d8c89aull,
+        0xd72cf653c2ee9da9ull, 0x390ebe8e406c564bull,
+        0xe61014f81c106b00ull, 0x8a45eb9874325e3bull,
+        0xd0c52f9fa8fe66ebull, 0x125ebd409f26fefbull,
+        0x8707460b9c6ed345ull, 0x12301b171050b302ull,
+        0xb4dc56f47ae2e6f1ull, 0x793fe54ac8441c2cull,
+        0xc1a9bea7c009c5a3ull, 0x5d5f1a48e09e9ab5ull,
+        0x1e3ba3717220b8bcull, 0x7cfceb1093f59d2full,
+        0x89662761e828dad9ull, 0x9d384f807db670feull,
+        0x4c1775035cf3a28eull, 0x4a190b68d0ffbe42ull,
+        0x45bb64344a785884ull, 0x101eedaa6e5a6d33ull,
+        0x6a112bae106a32fdull, 0x98c20b7164f09d08ull,
+        0x2ea0ea567c614992ull, 0x8c1f00ba2b341bfaull,
+    };
+    const auto check = [](const Program &prog, std::uint64_t seed,
+                          std::uint64_t events, std::uint64_t pinned,
+                          const std::string &what) {
+        EXPECT_EQ(runStreamHash(prog, seed, events), pinned)
+            << what << " run()";
+        for (const std::size_t size : {1u, 509u, 4096u})
+            EXPECT_EQ(batchStreamHash(prog, seed, events, size), pinned)
+                << what << " fillBatch at " << size;
+    };
+    for (const auto &[name, pinned] : suite)
+        check(findWorkload(name)->build(42), 7, 100'000, pinned, name);
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        const service::TenantSpec spec =
+            service::TenantSpec::fromSeed(seed);
+        check(generateProgram(spec.program), spec.program.execSeed,
+              16'000, tenants[seed - 1], spec.name);
+    }
 }
 
 TEST(DeterminismTest, SweepResultsIdenticalAcrossJobCounts)

@@ -314,6 +314,48 @@ TEST(FootprintTest, CachedEventsAllocateNothing)
     EXPECT_GT(cachedSlices, 0u);
 }
 
+TEST(FootprintTest, CachedSuiteEventsAllocateNothing)
+{
+    // The same rule on the paper's configurations over two suite
+    // programs with an unbounded cache: after a 200k-event warm-up,
+    // a 256-event slice that interprets nothing and adds no region,
+    // edge or region link must not touch the heap.
+    EventBatch batch;
+    batch.reserve(256);
+    for (const char *workload : {"gzip", "gcc"}) {
+        const Program prog = findWorkload(workload)->build(42);
+        for (const Algorithm algo : allAlgorithms) {
+            Executor exec(prog, 7);
+            DynOptSystem sys(prog);
+            attachAlgorithm(sys, algo);
+            drive(exec, sys, batch, 200'000);
+            std::size_t cachedSlices = 0;
+            for (int slice = 0; slice < 400 && !exec.finished(); ++slice) {
+                const MetricsCollector &m = sys.metrics();
+                const std::uint64_t interpreted = m.interpretedInsts();
+                const std::size_t regions = sys.cache().regionCount();
+                const std::size_t edges = m.edgeCount();
+                const std::size_t links = m.linkCount();
+                const std::size_t before = allocations;
+                drive(exec, sys, batch, batch.blockIds.capacity());
+                const std::size_t made = allocations - before;
+                if (m.interpretedInsts() != interpreted ||
+                    sys.cache().regionCount() != regions ||
+                    m.edgeCount() != edges || m.linkCount() != links)
+                    continue;
+                ++cachedSlices;
+                EXPECT_EQ(made, 0u) << workload << ' ' << algorithmName(algo)
+                                    << " slice " << slice;
+            }
+            std::printf("%s %-9s %zu all-cached slices of %zu events\n",
+                        workload, algorithmName(algo).c_str(), cachedSlices,
+                        batch.blockIds.capacity());
+            EXPECT_GT(cachedSlices, 0u) << workload << ' '
+                                        << algorithmName(algo);
+        }
+    }
+}
+
 TEST(FootprintTest, SuiteProgramsKeepFullSizeTables)
 {
     // gcc has 601 blocks: its filters stay at the 4096-slot cap and

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dynopt/dynopt_system.hpp"
 #include "runtime/icache.hpp"
 #include "support/error.hpp"
+#include "support/random.hpp"
 #include "workloads/scenarios.hpp"
 #include "workloads/workloads.hpp"
 
@@ -62,6 +66,92 @@ TEST(ICacheModelTest, GeometryValidation)
     EXPECT_THROW(ICacheModel({100, 60, 2}), PanicError);  // line !pow2
     EXPECT_THROW(ICacheModel({64, 64, 2}), PanicError);   // < one set
     EXPECT_NO_THROW(ICacheModel({128, 64, 2}));           // one set
+}
+
+/** Each set's ways, most recently used first (stamp order). */
+std::vector<std::vector<std::size_t>>
+recencyOrder(const ICacheModel &cache)
+{
+    const std::size_t ways = cache.config().ways;
+    std::vector<std::vector<std::size_t>> order;
+    for (std::size_t base = 0; base < cache.stamps().size(); base += ways) {
+        std::vector<std::size_t> set(ways);
+        for (std::size_t w = 0; w < ways; ++w)
+            set[w] = w;
+        std::stable_sort(set.begin(), set.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return cache.stamps()[base + a] >
+                                    cache.stamps()[base + b];
+                         });
+        order.push_back(std::move(set));
+    }
+    return order;
+}
+
+TEST(ICacheModelTest, MemoizedFetchMatchesPerAccessModel)
+{
+    // Random region layouts (blocks of 1-200 bytes, so some span
+    // lines), walked with steps, restarts and switches between
+    // regions, through memoized runs on one model and the
+    // per-access fetchRange on another. Between runs the memoized
+    // model now and then takes a plain fetchRange too, as the
+    // per-event path does between batched runs. The memo must never
+    // change a counter, a tag or the recency order within a set.
+    const ICacheConfig geometries[] = {
+        {4096, 64, 2}, {1024, 32, 1}, {4096, 64, 4}};
+    Rng rng(2024);
+    for (const ICacheConfig &geo : geometries) {
+        for (int walk = 0; walk < 40; ++walk) {
+            struct Block
+            {
+                Addr addr;
+                std::uint32_t bytes;
+                ICacheModel::FetchMemo memo;
+            };
+            ICacheModel memoized(geo);
+            ICacheModel reference(geo);
+            std::vector<std::vector<Block>> regions(rng.nextRange(1, 8));
+            Addr next = rng.nextBelow(64);
+            for (auto &region : regions) {
+                region.resize(rng.nextRange(1, 24));
+                for (Block &b : region) {
+                    b.addr = next;
+                    b.bytes = static_cast<std::uint32_t>(
+                        rng.nextRange(1, 200));
+                    next += b.bytes;
+                }
+                next += rng.nextBelow(4) * 10; // exit stubs
+            }
+            std::size_t r = 0;
+            std::size_t pos = 0;
+            for (int run = 0; run < 100; ++run) {
+                if (rng.nextBelow(4) == 0) {
+                    const Block &b = regions[r][pos];
+                    memoized.fetchRange(b.addr, b.bytes);
+                    reference.fetchRange(b.addr, b.bytes);
+                }
+                ICacheModel::Run fetches(memoized);
+                for (std::uint64_t n = rng.nextRange(1, 60); n != 0; --n) {
+                    const std::uint64_t roll = rng.nextBelow(100);
+                    if (roll < 70 && pos + 1 < regions[r].size()) {
+                        ++pos;
+                    } else if (roll < 85) {
+                        pos = 0; // restart
+                    } else {
+                        r = rng.nextBelow(regions.size()); // switch
+                        pos = 0;
+                    }
+                    Block &b = regions[r][pos];
+                    fetches.fetch(b.addr, b.memo, [&] { return b.bytes; });
+                    reference.fetchRange(b.addr, b.bytes);
+                }
+            }
+            ASSERT_EQ(memoized.accesses(), reference.accesses());
+            ASSERT_EQ(memoized.misses(), reference.misses());
+            ASSERT_EQ(memoized.tags(), reference.tags());
+            ASSERT_EQ(recencyOrder(memoized), recencyOrder(reference));
+        }
+    }
 }
 
 TEST(ICacheLocalityTest, SpanningTraceBeatsSplitTraces)

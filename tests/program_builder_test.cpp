@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "program/program_builder.hpp"
 #include "support/error.hpp"
 
@@ -124,6 +129,53 @@ TEST(ProgramBuilderTest, IndirectBehaviourValidation)
     mismatched.targets = {x};
     mismatched.weightsByPhase = {{1.0, 2.0}};
     EXPECT_THROW(b.indirectJump(x, mismatched), FatalError);
+}
+
+// The Executor draws an indirect target by scaling one uniform draw
+// by the phase's weight sum: a weight row it cannot draw from fails
+// the build, naming the block and the phase.
+TEST(ProgramBuilderTest, UndrawableIndirectWeightsAreFatal)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const struct
+    {
+        std::vector<std::vector<double>> rows;
+        const char *message;
+    } cases[] = {
+        {{{0.0, 0.0}}, "block 0's indirect weights for phase 0 sum to"},
+        {{{1.0, 1.0}, {-1.0, 2.0}},
+         "block 0's indirect weights for phase 1 hold"},
+        {{{std::nan(""), 1.0}}, "for phase 0 hold"},
+        {{{inf, 1.0}}, "for phase 0 hold"},
+        {{{1e308, 1e308}}, "for phase 0 sum to"},
+    };
+    for (const auto &c : cases) {
+        ProgramBuilder b(1);
+        b.beginFunction("f");
+        const BlockId site = b.block(1);
+        const BlockId t0 = b.block(1);
+        const BlockId t1 = b.block(1);
+        IndirectBehavior bad;
+        bad.targets = {t0, t1};
+        bad.weightsByPhase = c.rows;
+        try {
+            b.indirectJump(site, bad);
+            ADD_FAILURE() << "accepted weights " << c.message;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(c.message),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    // A zero weight beside a positive one is a target never drawn.
+    ProgramBuilder b(1);
+    b.beginFunction("f");
+    const BlockId site = b.block(1);
+    const BlockId t0 = b.block(1);
+    IndirectBehavior ok;
+    ok.targets = {t0, t0};
+    ok.weightsByPhase = {{0.0, 2.0}};
+    EXPECT_NO_THROW(b.indirectJump(site, ok));
 }
 
 // Only a function entry can be called: an indirect call that

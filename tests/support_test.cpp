@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "support/cli.hpp"
@@ -91,7 +92,7 @@ TEST(RngTest, WeightedPickFollowsWeights)
     int counts[3] = {0, 0, 0};
     const int n = 40000;
     for (int i = 0; i < n; ++i)
-        ++counts[rng.nextWeighted(weights)];
+        ++counts[rng.nextWeighted(weights, 4.0)];
     EXPECT_EQ(counts[2], 0);
     EXPECT_NEAR(static_cast<double>(counts[1]) / n, 0.75, 0.02);
 }
@@ -100,7 +101,31 @@ TEST(RngTest, WeightedPickRejectsAllZero)
 {
     Rng rng(5);
     std::vector<double> weights = {0.0, 0.0};
-    EXPECT_THROW(rng.nextWeighted(weights), PanicError);
+    EXPECT_THROW(rng.nextWeighted(weights, 0.0), PanicError);
+}
+
+TEST(AssertTest, FailureTextIsPinned)
+{
+    // RSEL_ASSERT's failure path is one out-of-line function; the
+    // text it throws is the contract callers and logs rely on. The
+    // message may be a std::string built only on failure, as
+    // CliOptions::get's is.
+    const std::string name = "bogus";
+    int line = 0;
+    try {
+        line = __LINE__ + 1;
+        RSEL_ASSERT(name.empty(), "option not defined: " + name);
+        FAIL() << "the assertion did not fire";
+    } catch (const PanicError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  std::string("assertion failed: name.empty() — option "
+                              "not defined: bogus (") +
+                      __FILE__ + ":" + std::to_string(line) + ")");
+    }
+    // A passing assertion evaluates its message not at all.
+    int built = 0;
+    RSEL_ASSERT(name == "bogus", (++built, "unused"));
+    EXPECT_EQ(built, 0);
 }
 
 TEST(FlatKeySetTest, InsertIsIdempotentAcrossGrowth)

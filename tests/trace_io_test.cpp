@@ -298,6 +298,11 @@ TEST(TraceIoTest, MalformedInputsAreFatal)
                "\nblock 2 3 3 halt\n" + lines;
     };
     const char *latch = "cond 2 loop 2 4 1\n";
+    // The listing with its first `from` line replaced by `to`.
+    const auto replaced = [](std::string file, const std::string &from,
+                             const std::string &to) {
+        return file.replace(file.find(from + "\n"), from.size(), to);
+    };
     {
         std::stringstream good(
             listing("fall-through", "fall-through", "cond 0", latch));
@@ -328,6 +333,34 @@ TEST(TraceIoTest, MalformedInputsAreFatal)
          "block 1 calls block 2, which is not a function entry"},
         {listing("fall-through", "call 99", "cond 0", latch),
          "block 1 calls block 99, which is not a function entry"},
+        // Indirect weight rows the Executor cannot draw from.
+        {listing("ijump", "fall-through", "cond 0",
+                 "cond 2 loop 2 4 1\n"
+                 "indirect 0 targets 2 1 2 phases 1 0 0\n"),
+         "block 0's indirect weights for phase 0 sum to 0"},
+        {listing("ijump", "fall-through", "cond 0",
+                 "cond 2 loop 2 4 1\n"
+                 "indirect 0 targets 2 1 2 phases 1 -1 2\n"),
+         "block 0's indirect weights for phase 0 hold -1"},
+        // Fields the loader once read without checking the stream,
+        // and tokens after a line's last field.
+        {replaced(listing("fall-through", "fall-through", "cond 0", latch),
+                  "entry 0", "entry abc"),
+         "bad block id 'abc' on the 'entry' line"},
+        {replaced(listing("fall-through", "fall-through", "cond 0", latch),
+                  "entry 0", "entry -1"),
+         "bad block id '-1' on the 'entry' line"},
+        {replaced(listing("fall-through", "fall-through", "cond 0", latch),
+                  "entry 0", "entry 2x"),
+         "bad block id '2x' on the 'entry' line"},
+        {replaced(listing("fall-through", "fall-through", "cond 0", latch),
+                  "phases 0", "phases abc"),
+         "bad phase count 'abc' on the 'phases' line"},
+        {replaced(listing("fall-through", "fall-through", "cond 0", latch),
+                  "function main", "function"),
+         "'function' line without a name"},
+        {listing("fall-through", "fall-through junk", "cond 0", latch),
+         "unexpected 'junk' after the fields of a 'block' line"},
         // An icall whose declared target is the callee's second block.
         {"rsel-program 1\nentry 0\nfunction main\n"
          "block 1 4 icall\nblock 1 4 halt\n"
