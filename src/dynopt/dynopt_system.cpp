@@ -135,10 +135,43 @@ DynOptSystem::installRegion(RegionSpec spec)
     layout.bytes = offset;
     nextLayoutAddr_ += offset + region.exitStubCount() * kExitStubBytes;
     layouts_.push_back(layout);
+    laidOut_.push_back(region.id());
 
     const RegionId id = cache_.insert(std::move(region));
+    compactLayouts();
     if (facts_)
         verifyInstalled(cache_.region(id));
+}
+
+void
+DynOptSystem::compactLayouts()
+{
+    // A dropped region is never entered again, and nothing runs
+    // inside a region here, so dead stripes are never read. Only the
+    // stripes move: every region keeps its base address, so the
+    // modelled addresses, fetches and edges are unchanged.
+    const std::size_t live = cache_.liveBlockCount();
+    if (layoutPos_.size() - live <= live)
+        return;
+    std::size_t to = 0;
+    std::size_t kept = 0;
+    for (const RegionId id : laidOut_) {
+        if (!cache_.isLive(id))
+            continue;
+        RegionLayout &layout = layouts_[id];
+        const std::size_t n = cache_.region(id).blocks().size();
+        if (layout.posBegin != to) {
+            const auto from = layoutPos_.begin() + layout.posBegin;
+            std::copy(from, from + static_cast<std::ptrdiff_t>(n),
+                      layoutPos_.begin() +
+                          static_cast<std::ptrdiff_t>(to));
+            layout.posBegin = static_cast<std::uint32_t>(to);
+        }
+        to += n;
+        laidOut_[kept++] = id;
+    }
+    layoutPos_.resize(to);
+    laidOut_.resize(kept);
 }
 
 void

@@ -256,6 +256,10 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     /** Disposition of the most recent onEvent() (testing probe). */
     const StepTrace &lastStep() const { return lastStep_; }
 
+    /** Positions in the layout stripe, dead regions' included
+     *  (testing probe). */
+    std::size_t layoutStripeLength() const { return layoutPos_.size(); }
+
     /** The live metrics collector (testing probe). */
     const MetricsCollector &metrics() const { return metrics_; }
 
@@ -306,6 +310,14 @@ class DynOptSystem : public ExecutionSink, public BatchSink
 
     /** Insert a selector-completed region into the cache. */
     void installRegion(RegionSpec spec);
+
+    /**
+     * Drop dead regions' positions from layoutPos_ once they
+     * outnumber the live regions' blocks: each live stripe moves to
+     * the front, in region-id order, with its fetch memos and edge
+     * bits. @pre no run is inside a region (installRegion's state).
+     */
+    void compactLayouts();
 
     /**
      * Submit a selector-completed region through the resilience
@@ -375,8 +387,11 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     MetricsCollector metrics_;
     ICacheModel icache_;
     std::vector<RegionLayout> layouts_;
-    /** Every region's positions, region after region. */
+    /** Positions of the regions in laidOut_, region after region. */
     std::vector<LayoutPos> layoutPos_;
+    /** The regions with a stripe in layoutPos_, in id order: every
+     *  live region, and those dropped since the last compaction. */
+    std::vector<RegionId> laidOut_;
     std::uint64_t nextLayoutAddr_ = 0;
     std::unique_ptr<RegionSelector> selector_;
 
@@ -414,8 +429,8 @@ class DynOptSystem : public ExecutionSink, public BatchSink
      * The current region's layout, flattened: code-cache base and
      * its positions. Set by enterRegion(). A region is installed
      * only while execution is outside the cache, and every region
-     * entry re-caches both, so growing layoutPos_ never leaves a
-     * stale stripe in use.
+     * entry re-caches both, so growing or compacting layoutPos_
+     * never leaves a stale stripe in use.
      */
     std::uint64_t curBase_ = 0;
     LayoutPos *curPos_ = nullptr;

@@ -35,7 +35,8 @@ CodeCache::removeLive(RegionId id, DropReason reason)
     const std::uint64_t bytes = estimateOf(r);
     live_[id] = 0;
     --liveCount_;
-    entries_[r.entryBlock().id()].live = invalidRegion;
+    liveBlocks_ -= r.blocks().size();
+    entries_[r.entryBlock().id()].live = nullptr;
     liveBytes_ -= bytes;
     if (listener_ != nullptr) {
         // The re-entrancy sentinel brackets the callback; the
@@ -162,10 +163,10 @@ CodeCache::insert(Region region)
     if (entry.invalidated)
         ++retranslations_; // re-translating self-modified code
     entry.invalidated = false;
-    entry.live = id;
     live_.push_back(1);
     ++liveCount_;
-    regions_.push_back(std::move(region));
+    liveBlocks_ += region.blocks().size();
+    entry.live = &regions_.emplace_back(std::move(region));
     if (listener_ != nullptr) {
         notifying_ = true;
         listener_->onRegionInserted(regions_.back(),

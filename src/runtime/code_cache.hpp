@@ -151,16 +151,13 @@ class CodeCache
      * nullptr. This is the "HASH-LOOKUP(code cache, tgt)" of the
      * paper's pseudocode — a region's entry address is its entry
      * block's start address — served from a dense block-id-indexed
-     * table, so the hot dispatch loop pays one bounds check and one
-     * load. Evicted regions do not hit.
+     * table of region pointers, so the hot dispatch loop pays one
+     * bounds check and one load. Evicted regions do not hit.
      */
     const Region *
     lookupEntry(BlockId block) const
     {
-        if (block >= entries_.size())
-            return nullptr;
-        const RegionId id = entries_[block].live;
-        return id == invalidRegion ? nullptr : &regions_[id];
+        return block < entries_.size() ? entries_[block].live : nullptr;
     }
 
     /**
@@ -212,6 +209,9 @@ class CodeCache
 
     /** Number of live regions. */
     std::size_t liveRegionCount() const { return liveCount_; }
+
+    /** Member blocks over all live regions. */
+    std::size_t liveBlockCount() const { return liveBlocks_; }
 
     /**
      * Invalidate one live region (self-modifying-code model): the
@@ -308,8 +308,9 @@ class CodeCache
     /** What the cache knows about one block as a region entry. */
     struct EntryState
     {
-        /** The live region entering here, or invalidRegion. */
-        RegionId live = invalidRegion;
+        /** The live region entering here (an element of regions_,
+         *  whose addresses are stable), or nullptr. */
+        const Region *live = nullptr;
         /** A region entered here at some point. */
         bool everCached = false;
         /** The most recent drop of a region entering here was an
@@ -328,6 +329,7 @@ class CodeCache
     /** Per region id: 1 while live. */
     std::vector<std::uint8_t> live_;
     std::size_t liveCount_ = 0;
+    std::size_t liveBlocks_ = 0;
     /**
      * No region below this id is live. Ids are handed out in
      * insertion order, so the live regions from here up, in id

@@ -1,7 +1,8 @@
 #include "runtime/region.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <unordered_map>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -132,16 +133,19 @@ Region::computeMultiPathStubs()
     // target block is a member: exits targeting member blocks were
     // replaced by edges (Figure 13, line 16). Stubs remain for
     // targets outside the region and for indirect misses. The same
-    // walk fills the successor cache step() reads.
-    std::unordered_map<Addr, std::uint32_t> addrIndex;
-    addrIndex.reserve(blocks_.size());
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        const bool inserted =
-            addrIndex.emplace(blocks_[i]->startAddr(),
-                              static_cast<std::uint32_t>(i))
-                .second;
-        RSEL_ASSERT(inserted, "two region members share an address");
-    }
+    // walk fills the successor cache step() reads. Members by start
+    // address, searched by target:
+    std::vector<std::pair<Addr, std::uint32_t>> byAddr;
+    byAddr.reserve(blocks_.size());
+    for (std::size_t i = 0; i < blocks_.size(); ++i)
+        byAddr.emplace_back(blocks_[i]->startAddr(),
+                            static_cast<std::uint32_t>(i));
+    std::sort(byAddr.begin(), byAddr.end());
+    RSEL_ASSERT(std::adjacent_find(byAddr.begin(), byAddr.end(),
+                                   [](const auto &a, const auto &b) {
+                                       return a.first == b.first;
+                                   }) == byAddr.end(),
+                "two region members share an address");
     succs_.resize(blocks_.size());
 
     for (std::size_t i = 0; i < blocks_.size(); ++i) {
@@ -150,8 +154,10 @@ Region::computeMultiPathStubs()
         // true when the transfer leaves the region.
         auto needStubFor = [&](Addr target, BlockId &id,
                                std::uint32_t &pos) {
-            auto it = addrIndex.find(target);
-            if (it == addrIndex.end())
+            const auto it = std::lower_bound(
+                byAddr.begin(), byAddr.end(), target,
+                [](const auto &m, Addr a) { return m.first < a; });
+            if (it == byAddr.end() || it->first != target)
                 return true;
             if (target == entryAddr())
                 spansCycle_ = true;

@@ -1,7 +1,5 @@
 #include "selection/boa_selector.hpp"
 
-#include <algorithm>
-
 #include "program/program.hpp"
 #include "runtime/code_cache.hpp"
 #include "support/error.hpp"
@@ -10,7 +8,8 @@ namespace rsel {
 
 BoaSelector::BoaSelector(const Program &prog, const CodeCache &cache,
                          BoaConfig cfg)
-    : prog_(prog), cache_(cache), cfg_(cfg)
+    : prog_(prog), cache_(cache), cfg_(cfg),
+      counters_(prog.blocks().size()), member_(prog.blocks().size())
 {
     RSEL_ASSERT(cfg_.hotThreshold >= 1, "hot threshold must be >= 1");
     RSEL_ASSERT(cfg_.maxTraceInsts >= 1, "size limit must be >= 1");
@@ -25,25 +24,21 @@ BoaSelector::onInterpreted(const SelectorEvent &ev)
     // targets of taken backward branches and of code-cache exits.
     if (!ev.viaTaken)
         return std::nullopt;
-    const Addr tgt = ev.block->startAddr();
-    const bool backward = tgt <= ev.branchAddr;
+    const bool backward = ev.block->startAddr() <= ev.branchAddr;
     if (!backward && !ev.fromCacheExit)
         return std::nullopt;
 
-    std::uint32_t &count = counters_[tgt];
-    ++count;
-    maxCounters_ = std::max(maxCounters_, counters_.size());
-    if (count < cfg_.hotThreshold)
+    if (counters_.bump(ev.block->id()).count < cfg_.hotThreshold)
         return std::nullopt;
 
-    counters_.erase(tgt);
-    std::vector<const BasicBlock *> path = formMostLikelyPath(
-        prog_, cache_, profile_, *ev.block, cfg_.maxTraceInsts);
-    RSEL_ASSERT(!path.empty(), "BOA trace must contain its entry");
+    counters_.erase(ev.block->id());
+    formMostLikelyPath(prog_, cache_, profile_, *ev.block,
+                       cfg_.maxTraceInsts, path_, member_);
+    RSEL_ASSERT(!path_.empty(), "BOA trace must contain its entry");
 
     RegionSpec spec;
     spec.kind = Region::Kind::Trace;
-    spec.blocks = std::move(path);
+    spec.blocks = path_; // a copy: the scratch stays sized
     return spec;
 }
 

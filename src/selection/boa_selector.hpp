@@ -20,8 +20,6 @@
 #ifndef RSEL_SELECTION_BOA_SELECTOR_HPP
 #define RSEL_SELECTION_BOA_SELECTOR_HPP
 
-#include <unordered_map>
-
 #include "selection/path_profile.hpp"
 #include "selection/selector.hpp"
 
@@ -62,7 +60,10 @@ class BoaSelector : public RegionSelector
         }
     }
 
-    std::size_t maxLiveCounters() const override { return maxCounters_; }
+    std::size_t maxLiveCounters() const override
+    {
+        return counters_.peak();
+    }
 
     std::string name() const override { return "BOA"; }
 
@@ -75,8 +76,11 @@ class BoaSelector : public RegionSelector
     BoaConfig cfg_;
 
     PathProfile profile_;
-    std::unordered_map<Addr, std::uint32_t> counters_;
-    std::size_t maxCounters_ = 0;
+    /** Per block: the entry-point counter of the block it starts. */
+    CounterTable<> counters_;
+    /** formMostLikelyPath's scratch: the path and its members. */
+    std::vector<const BasicBlock *> path_;
+    BlockSet member_;
 };
 
 } // namespace rsel

@@ -58,12 +58,21 @@ CompactTrace::readBits(std::uint64_t &cursor, unsigned nbits) const
 CompactTrace
 CompactTrace::encode(const std::vector<const BasicBlock *> &path)
 {
+    CompactTrace ct;
+    ct.encodeInto(path);
+    return ct;
+}
+
+void
+CompactTrace::encodeInto(const std::vector<const BasicBlock *> &path)
+{
     RSEL_ASSERT(!path.empty(), "cannot encode an empty trace");
 
-    CompactTrace ct;
+    words_.clear();
+    bitLen_ = 0;
     // Two bits per transition plus the tail covers every path
     // without indirect branches, the common case.
-    ct.words_.reserve((2 * path.size() + 2 + addrBits) / wordBits + 1);
+    words_.reserve((2 * path.size() + 2 + addrBits) / wordBits + 1);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const BasicBlock *b = path[i];
         const BasicBlock *next = path[i + 1];
@@ -75,36 +84,44 @@ CompactTrace::encode(const std::vector<const BasicBlock *> &path)
             break;
           case BranchKind::CondDirect:
             if (next->startAddr() == b->takenTarget()) {
-                ct.appendBits(codeTaken, 2);
+                appendBits(codeTaken, 2);
             } else {
                 RSEL_ASSERT(next->startAddr() == b->fallThroughAddr(),
                             "conditional successor mismatch");
-                ct.appendBits(codeNotTaken, 2);
+                appendBits(codeNotTaken, 2);
             }
             break;
           case BranchKind::Jump:
           case BranchKind::Call:
             RSEL_ASSERT(next->startAddr() == b->takenTarget(),
                         "direct successor mismatch");
-            ct.appendBits(codeTaken, 2);
+            appendBits(codeTaken, 2);
             break;
           case BranchKind::IndirectJump:
           case BranchKind::IndirectCall:
           case BranchKind::Return:
-            ct.appendBits(codeIndirect, 2);
-            ct.appendBits(next->startAddr(), addrBits);
+            appendBits(codeIndirect, 2);
+            appendBits(next->startAddr(), addrBits);
             break;
           case BranchKind::Halt:
             panic("a trace cannot continue past a halt");
         }
     }
-    ct.appendBits(codeEnd, 2);
-    ct.appendBits(path.back()->lastInstAddr(), addrBits);
-    return ct;
+    appendBits(codeEnd, 2);
+    appendBits(path.back()->lastInstAddr(), addrBits);
 }
 
 std::vector<const BasicBlock *>
 CompactTrace::decode(const Program &prog, Addr entryAddr) const
+{
+    std::vector<const BasicBlock *> path;
+    decodeInto(prog, entryAddr, path);
+    return path;
+}
+
+void
+CompactTrace::decodeInto(const Program &prog, Addr entryAddr,
+                         std::vector<const BasicBlock *> &path) const
 {
     RSEL_ASSERT(bitLen_ >= 2 + addrBits, "truncated compact trace");
 
@@ -117,7 +134,7 @@ CompactTrace::decode(const Program &prog, Addr entryAddr) const
     const BasicBlock *current = prog.blockAtAddr(entryAddr);
     RSEL_ASSERT(current != nullptr, "trace entry is not a block");
 
-    std::vector<const BasicBlock *> path;
+    path.clear();
     // Every encoded branch is at least two bits; fall-through
     // boundaries add blocks beyond this estimate.
     path.reserve((bitLen_ - addrBits) / 2);
@@ -173,7 +190,6 @@ CompactTrace::decode(const Program &prog, Addr entryAddr) const
     RSEL_ASSERT(endMarker == codeEnd, "missing end-of-trace marker");
     RSEL_ASSERT(cursor == bitLen_ - addrBits,
                 "compact trace has trailing garbage");
-    return path;
 }
 
 } // namespace rsel

@@ -24,10 +24,13 @@ namespace rsel {
 
 class Program;
 
-/** An immutable, compactly encoded observed trace. */
+/** A compactly encoded observed trace. */
 class CompactTrace
 {
   public:
+    /** An empty trace (no bits), for encodeInto() to fill. */
+    CompactTrace() = default;
+
     /**
      * Encode a recorded trace.
      * @param path blocks in execution order; non-empty. Consecutive
@@ -37,12 +40,24 @@ class CompactTrace
     static CompactTrace encode(const std::vector<const BasicBlock *> &path);
 
     /**
+     * Replace this trace with the encoding of `path` (as encode()),
+     * reusing the word buffer: a trace no longer than one stored
+     * before allocates nothing.
+     */
+    void encodeInto(const std::vector<const BasicBlock *> &path);
+
+    /**
      * Decode back into a block path.
      * @param prog      the program the trace was recorded from.
      * @param entryAddr start address of the trace.
      */
     std::vector<const BasicBlock *> decode(const Program &prog,
                                            Addr entryAddr) const;
+
+    /** decode() into `path`, which is cleared first (its capacity
+     *  is reused). */
+    void decodeInto(const Program &prog, Addr entryAddr,
+                    std::vector<const BasicBlock *> &path) const;
 
     /**
      * Storage footprint in bytes (the paper's Figure 18 memory
@@ -54,8 +69,6 @@ class CompactTrace
     std::uint64_t bitLength() const { return bitLen_; }
 
   private:
-    CompactTrace() = default;
-
     /** Append the low `nbits` bits of `value` (nbits <= 64). */
     void appendBits(std::uint64_t value, unsigned nbits);
     std::uint64_t readBits(std::uint64_t &cursor, unsigned nbits) const;

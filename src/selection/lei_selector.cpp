@@ -1,8 +1,5 @@
 #include "selection/lei_selector.hpp"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "program/program.hpp"
 #include "runtime/code_cache.hpp"
 #include "support/error.hpp"
@@ -14,7 +11,8 @@ LeiSelector::LeiSelector(const Program &prog, const CodeCache &cache,
     : prog_(prog), cache_(cache), cfg_(cfg),
       // Every hashed target is a block start (onInterpreted), so the
       // block count bounds the distinct targets.
-      buffer_(cfg.bufferCapacity, prog.blocks().size())
+      buffer_(cfg.bufferCapacity, prog.blocks().size()),
+      counters_(prog.blocks().size()), member_(prog.blocks().size())
 {
     RSEL_ASSERT(cfg_.hotThreshold >= 1, "hot threshold must be >= 1");
     RSEL_ASSERT(cfg_.maxTraceInsts >= 1, "size limit must be >= 1");
@@ -51,11 +49,11 @@ LeiSelector::markSweepMultiIterRegions() const
     return store_ ? store_->multiIterRegions() : 0;
 }
 
-std::vector<const BasicBlock *>
+void
 LeiSelector::formTrace(Addr start, std::uint64_t oldSeq)
 {
-    std::vector<const BasicBlock *> path;
-    std::unordered_set<BlockId> member;
+    path_.clear();
+    member_.clear();
     std::uint64_t instCount = 0;
     Addr prev = start;
 
@@ -71,16 +69,16 @@ LeiSelector::formTrace(Addr start, std::uint64_t oldSeq)
             // region (avoids duplicating nested cycles, even on a
             // fall-through path — Section 3.1).
             if (cache_.lookupEntry(b->id()) != nullptr)
-                return path;
-            if (member.count(b->id()) != 0)
-                return path; // re-entered the path: stop cleanly
+                return;
+            if (member_.contains(b->id()))
+                return; // re-entered the path: stop cleanly
             // The entry block is always included, even when it alone
             // exceeds the size limit.
-            if (!path.empty() &&
+            if (!path_.empty() &&
                 instCount + b->instCount() > cfg_.maxTraceInsts)
-                return path;
-            path.push_back(b);
-            member.insert(b->id());
+                return;
+            path_.push_back(b);
+            member_.insert(b->id());
             instCount += b->instCount();
             if (b->lastInstAddr() == branch.src)
                 break;
@@ -91,23 +89,22 @@ LeiSelector::formTrace(Addr start, std::uint64_t oldSeq)
             // executed inside the code cache are never recorded — so
             // the trace ends with the well-formed prefix.
             if (!canFallThrough(b->terminator()))
-                return path;
+                return;
             b = prog_.fallThroughOf(*b);
         }
         if (b == nullptr) {
             // The buffer window no longer describes a contiguous
             // path (possible after heavy truncation); stop with
             // what was reconstructed.
-            return path;
+            return;
         }
 
         // Stop once the recorded branch completes a cycle.
         const BasicBlock *tgtBlock = prog_.blockAtAddr(branch.tgt);
-        if (tgtBlock != nullptr && member.count(tgtBlock->id()) != 0)
-            break;
+        if (tgtBlock != nullptr && member_.contains(tgtBlock->id()))
+            return;
         prev = branch.tgt;
     }
-    return path;
 }
 
 void
@@ -167,17 +164,17 @@ LeiSelector::onInterpreted(const SelectorEvent &ev)
     if (!backward && !oldFromCacheExit)
         return std::nullopt;
 
-    std::uint32_t &count = counters_[tgt];
-    ++count;
-    maxCounters_ = std::max(maxCounters_, counters_.size());
-
+    // Counters are keyed by the target's start address, which its
+    // block id names one to one.
+    const BlockId head = ev.block->id();
+    const std::uint32_t count = counters_.bump(head).count;
     const std::uint32_t trigger =
         cfg_.combine ? cfg_.hotThreshold - cfg_.profWindow
                      : cfg_.hotThreshold;
     if (count < trigger)
         return std::nullopt;
 
-    std::vector<const BasicBlock *> path = formTrace(tgt, oldSeq);
+    formTrace(tgt, oldSeq);
 
     // Figure 5 line 13: drop the formed cycle from the buffer and
     // re-point the hash at the surviving occurrence. When the old
@@ -190,24 +187,24 @@ LeiSelector::onInterpreted(const SelectorEvent &ev)
         buffer_.setHashLocation(tgt, oldSeq);
     }
 
-    RSEL_ASSERT(!path.empty(),
+    RSEL_ASSERT(!path_.empty(),
                 "a triggered cycle must yield at least its entry");
 
     if (!cfg_.combine) {
-        counters_.erase(tgt); // line 14: recycle the counter
+        counters_.erase(head); // line 14: recycle the counter
         RegionSpec spec;
         spec.kind = Region::Kind::Trace;
-        spec.blocks = std::move(path);
+        spec.blocks = path_; // a copy: the scratch stays sized
         return spec;
     }
 
     // Combination: store this cycle as one observed trace; combine
     // once the profiling window is full. A full window is combined
     // and released in the same call, so the store never holds one.
-    const bool windowFull = store_->store(tgt, path);
+    const bool windowFull = store_->store(tgt, path_);
     if (!windowFull)
         return std::nullopt;
-    counters_.erase(tgt);
+    counters_.erase(head);
     return store_->combine(prog_, tgt);
 }
 

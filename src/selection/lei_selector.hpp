@@ -19,8 +19,8 @@
 #define RSEL_SELECTION_LEI_SELECTOR_HPP
 
 #include <memory>
-#include <unordered_map>
 
+#include "selection/block_table.hpp"
 #include "selection/history_buffer.hpp"
 #include "selection/observed_store.hpp"
 #include "selection/selector.hpp"
@@ -64,7 +64,10 @@ class LeiSelector : public RegionSelector
 
     void onCacheDisruption(CacheDisruption kind) override;
 
-    std::size_t maxLiveCounters() const override { return maxCounters_; }
+    std::size_t maxLiveCounters() const override
+    {
+        return counters_.peak();
+    }
 
     std::uint64_t peakObservedTraceBytes() const override;
     std::uint64_t markSweepRegions() const override;
@@ -76,7 +79,7 @@ class LeiSelector : public RegionSelector
     const HistoryBuffer &buffer() const { return buffer_; }
 
     /** Live counters right now (for tests). */
-    std::size_t liveCounters() const { return counters_.size(); }
+    std::size_t liveCounters() const { return counters_.live(); }
 
   private:
     /**
@@ -84,18 +87,21 @@ class LeiSelector : public RegionSelector
      * (FORM-TRACE, Figure 6): walk each recorded branch after `old`,
      * appending the fall-through run from the previous target to the
      * branch source; stop at the head of an existing region, at the
-     * size limit, or when the cycle completes.
+     * size limit, or when the cycle completes. The path is left in
+     * path_.
      */
-    std::vector<const BasicBlock *> formTrace(Addr start,
-                                              std::uint64_t oldSeq);
+    void formTrace(Addr start, std::uint64_t oldSeq);
 
     const Program &prog_;
     const CodeCache &cache_;
     LeiConfig cfg_;
 
     HistoryBuffer buffer_;
-    std::unordered_map<Addr, std::uint32_t> counters_;
-    std::size_t maxCounters_ = 0;
+    /** Per block: the cycle counter of the loop header it starts. */
+    CounterTable<> counters_;
+    /** formTrace's scratch: the path and its member blocks. */
+    std::vector<const BasicBlock *> path_;
+    BlockSet member_;
 
     std::unique_ptr<ObservedTraceStore> store_;
 };

@@ -10,7 +10,8 @@ namespace rsel {
 
 NetSelector::NetSelector(const Program &prog, const CodeCache &cache,
                          NetConfig cfg)
-    : prog_(prog), cache_(cache), cfg_(cfg)
+    : prog_(prog), cache_(cache), cfg_(cfg),
+      counters_(prog.blocks().size())
 {
     RSEL_ASSERT(cfg_.hotThreshold >= 1, "hot threshold must be >= 1");
     RSEL_ASSERT(cfg_.maxTraceInsts >= 1, "size limit must be >= 1");
@@ -74,23 +75,24 @@ NetSelector::finalizeRecording()
 {
     recording_ = false;
     RSEL_ASSERT(!recordPath_.empty(), "recording cannot be empty");
-    const Addr entry = recordPath_.front()->startAddr();
+    const BasicBlock &head = *recordPath_.front();
 
     if (!cfg_.combine) {
         RegionSpec spec;
         spec.kind = Region::Kind::Trace;
-        spec.blocks = std::move(recordPath_);
+        spec.blocks = recordPath_; // a copy: the scratch stays sized
         recordPath_.clear();
         return spec;
     }
 
     // Combination mode: this recording is one observed trace.
-    const bool windowFull = store_->store(entry, recordPath_);
+    const bool windowFull =
+        store_->store(head.startAddr(), recordPath_);
     recordPath_.clear();
     if (!windowFull)
         return std::nullopt;
-    counters_.erase(entry); // recycled at T_start + T_prof (Fig. 13)
-    return store_->combine(prog_, entry);
+    counters_.erase(head.id()); // recycled at T_start + T_prof (Fig. 13)
+    return store_->combine(prog_, head.startAddr());
 }
 
 void
@@ -100,26 +102,26 @@ NetSelector::profile(const SelectorEvent &ev)
     // exits are allowed to begin a region (Section 2.1).
     if (!ev.viaTaken)
         return;
-    const Addr tgt = ev.block->startAddr();
-    const bool backward = tgt <= ev.branchAddr;
+    const bool backward = ev.block->startAddr() <= ev.branchAddr;
     if (!backward && !ev.fromCacheExit)
         return;
 
-    Counter &counter = counters_[tgt];
+    // Counters are keyed by the target's start address, which its
+    // block id names one to one.
+    Counter &counter = counters_.bump(ev.block->id());
     const std::uint32_t eventTrigger =
         triggerThreshold(ev.fromCacheExit);
     if (counter.trigger == 0)
         counter.trigger = eventTrigger;
     else
         counter.trigger = std::min(counter.trigger, eventTrigger);
-    ++counter.count;
-    maxCounters_ = std::max(maxCounters_, counters_.size());
 
     if (recording_ || counter.count < counter.trigger)
         return;
 
     if (!cfg_.combine) {
-        counters_.erase(tgt); // counter recycled once the trace forms
+        // Counter recycled once the trace forms.
+        counters_.erase(ev.block->id());
         startRecording(*ev.block);
         return;
     }

@@ -25,8 +25,8 @@
 #define RSEL_SELECTION_NET_SELECTOR_HPP
 
 #include <memory>
-#include <unordered_map>
 
+#include "selection/block_table.hpp"
 #include "selection/observed_store.hpp"
 #include "selection/selector.hpp"
 
@@ -90,7 +90,10 @@ class NetSelector : public RegionSelector
 
     void onCacheDisruption(CacheDisruption kind) override;
 
-    std::size_t maxLiveCounters() const override { return maxCounters_; }
+    std::size_t maxLiveCounters() const override
+    {
+        return counters_.peak();
+    }
 
     std::uint64_t peakObservedTraceBytes() const override;
     std::uint64_t markSweepRegions() const override;
@@ -99,13 +102,14 @@ class NetSelector : public RegionSelector
     std::string name() const override;
 
     /** Live counters right now (for tests). */
-    std::size_t liveCounters() const { return counters_.size(); }
+    std::size_t liveCounters() const { return counters_.live(); }
 
     /** True while a trace is being recorded (for tests). */
     bool recording() const { return recording_; }
 
   private:
-    /** A hotness counter with its effective trigger threshold. */
+    /** A hotness counter with its effective trigger threshold (0
+     *  until the first bump sets it). */
     struct Counter
     {
         std::uint32_t count = 0;
@@ -128,10 +132,11 @@ class NetSelector : public RegionSelector
     const CodeCache &cache_;
     NetConfig cfg_;
 
-    std::unordered_map<Addr, Counter> counters_;
-    std::size_t maxCounters_ = 0;
+    /** Per block: the counter of the region entrance it starts. */
+    CounterTable<Counter> counters_;
 
     bool recording_ = false;
+    /** The path being recorded; keeps its capacity between traces. */
     std::vector<const BasicBlock *> recordPath_;
     std::uint64_t recordInsts_ = 0;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "program/program.hpp"
-#include "selection/region_cfg.hpp"
 #include "support/error.hpp"
 
 namespace rsel {
@@ -23,53 +22,68 @@ ObservedTraceStore::store(Addr entry,
 {
     RSEL_ASSERT(!path.empty() && path.front()->startAddr() == entry,
                 "observed trace must start at its entrance address");
-    Observation &obs = observations_[entry];
-    RSEL_ASSERT(obs.traces.size() < profWindow_,
+    const BlockId id = path.front()->id();
+    Slot *slot = find(id);
+    if (slot == nullptr) {
+        if (id >= slotOf_.size())
+            slotOf_.resize(id + std::size_t{1}, 0);
+        slotOf_[id] = static_cast<std::uint32_t>(slots_.size() + 1);
+        slot = &slots_.emplace_back();
+        slot->entry = entry;
+        slot->traces.reserve(profWindow_);
+    }
+    RSEL_ASSERT(slot->used < profWindow_,
                 "entrance already has a full profiling window");
 
-    CompactTrace ct = CompactTrace::encode(path);
-    obs.bytes += ct.sizeBytes();
+    if (slot->used == slot->traces.size())
+        slot->traces.emplace_back();
+    CompactTrace &ct = slot->traces[slot->used++];
+    ct.encodeInto(path);
+    slot->bytes += ct.sizeBytes();
     curBytes_ += ct.sizeBytes();
     peakBytes_ = std::max(peakBytes_, curBytes_);
-    obs.traces.push_back(std::move(ct));
-    return obs.traces.size() == profWindow_;
+    return slot->used == profWindow_;
 }
 
 std::uint32_t
 ObservedTraceStore::observedCount(Addr entry) const
 {
-    auto it = observations_.find(entry);
-    if (it == observations_.end())
-        return 0;
-    return static_cast<std::uint32_t>(it->second.traces.size());
+    for (const Slot &slot : slots_)
+        if (slot.entry == entry)
+            return slot.used;
+    return 0;
 }
 
 RegionSpec
 ObservedTraceStore::combine(const Program &prog, Addr entry)
 {
-    auto it = observations_.find(entry);
-    RSEL_ASSERT(it != observations_.end() && !it->second.traces.empty(),
+    const BasicBlock *entryBlock = prog.blockAtAddr(entry);
+    Slot *slot = entryBlock == nullptr ? nullptr : find(entryBlock->id());
+    RSEL_ASSERT(slot != nullptr && slot->used != 0,
                 "no observed traces to combine");
 
-    const BasicBlock *entryBlock = prog.blockAtAddr(entry);
-    RSEL_ASSERT(entryBlock != nullptr, "entrance is not a block start");
+    if (cfg_)
+        cfg_->reset(entryBlock);
+    else
+        cfg_.emplace(entryBlock);
+    for (std::uint32_t i = 0; i < slot->used; ++i) {
+        slot->traces[i].decodeInto(prog, entry, path_);
+        cfg_->addTrace(path_);
+    }
 
-    RegionCfg cfg(entryBlock);
-    for (const CompactTrace &ct : it->second.traces)
-        cfg.addTrace(ct.decode(prog, entry));
-
-    cfg.markFrequent(minOccur_);
-    const std::uint32_t sweeps = cfg.markRejoiningPaths();
+    cfg_->markFrequent(minOccur_);
+    const std::uint32_t sweeps = cfg_->markRejoiningPaths();
     ++sweepRegions_;
     if (sweeps >= 2)
         ++multiIterRegions_;
 
     RegionSpec spec;
     spec.kind = Region::Kind::MultiPath;
-    spec.blocks = cfg.markedBlocks();
+    spec.blocks = cfg_->markedBlocks();
 
-    curBytes_ -= it->second.bytes;
-    observations_.erase(it);
+    curBytes_ -= slot->bytes;
+    slot->used = 0;
+    slot->bytes = 0;
     return spec;
 }
 

@@ -11,16 +11,22 @@
  *
  * The store also tracks the peak aggregate size of live observed
  * traces, which is the paper's Figure 18 memory-overhead metric.
+ *
+ * Its storage outlives each window: an entrance keeps its slot, and
+ * the slot its traces' word buffers, after the window is combined or
+ * cleared, and combining reuses one CFG and one decoded path. So an
+ * entrance profiled again allocates nothing for what it held before.
  */
 
 #ifndef RSEL_SELECTION_OBSERVED_STORE_HPP
 #define RSEL_SELECTION_OBSERVED_STORE_HPP
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "selection/compact_trace.hpp"
+#include "selection/region_cfg.hpp"
 #include "selection/selector.hpp"
 
 namespace rsel {
@@ -43,7 +49,8 @@ class ObservedTraceStore
      */
     bool store(Addr entry, const std::vector<const BasicBlock *> &path);
 
-    /** Observed traces stored so far for an entrance. */
+    /** Observed traces stored so far for an entrance (a scan over
+     *  the entrances, for tests). */
     std::uint32_t observedCount(Addr entry) const;
 
     /**
@@ -61,7 +68,10 @@ class ObservedTraceStore
      */
     void clear()
     {
-        observations_.clear();
+        for (Slot &slot : slots_) {
+            slot.used = 0;
+            slot.bytes = 0;
+        }
         curBytes_ = 0;
     }
 
@@ -78,15 +88,35 @@ class ObservedTraceStore
     std::uint64_t multiIterRegions() const { return multiIterRegions_; }
 
   private:
-    struct Observation
+    /** One entrance's profiling window. */
+    struct Slot
     {
+        Addr entry = invalidAddr;
+        /** traces[0, used) are the window's; the rest keep their
+         *  buffers for the next window. */
         std::vector<CompactTrace> traces;
+        std::uint32_t used = 0;
+        /** Bytes of the window's traces. */
         std::uint64_t bytes = 0;
     };
 
+    /** The slot of entrance block `id`, or nullptr if it has none. */
+    Slot *find(BlockId id)
+    {
+        return id < slotOf_.size() && slotOf_[id] != 0
+                   ? &slots_[slotOf_[id] - 1]
+                   : nullptr;
+    }
+
     std::uint32_t profWindow_;
     std::uint32_t minOccur_;
-    std::unordered_map<Addr, Observation> observations_;
+    /** One per entrance ever observed; never shrinks. */
+    std::vector<Slot> slots_;
+    /** Per block id (grown on demand): 1 + its slot's index, or 0. */
+    std::vector<std::uint32_t> slotOf_;
+    /** combine()'s scratch: the CFG and one decoded trace. */
+    std::optional<RegionCfg> cfg_;
+    std::vector<const BasicBlock *> path_;
     std::uint64_t curBytes_ = 0;
     std::uint64_t peakBytes_ = 0;
     std::uint64_t sweepRegions_ = 0;

@@ -1,7 +1,6 @@
 #include "selection/path_profile.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "program/program.hpp"
 #include "runtime/code_cache.hpp"
@@ -81,20 +80,21 @@ PathProfile::prefersTaken(BlockId id) const
            it->second.taken > it->second.notTaken;
 }
 
-std::vector<const BasicBlock *>
+void
 formMostLikelyPath(const Program &prog, const CodeCache &cache,
                    const PathProfile &profile, const BasicBlock &entry,
-                   std::uint32_t max_insts)
+                   std::uint32_t max_insts,
+                   std::vector<const BasicBlock *> &path, BlockSet &member)
 {
-    std::vector<const BasicBlock *> path;
-    std::unordered_set<BlockId> member;
+    path.clear();
+    member.clear();
     std::uint64_t insts = 0;
 
     const BasicBlock *b = &entry;
     while (b != nullptr) {
         if (b != &entry && cache.lookupEntry(b->id()) != nullptr)
             break; // reached an existing region
-        if (member.count(b->id()) != 0)
+        if (member.contains(b->id()))
             break; // completed a cycle (or re-joined the path)
         // The entry block is always included, even when it alone
         // exceeds the size limit.
@@ -123,14 +123,13 @@ formMostLikelyPath(const Program &prog, const CodeCache &cache,
           case BranchKind::Return:
             next = profile.hottestIndirectTarget(b->id());
             if (next == invalidAddr)
-                return path;
+                return;
             break;
           case BranchKind::Halt:
-            return path;
+            return;
         }
         b = prog.blockAtAddr(next);
     }
-    return path;
 }
 
 } // namespace rsel

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "selection/block_table.hpp"
 #include "selection/selector.hpp"
 
 namespace rsel {
@@ -81,11 +82,14 @@ class PathProfile
  * toward its hottest observed target. Stops at an existing region
  * head, on block revisit (cycle), at the size limit, at a halt, or
  * at an indirect branch with no profile.
+ * @param path   out: the walk, entry first (cleared first).
+ * @param member scratch set of the program's blocks (cleared first).
  */
-std::vector<const BasicBlock *>
-formMostLikelyPath(const Program &prog, const CodeCache &cache,
-                   const PathProfile &profile, const BasicBlock &entry,
-                   std::uint32_t max_insts);
+void formMostLikelyPath(const Program &prog, const CodeCache &cache,
+                        const PathProfile &profile,
+                        const BasicBlock &entry, std::uint32_t max_insts,
+                        std::vector<const BasicBlock *> &path,
+                        BlockSet &member);
 
 } // namespace rsel
 

@@ -7,32 +7,54 @@
 namespace rsel {
 
 RegionCfg::RegionCfg(const BasicBlock *entry)
-    : entry_(entry)
+{
+    reset(entry);
+}
+
+void
+RegionCfg::reset(const BasicBlock *entry)
 {
     RSEL_ASSERT(entry != nullptr, "region CFG needs an entry block");
+    entry_ = entry;
+    nodeCount_ = 0;
+    edges_ = 0;
+    traces_ = 0;
+    if (++epoch_ == 0) {
+        // Wrapped: a slot from 2^32 resets ago would alias.
+        std::fill(index_.begin(), index_.end(), IndexSlot{});
+        epoch_ = 1;
+    }
     nodeFor(entry);
 }
 
 std::size_t
 RegionCfg::nodeFor(const BasicBlock *b)
 {
-    auto it = index_.find(b->id());
-    if (it != index_.end()) {
+    const BlockId id = b->id();
+    if (id >= index_.size())
+        index_.resize(id + std::size_t{1});
+    IndexSlot &slot = index_[id];
+    if (slot.epoch == epoch_) {
         // The index is keyed by block id; two *distinct* block
         // objects sharing an id (blocks of different Program copies,
         // or a future per-function id scheme) would silently alias
         // into one node and corrupt the combined region. Insist on
         // object identity.
-        RSEL_ASSERT(nodes_[it->second].block == b,
+        RSEL_ASSERT(nodes_[slot.node].block == b,
                     "block-id aliasing: two distinct blocks share an "
                     "id in one region CFG");
-        return it->second;
+        return slot.node;
     }
-    const std::size_t idx = nodes_.size();
-    Node node;
+    const std::size_t idx = nodeCount_++;
+    if (idx == nodes_.size())
+        nodes_.emplace_back();
+    Node &node = nodes_[idx];
     node.block = b;
-    nodes_.push_back(std::move(node));
-    index_.emplace(b->id(), idx);
+    node.occurrences = 0;
+    node.stamp = 0;
+    node.marked = false;
+    node.succs.clear();
+    slot = {epoch_, static_cast<std::uint32_t>(idx)};
     return idx;
 }
 
@@ -77,42 +99,40 @@ RegionCfg::addTrace(const std::vector<const BasicBlock *> &trace)
 std::uint32_t
 RegionCfg::occurrences(BlockId id) const
 {
-    auto it = index_.find(id);
-    return it == index_.end() ? 0 : nodes_[it->second].occurrences;
+    const Node *n = find(id);
+    return n == nullptr ? 0 : n->occurrences;
 }
 
 void
 RegionCfg::markFrequent(std::uint32_t tmin)
 {
-    for (Node &n : nodes_)
-        if (n.occurrences >= tmin)
-            n.marked = true;
+    for (std::size_t i = 0; i < nodeCount_; ++i)
+        if (nodes_[i].occurrences >= tmin)
+            nodes_[i].marked = true;
 }
 
-std::vector<std::size_t>
-RegionCfg::postOrder() const
+void
+RegionCfg::postOrder()
 {
-    std::vector<std::size_t> order;
-    order.reserve(nodes_.size());
-    std::vector<std::uint8_t> state(nodes_.size(), 0); // 0 new, 1 open
+    order_.clear();
+    state_.assign(nodeCount_, 0); // 0 new, 1 open
     // Iterative DFS with an explicit stack of (node, next-child).
-    std::vector<std::pair<std::size_t, std::size_t>> stack;
-    stack.emplace_back(0, 0); // entry is node 0 by construction
-    state[0] = 1;
-    while (!stack.empty()) {
-        auto &[node, child] = stack.back();
+    stack_.clear();
+    stack_.emplace_back(0, 0); // entry is node 0 by construction
+    state_[0] = 1;
+    while (!stack_.empty()) {
+        auto &[node, child] = stack_.back();
         if (child < nodes_[node].succs.size()) {
             const std::size_t succ = nodes_[node].succs[child++];
-            if (state[succ] == 0) {
-                state[succ] = 1;
-                stack.emplace_back(succ, 0);
+            if (state_[succ] == 0) {
+                state_[succ] = 1;
+                stack_.emplace_back(succ, 0);
             }
         } else {
-            order.push_back(node);
-            stack.pop_back();
+            order_.push_back(node);
+            stack_.pop_back();
         }
     }
-    return order;
 }
 
 std::uint32_t
@@ -122,12 +142,12 @@ RegionCfg::markRejoiningPaths()
     // marked when any successor is marked. Visiting in post order
     // means successors are usually processed first, so one sweep
     // almost always suffices; back edges can force another.
-    const std::vector<std::size_t> order = postOrder();
+    postOrder();
     std::uint32_t sweepsThatMarked = 0;
     bool changed = true;
     while (changed) {
         changed = false;
-        for (std::size_t node : order) {
+        for (std::size_t node : order_) {
             Node &n = nodes_[node];
             if (n.marked)
                 continue;
@@ -150,19 +170,23 @@ RegionCfg::markedBlocks() const
 {
     RSEL_ASSERT(nodes_.front().marked,
                 "entry must be marked before extracting the region");
+    const auto first = nodes_.begin();
+    const auto last = first + static_cast<std::ptrdiff_t>(nodeCount_);
     std::vector<const BasicBlock *> blocks;
-    blocks.push_back(nodes_.front().block);
-    for (std::size_t i = 1; i < nodes_.size(); ++i)
-        if (nodes_[i].marked)
-            blocks.push_back(nodes_[i].block);
+    // Exactly sized: the vector becomes the region's member list.
+    blocks.reserve(static_cast<std::size_t>(std::count_if(
+        first, last, [](const Node &n) { return n.marked; })));
+    for (auto it = first; it != last; ++it)
+        if (it->marked)
+            blocks.push_back(it->block);
     return blocks;
 }
 
 bool
 RegionCfg::isMarked(BlockId id) const
 {
-    auto it = index_.find(id);
-    return it != index_.end() && nodes_[it->second].marked;
+    const Node *n = find(id);
+    return n != nullptr && n->marked;
 }
 
 } // namespace rsel

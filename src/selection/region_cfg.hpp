@@ -16,7 +16,7 @@
 #define RSEL_SELECTION_REGION_CFG_HPP
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "isa/basic_block.hpp"
@@ -29,6 +29,14 @@ class RegionCfg
   public:
     /** @param entry the common entry block of all observed traces. */
     explicit RegionCfg(const BasicBlock *entry);
+
+    /**
+     * Start over as a fresh RegionCfg(entry), keeping the storage of
+     * the nodes, their successor lists, the block index and the
+     * post-order scratch: a CFG no larger than one built before
+     * allocates nothing.
+     */
+    void reset(const BasicBlock *entry);
 
     /**
      * Add one observed trace. The first block must be the entry.
@@ -66,7 +74,7 @@ class RegionCfg
     bool isMarked(BlockId id) const;
 
     /** Number of distinct blocks in the CFG. */
-    std::size_t blockCount() const { return nodes_.size(); }
+    std::size_t blockCount() const { return nodeCount_; }
 
     /** Number of distinct observed edges. */
     std::size_t edgeCount() const { return edges_; }
@@ -82,7 +90,22 @@ class RegionCfg
         std::vector<std::size_t> succs; ///< node indices
     };
 
+    /** A block's node: valid while its epoch is the CFG's. */
+    struct IndexSlot
+    {
+        std::uint32_t epoch = 0;
+        std::uint32_t node = 0;
+    };
+
     std::size_t nodeFor(const BasicBlock *b);
+
+    /** The node of block `id`, or nullptr when it has none. */
+    const Node *find(BlockId id) const
+    {
+        if (id >= index_.size() || index_[id].epoch != epoch_)
+            return nullptr;
+        return &nodes_[index_[id].node];
+    }
 
     /** Count `n` once for the trace being added. */
     void countOnce(Node &n)
@@ -93,14 +116,25 @@ class RegionCfg
         }
     }
 
-    /** Post-order over nodes reachable from the entry. */
-    std::vector<std::size_t> postOrder() const;
+    /** Fill order_ with a post-order over nodes reachable from the
+     *  entry. */
+    void postOrder();
 
-    const BasicBlock *entry_;
+    const BasicBlock *entry_ = nullptr;
+    /** The CFG's nodes are the first nodeCount_; the rest are kept
+     *  for reuse, successor storage included. */
     std::vector<Node> nodes_;
-    std::unordered_map<BlockId, std::size_t> index_;
+    std::size_t nodeCount_ = 0;
+    /** Per block id (grown on demand): its node in this CFG. */
+    std::vector<IndexSlot> index_;
+    /** Bumped by reset(), orphaning every index slot at once. */
+    std::uint32_t epoch_ = 0;
     std::size_t edges_ = 0;
     std::uint32_t traces_ = 0;
+    /** postOrder()'s output and its per-node state and DFS stack. */
+    std::vector<std::size_t> order_;
+    std::vector<std::uint8_t> state_;
+    std::vector<std::pair<std::size_t, std::size_t>> stack_;
 };
 
 } // namespace rsel

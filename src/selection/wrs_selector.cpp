@@ -1,7 +1,5 @@
 #include "selection/wrs_selector.hpp"
 
-#include <algorithm>
-
 #include "program/program.hpp"
 #include "runtime/code_cache.hpp"
 #include "support/error.hpp"
@@ -10,7 +8,8 @@ namespace rsel {
 
 WrsSelector::WrsSelector(const Program &prog, const CodeCache &cache,
                          WrsConfig cfg)
-    : prog_(prog), cache_(cache), cfg_(cfg)
+    : prog_(prog), cache_(cache), cfg_(cfg),
+      samples_(prog.blocks().size()), member_(prog.blocks().size())
 {
     RSEL_ASSERT(cfg_.samplePeriod >= 1, "sample period must be >= 1");
     RSEL_ASSERT(cfg_.hotSamples >= 1, "sample threshold must be >= 1");
@@ -33,20 +32,17 @@ WrsSelector::onInterpreted(const SelectorEvent &ev)
     if (cache_.lookupEntry(ev.block->id()) != nullptr)
         return std::nullopt;
 
-    std::uint32_t &count = samples_[ev.block->startAddr()];
-    ++count;
-    maxCounters_ = std::max(maxCounters_, samples_.size());
-    if (count < cfg_.hotSamples)
+    if (samples_.bump(ev.block->id()).count < cfg_.hotSamples)
         return std::nullopt;
 
-    samples_.erase(ev.block->startAddr());
-    std::vector<const BasicBlock *> path = formMostLikelyPath(
-        prog_, cache_, profile_, *ev.block, cfg_.maxTraceInsts);
-    RSEL_ASSERT(!path.empty(), "WRS trace must contain its entry");
+    samples_.erase(ev.block->id());
+    formMostLikelyPath(prog_, cache_, profile_, *ev.block,
+                       cfg_.maxTraceInsts, path_, member_);
+    RSEL_ASSERT(!path_.empty(), "WRS trace must contain its entry");
 
     RegionSpec spec;
     spec.kind = Region::Kind::Trace;
-    spec.blocks = std::move(path);
+    spec.blocks = path_; // a copy: the scratch stays sized
     return spec;
 }
 

@@ -20,8 +20,6 @@
 #ifndef RSEL_SELECTION_WRS_SELECTOR_HPP
 #define RSEL_SELECTION_WRS_SELECTOR_HPP
 
-#include <unordered_map>
-
 #include "selection/path_profile.hpp"
 #include "selection/selector.hpp"
 
@@ -66,7 +64,10 @@ class WrsSelector : public RegionSelector
         }
     }
 
-    std::size_t maxLiveCounters() const override { return maxCounters_; }
+    std::size_t maxLiveCounters() const override
+    {
+        return samples_.peak();
+    }
 
     std::string name() const override { return "WRS"; }
 
@@ -76,8 +77,11 @@ class WrsSelector : public RegionSelector
     WrsConfig cfg_;
 
     PathProfile profile_;
-    std::unordered_map<Addr, std::uint32_t> samples_;
-    std::size_t maxCounters_ = 0;
+    /** Per block: the PC samples taken at its start. */
+    CounterTable<> samples_;
+    /** formMostLikelyPath's scratch: the path and its members. */
+    std::vector<const BasicBlock *> path_;
+    BlockSet member_;
     std::uint64_t tick_ = 0;
 };
 

@@ -120,6 +120,26 @@ TEST(CompactTraceTest, CallAndReturnRoundTrip)
     EXPECT_EQ(decoded[3]->id(), 8u);
 }
 
+TEST(CompactTraceTest, EncodeIntoALongerTraceMatchesEncode)
+{
+    Program p = mixedProgram(1);
+    // head(1) -> split(2) -> then(3) -> sw(4) -> case0(5) -> site(7)
+    // -> callee(0) -> latch(8): two indirect targets, three words.
+    const auto longPath = pathOf(p, {1, 2, 3, 4, 5, 7, 0, 8});
+    // split taken -> sw -> case1: one indirect target.
+    const auto shortPath = pathOf(p, {2, 4, 6});
+    CompactTrace reused = CompactTrace::encode(longPath);
+    ASSERT_GT(reused.bitLength(), 128u);
+    const CompactTrace fresh = CompactTrace::encode(shortPath);
+    reused.encodeInto(shortPath);
+    EXPECT_EQ(reused.bitLength(), fresh.bitLength());
+    EXPECT_EQ(reused.sizeBytes(), fresh.sizeBytes());
+    std::vector<const BasicBlock *> decoded = longPath;
+    reused.decodeInto(p, p.block(2).startAddr(), decoded);
+    EXPECT_EQ(decoded, shortPath);
+    EXPECT_EQ(decoded, fresh.decode(p, p.block(2).startAddr()));
+}
+
 TEST(CompactTraceTest, FieldsStraddlingWordBoundariesRoundTrip)
 {
     // k conditional branches, then two indirect jumps: with k = 31,
@@ -199,7 +219,11 @@ TEST_P(CompactTraceRoundTrip, ExecutedPathsRoundTrip)
     exec.run(300, sink);
     ASSERT_GT(sink.blocks.size(), 10u);
 
-    // Slice random windows out of the stream and round-trip them.
+    // Slice random windows out of the stream and round-trip them,
+    // each also through one trace and one path reused across the
+    // windows, longer and shorter ones.
+    CompactTrace reused;
+    std::vector<const BasicBlock *> redecoded;
     Rng rng(GetParam() * 977u + 3u);
     for (int trial = 0; trial < 50; ++trial) {
         const std::size_t start =
@@ -227,6 +251,10 @@ TEST_P(CompactTraceRoundTrip, ExecutedPathsRoundTrip)
         // Size model: at most 2 bits per block transition plus 64
         // per indirect, plus the 66-bit tail.
         EXPECT_LE(ct.bitLength(), 66u * path.size() + 66u);
+        reused.encodeInto(path);
+        EXPECT_EQ(reused.bitLength(), ct.bitLength());
+        reused.decodeInto(p, path.front()->startAddr(), redecoded);
+        EXPECT_EQ(redecoded, decoded);
     }
 }
 

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "dynopt/dynopt_system.hpp"
 #include "program/program_builder.hpp"
 #include "workloads/scenarios.hpp"
+#include "workloads/workloads.hpp"
 
 namespace rsel {
 namespace {
@@ -216,6 +220,49 @@ TEST(DynOptSystemTest, CustomSelectorSeesOnlyInterpretedBlocks)
         ++idx;
     }
     EXPECT_TRUE(sawInterpretedB);
+}
+
+TEST(DynOptSystemTest, LayoutStripeKeepsOnlyLiveRegions)
+{
+    // Under suite-churn's 1 KiB FullFlush cache gcc re-forms its
+    // regions all run. The layout stripe keeps the live regions'
+    // positions and fewer dead ones than live ones after each
+    // install, so it stays within twice the live regions' blocks
+    // plus the one region the next install adds, however many
+    // regions the run forms.
+    const Program prog = findWorkload("gcc")->build(42);
+    CacheLimits limits;
+    limits.capacityBytes = 1024;
+    limits.policy = CacheLimits::Policy::FullFlush;
+    DynOptSystem sys(prog, limits);
+    sys.useLei();
+    Executor exec(prog, 7);
+    EventBatch batch;
+    batch.reserve(defaultBatchSize);
+    std::size_t seen = 0;    // regions accounted below
+    std::size_t laidOut = 0; // positions laid out over the run
+    std::size_t largest = 0; // blocks of the largest region
+    for (std::uint64_t events = 0; events < 1'000'000;) {
+        const std::size_t got = exec.fillBatch(batch, defaultBatchSize);
+        sys.onBatch(batch);
+        events += got;
+        const CodeCache &cache = sys.cache();
+        for (; seen < cache.regionCount(); ++seen) {
+            const std::size_t n = cache.region(
+                static_cast<RegionId>(seen)).blocks().size();
+            laidOut += n;
+            largest = std::max(largest, n);
+        }
+        ASSERT_LE(sys.layoutStripeLength(),
+                  2 * cache.liveBlockCount() + largest)
+            << "after " << events << " events";
+        if (got < defaultBatchSize)
+            break;
+    }
+    std::printf("%zu regions laid out %zu positions; the stripe holds "
+                "%zu\n",
+                seen, laidOut, sys.layoutStripeLength());
+    EXPECT_GT(laidOut, 10 * (2 * sys.cache().liveBlockCount() + largest));
 }
 
 } // namespace

@@ -211,6 +211,57 @@ TEST(LeiSelectorTest, CountersRecycleAndStayBounded)
     EXPECT_GE(r.maxLiveCounters, 1u);
 }
 
+TEST(LeiSelectorTest, LiveCountersThroughTriggerRecycleAndReset)
+{
+    // Two back-to-back self loops; a cycle completes when a back edge
+    // finds its head's previous occurrence in the history buffer.
+    ProgramBuilder b(1);
+    b.beginFunction("main");
+    const BlockId h1 = b.block(1);
+    const BlockId l1 = b.block(1);
+    b.loopTo(l1, h1, 1000, 1000);
+    const BlockId h2 = b.block(1);
+    const BlockId l2 = b.block(1);
+    b.loopTo(l2, h2, 1000, 1000);
+    b.halt(b.block(1));
+    const Program p = b.build();
+    const auto backTo = [&](BlockId head, BlockId latch) {
+        SelectorEvent ev;
+        ev.block = &p.block(head);
+        ev.viaTaken = true;
+        ev.branchAddr = p.block(latch).lastInstAddr();
+        return ev;
+    };
+
+    const CodeCache cache;
+    LeiConfig cfg;
+    cfg.hotThreshold = 3;
+    LeiSelector lei(p, cache, cfg);
+    for (int i = 0; i < 2; ++i)
+        EXPECT_FALSE(lei.onInterpreted(backTo(h2, l2)));
+    EXPECT_EQ(lei.liveCounters(), 1u);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(lei.onInterpreted(backTo(h1, l1)));
+    EXPECT_EQ(lei.liveCounters(), 2u);
+    EXPECT_EQ(lei.maxLiveCounters(), 2u);
+    // h1's third cycle triggers: the trace forms and the counter is
+    // recycled.
+    const auto spec = lei.onInterpreted(backTo(h1, l1));
+    ASSERT_TRUE(spec);
+    EXPECT_EQ(spec->blocks.size(), 2u);
+    EXPECT_EQ(lei.liveCounters(), 1u);
+    // A flush keeps hotness; a reset forgets it. The peak stays.
+    lei.onCacheDisruption(CacheDisruption::Flush);
+    EXPECT_EQ(lei.liveCounters(), 1u);
+    lei.onCacheDisruption(CacheDisruption::Reset);
+    EXPECT_EQ(lei.liveCounters(), 0u);
+    EXPECT_EQ(lei.maxLiveCounters(), 2u);
+    for (int i = 0; i < 2; ++i)
+        EXPECT_FALSE(lei.onInterpreted(backTo(h1, l1)));
+    EXPECT_EQ(lei.liveCounters(), 1u);
+    EXPECT_EQ(lei.maxLiveCounters(), 2u);
+}
+
 TEST(LeiSelectorTest, FewerCountersThanNetOnLongCycles)
 {
     // A long cycle (more taken branches than the buffer holds):

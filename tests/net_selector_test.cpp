@@ -207,6 +207,78 @@ TEST(NetSelectorTest, CounterRecyclingBoundsLiveCounters)
     EXPECT_GE(r.maxLiveCounters, 1u);
 }
 
+/** Two back-to-back self loops (head, latch) and a halt. */
+struct TwoLoops
+{
+    Program prog;
+    BlockId h1, l1, h2, l2;
+};
+
+TwoLoops
+twoLoops()
+{
+    ProgramBuilder b(1);
+    b.beginFunction("main");
+    TwoLoops t;
+    t.h1 = b.block(1);
+    t.l1 = b.block(1);
+    b.loopTo(t.l1, t.h1, 1000, 1000);
+    t.h2 = b.block(1);
+    t.l2 = b.block(1);
+    b.loopTo(t.l2, t.h2, 1000, 1000);
+    b.halt(b.block(1));
+    t.prog = b.build();
+    return t;
+}
+
+/** The latch's back edge into the head, as the driver reports it. */
+SelectorEvent
+backEdge(const Program &p, BlockId head, BlockId latch)
+{
+    SelectorEvent ev;
+    ev.block = &p.block(head);
+    ev.viaTaken = true;
+    ev.branchAddr = p.block(latch).lastInstAddr();
+    return ev;
+}
+
+TEST(NetSelectorTest, LiveCountersThroughTriggerRecycleAndReset)
+{
+    const TwoLoops t = twoLoops();
+    const Program &p = t.prog;
+    const CodeCache cache;
+    NetConfig cfg;
+    cfg.hotThreshold = 3;
+    NetSelector net(p, cache, cfg);
+
+    EXPECT_FALSE(net.onInterpreted(backEdge(p, t.h2, t.l2)));
+    EXPECT_FALSE(net.onInterpreted(backEdge(p, t.h1, t.l1)));
+    EXPECT_FALSE(net.onInterpreted(backEdge(p, t.h1, t.l1)));
+    EXPECT_EQ(net.liveCounters(), 2u);
+    EXPECT_EQ(net.maxLiveCounters(), 2u);
+    // The third count triggers: h1's counter is recycled and the
+    // recording starts.
+    EXPECT_FALSE(net.onInterpreted(backEdge(p, t.h1, t.l1)));
+    EXPECT_TRUE(net.recording());
+    EXPECT_EQ(net.liveCounters(), 1u);
+    SelectorEvent latch;
+    latch.block = &p.block(t.l1);
+    EXPECT_FALSE(net.onInterpreted(latch));
+    const auto spec = net.onInterpreted(backEdge(p, t.h1, t.l1));
+    ASSERT_TRUE(spec);
+    EXPECT_EQ(spec->blocks.size(), 2u);
+    EXPECT_EQ(net.liveCounters(), 1u);
+    // A flush keeps hotness; a reset forgets it. The peak stays.
+    net.onCacheDisruption(CacheDisruption::Flush);
+    EXPECT_EQ(net.liveCounters(), 1u);
+    net.onCacheDisruption(CacheDisruption::Reset);
+    EXPECT_EQ(net.liveCounters(), 0u);
+    EXPECT_EQ(net.maxLiveCounters(), 2u);
+    EXPECT_FALSE(net.onInterpreted(backEdge(p, t.h2, t.l2)));
+    EXPECT_EQ(net.liveCounters(), 1u);
+    EXPECT_EQ(net.maxLiveCounters(), 2u);
+}
+
 TEST(NetSelectorTest, CombinedNetStartsEarlierAndCombines)
 {
     // probE = 0: the rare side never executes, so the combined

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -13,6 +14,7 @@
 #include "support/error.hpp"
 #include "support/random.hpp"
 #include "workloads/scenarios.hpp"
+#include "workloads/workloads.hpp"
 
 namespace rsel {
 namespace {
@@ -194,6 +196,93 @@ TEST_P(MarkFixpointProperty, FixpointHolds)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MarkFixpointProperty,
                          ::testing::Range(1, 21));
+
+/** Everything a RegionCfg reports, for comparing two of them. */
+struct CfgView
+{
+    std::vector<std::uint32_t> occurrences;
+    std::vector<bool> marked;
+    std::size_t blocks = 0;
+    std::size_t edges = 0;
+    std::uint32_t sweeps = 0;
+    std::vector<const BasicBlock *> region;
+
+    bool operator==(const CfgView &) const = default;
+};
+
+/** A random observed path from `entry` along the program's static
+ *  successors: at most 12 blocks, no block twice. */
+std::vector<const BasicBlock *>
+randomPath(const Program &p, const BasicBlock &entry, Rng &rng)
+{
+    std::vector<const BasicBlock *> path{&entry};
+    std::set<BlockId> seen{entry.id()};
+    while (path.size() < 12) {
+        const BasicBlock &b = *path.back();
+        std::vector<const BasicBlock *> next;
+        for (const Addr a : {b.takenTarget(), b.fallThroughAddr()})
+            if (const BasicBlock *n = p.blockAtAddr(a);
+                n != nullptr && seen.count(n->id()) == 0 &&
+                (a == b.takenTarget() || canFallThrough(b.terminator())))
+                next.push_back(n);
+        if (next.empty() || rng.nextBool(0.1))
+            break;
+        path.push_back(next[rng.nextBelow(next.size())]);
+        seen.insert(path.back()->id());
+    }
+    return path;
+}
+
+/** Add `traces`, mark at `tmin` and read everything back. */
+CfgView
+build(RegionCfg &cfg, const Program &p,
+      const std::vector<std::vector<const BasicBlock *>> &traces,
+      std::uint32_t tmin)
+{
+    for (const auto &t : traces)
+        cfg.addTrace(t);
+    cfg.markFrequent(tmin);
+    CfgView v;
+    v.sweeps = cfg.markRejoiningPaths();
+    for (const BasicBlock &b : p.blocks()) {
+        v.occurrences.push_back(cfg.occurrences(b.id()));
+        v.marked.push_back(cfg.isMarked(b.id()));
+    }
+    v.blocks = cfg.blockCount();
+    v.edges = cfg.edgeCount();
+    v.region = cfg.markedBlocks();
+    return v;
+}
+
+TEST(RegionCfgTest, ResetCfgEqualsAFreshOne)
+{
+    // One CFG reset between random trace sets, larger and smaller
+    // ones, at random entrances, must report exactly what a CFG
+    // built fresh for each set reports.
+    const Program p = findWorkload("gcc")->build(42);
+    Rng rng(17);
+    std::optional<RegionCfg> reused;
+    for (int round = 0; round < 60; ++round) {
+        const BasicBlock &entry =
+            p.blocks()[rng.nextBelow(p.blocks().size())];
+        std::vector<std::vector<const BasicBlock *>> traces;
+        const std::size_t n = 1 + rng.nextBelow(15);
+        for (std::size_t t = 0; t < n; ++t)
+            traces.push_back(randomPath(p, entry, rng));
+        const std::uint32_t tmin =
+            1 + static_cast<std::uint32_t>(rng.nextBelow(n));
+
+        RegionCfg fresh(&entry);
+        const CfgView want = build(fresh, p, traces, tmin);
+        if (reused)
+            reused->reset(&entry);
+        else
+            reused.emplace(&entry);
+        const CfgView got = build(*reused, p, traces, tmin);
+        EXPECT_TRUE(got == want) << "round " << round;
+        EXPECT_EQ(reused->traceCount(), fresh.traceCount());
+    }
+}
 
 } // namespace
 } // namespace rsel

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "dynopt/dynopt_system.hpp"
 #include "program/program_builder.hpp"
 #include "selection/observed_store.hpp"
 #include "support/error.hpp"
+#include "support/random.hpp"
 #include "workloads/scenarios.hpp"
+#include "workloads/workloads.hpp"
 
 namespace rsel {
 namespace {
@@ -106,6 +111,96 @@ TEST(ObservedStoreTest, GuardsAgainstMisuse)
     ObservedTraceStore store(1, 1);
     EXPECT_THROW(store.combine(p, p.block(Ids::a).startAddr()),
                  PanicError); // nothing observed
+}
+
+/** A random recordable path from `entry`: each step a transfer its
+ *  block can make, no block twice, at most 16 blocks. */
+std::vector<const BasicBlock *>
+randomTrace(const Program &p, const BasicBlock &entry, Rng &rng)
+{
+    std::vector<const BasicBlock *> path{&entry};
+    std::set<BlockId> seen{entry.id()};
+    while (path.size() < 16 && !rng.nextBool(0.1)) {
+        const BasicBlock &b = *path.back();
+        const BasicBlock *next = nullptr;
+        switch (b.terminator()) {
+          case BranchKind::None:
+            next = p.fallThroughOf(b);
+            break;
+          case BranchKind::CondDirect:
+            next = rng.nextBool(0.5) ? p.blockAtAddr(b.takenTarget())
+                                     : p.fallThroughOf(b);
+            break;
+          case BranchKind::Jump:
+          case BranchKind::Call:
+            next = p.blockAtAddr(b.takenTarget());
+            break;
+          case BranchKind::IndirectJump:
+          case BranchKind::IndirectCall:
+          case BranchKind::Return:
+            next = &p.blocks()[rng.nextBelow(p.blocks().size())];
+            break;
+          case BranchKind::Halt:
+            break;
+        }
+        if (next == nullptr || !seen.insert(next->id()).second)
+            break;
+        path.push_back(next);
+    }
+    return path;
+}
+
+TEST(ObservedStoreTest, ReusedStoreEqualsAFreshOne)
+{
+    // One store carried through many profiling windows, each ended by
+    // combine() or by clear(), must answer exactly as a store built
+    // fresh for that window: its reused slots and buffers hold
+    // nothing of the windows before.
+    const Program p = findWorkload("gcc")->build(42);
+    constexpr std::uint32_t tprof = 6;
+    Rng rng(29);
+    ObservedTraceStore reused(tprof, 2);
+    for (int round = 0; round < 80; ++round) {
+        ObservedTraceStore fresh(tprof, 2);
+        const std::uint64_t peakBefore = reused.peakBytes();
+        std::vector<const BasicBlock *> entrances;
+        for (std::size_t e = 1 + rng.nextBelow(3); e != 0; --e)
+            entrances.push_back(
+                &p.blocks()[rng.nextBelow(p.blocks().size())]);
+        for (int t = 0; t < 12; ++t) {
+            const Addr e =
+                entrances[rng.nextBelow(entrances.size())]->startAddr();
+            const auto path = randomTrace(p, *p.blockAtAddr(e), rng);
+            const bool full = fresh.store(e, path);
+            EXPECT_EQ(reused.store(e, path), full);
+            if (full) { // as a selector does with a full window
+                EXPECT_EQ(reused.combine(p, e).blocks,
+                          fresh.combine(p, e).blocks);
+            }
+        }
+        for (const BasicBlock *e : entrances)
+            EXPECT_EQ(reused.observedCount(e->startAddr()),
+                      fresh.observedCount(e->startAddr()));
+        EXPECT_EQ(reused.currentBytes(), fresh.currentBytes());
+        EXPECT_EQ(reused.peakBytes(),
+                  std::max(peakBefore, fresh.peakBytes()));
+        // Combine the windows that can be (the entrance must occur
+        // in T_min traces), or none of them; clear the rest.
+        const bool combineAny = rng.nextBool(0.7);
+        for (const BasicBlock *e : entrances) {
+            if (!combineAny || fresh.observedCount(e->startAddr()) < 2)
+                continue;
+            EXPECT_EQ(reused.combine(p, e->startAddr()).blocks,
+                      fresh.combine(p, e->startAddr()).blocks)
+                << "round " << round;
+            EXPECT_EQ(reused.currentBytes(), fresh.currentBytes());
+        }
+        reused.clear();
+        for (const BasicBlock *e : entrances)
+            EXPECT_EQ(reused.observedCount(e->startAddr()), 0u);
+        EXPECT_EQ(reused.currentBytes(), 0u);
+    }
+    EXPECT_GT(reused.sweepRegions(), 0u);
 }
 
 TEST(TraceCombinationTest, ThresholdParityWithBaseSelector)
